@@ -28,6 +28,8 @@ class ScoredSet:
         self.labels = np.asarray(self.labels, dtype=int)
         if self.scores.shape != self.labels.shape or self.scores.ndim != 1:
             raise MetricsError("scores and labels must be equal-length 1-D arrays")
+        if not np.isfinite(self.scores).all():
+            raise MetricsError("scores must be finite")
         if self.scores.size and (self.scores.min() < 0.0 or self.scores.max() > 1.0):
             raise MetricsError("scores must lie in [0, 1]")
         if not np.isin(self.labels, (0, 1)).all():

@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 import shutil
+import tempfile
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -78,14 +79,13 @@ def staged_output(final_dir):
     """Build outputs in a sibling temp dir, then rename into place.
 
     An interrupted run leaves the final directory untouched (absent or the
-    previous complete version); only a finished run is renamed in.
+    previous complete version); only a finished run is renamed in. Each run
+    stages in its own uniquely named directory, so two runs aimed at one
+    target never delete each other's work; the last to finish wins.
     """
     final = Path(final_dir)
     final.parent.mkdir(parents=True, exist_ok=True)
-    tmp = final.parent / (final.name + ".staging")
-    if tmp.exists():
-        shutil.rmtree(tmp)
-    tmp.mkdir()
+    tmp = Path(tempfile.mkdtemp(prefix=final.name + ".staging-", dir=final.parent))
     try:
         yield tmp
     except BaseException:

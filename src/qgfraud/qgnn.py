@@ -4,8 +4,9 @@ Per node, the 28-dim feature vector is compressed to q encoding angles by one
 shared linear layer, pushed through the layered circuit, and read out as
 per-qubit <Z>. Node readouts are average-pooled into a graph vector, and a
 linear head plus sigmoid produces the fraud probability. Everything trains
-end-to-end with Adam on binary cross-entropy; the quantum block
-differentiates via parameter shifts, the classical layers via the chain rule.
+end-to-end with Adam on binary cross-entropy; the quantum block is
+differentiated by the adjoint method (about three circuit runs per batch,
+see ``qsim.param_shift_grad_batch``), the classical layers by the chain rule.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 from . import qsim
 from .optim import AdamState, adam_step
 from .rng import make_rng
-from .training import TrainConfig, TrainHistory, TrainingError, batch_slices
+from .training import TrainConfig, TrainHistory, TrainingError, batch_slices, check_finite
 
 LOSS_CLAMP = 1e-7
 ENCODE_ACTIVATIONS = ("none", "tanh_pi")
@@ -114,8 +115,8 @@ def bce_loss(p_hat: float, y: int) -> float:
 def backward_batch(graphs, params: QgnnParams, spec: qsim.CircuitSpec, ys, encode_activation: str = "none"):
     """Mean loss over the batch and its gradient w.r.t. every parameter.
 
-    All nodes of the batch run through the circuit together; the parameter
-    shifts are therefore evaluated once per shifted angle, not once per node.
+    All nodes of the batch run through the circuit together, so the circuit
+    gradient costs one forward and one reverse sweep per batch, not per node.
     """
     if not graphs:
         raise TrainingError("backward_batch needs at least one graph")
@@ -190,6 +191,7 @@ def train(
             loss, grads = backward_batch(
                 batch, params, spec, [g.label for g in batch], encode_activation
             )
+            check_finite(epoch, loss, grads)
             new_dict, state = adam_step(
                 params.to_dict(),
                 grads,

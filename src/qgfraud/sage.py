@@ -19,7 +19,7 @@ import numpy as np
 
 from .optim import AdamState, adam_step
 from .rng import make_rng
-from .training import TrainConfig, TrainHistory, TrainingError, batch_slices
+from .training import TrainConfig, TrainHistory, TrainingError, batch_slices, check_finite
 
 DEFAULT_WIDTHS = (128, 128)
 DEFAULT_FAN_OUTS = (2, 32)
@@ -325,6 +325,7 @@ def sage_train(
                     acc = {k: acc[k] + grads[k] for k in acc}
             assert acc is not None
             grads = {k: v / len(batch) for k, v in acc.items()}
+            check_finite(epoch, batch_loss, grads)
             new_dict, state = adam_step(
                 params.to_dict(),
                 grads,

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 
 class TrainingError(ValueError):
     pass
@@ -64,6 +66,15 @@ def write_history(path, history: TrainHistory) -> None:
         fh.write("epoch,train_loss,val_loss\n")
         for e in history.epochs:
             fh.write(f"{e.epoch},{e.train_loss!r},{e.val_loss!r}\n")
+
+
+def check_finite(epoch: int, loss: float, grads: dict) -> None:
+    """Stop training on a NaN or infinite batch loss or gradient entry."""
+    if not np.isfinite(loss):
+        raise TrainingError(f"epoch {epoch}: non-finite batch loss {float(loss)!r}")
+    for name, g in grads.items():
+        if not np.isfinite(g).all():
+            raise TrainingError(f"epoch {epoch}: non-finite gradient in {name}")
 
 
 def batch_slices(n: int, batch_size: int):

@@ -47,6 +47,11 @@ class TestScoredSet:
         with pytest.raises(MetricsError):
             scored([0.5], [2])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_score_rejected(self, bad):
+        with pytest.raises(MetricsError, match="finite"):
+            scored([bad, 0.2, 0.9], [1, 0, 1])
+
 
 class TestConfusion:
     def test_basic(self):

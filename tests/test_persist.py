@@ -54,7 +54,7 @@ class TestStagedOutput:
         with staged_output(final) as tmp:
             (tmp / "file.txt").write_text("done")
         assert (final / "file.txt").read_text() == "done"
-        assert not (tmp_path / "out.staging").exists()
+        assert not list(tmp_path.glob("out.staging*"))
 
     def test_failure_leaves_target_absent(self, tmp_path):
         final = tmp_path / "out"
@@ -63,7 +63,7 @@ class TestStagedOutput:
                 (tmp / "partial.txt").write_text("half")
                 raise RuntimeError("boom")
         assert not final.exists()
-        assert not (tmp_path / "out.staging").exists()
+        assert not list(tmp_path.glob("out.staging*"))
 
     def test_failure_keeps_previous_version(self, tmp_path):
         final = tmp_path / "out"
@@ -80,6 +80,19 @@ class TestStagedOutput:
             with staged_output(final) as tmp:
                 (tmp / "v.txt").write_text(content)
         assert (final / "v.txt").read_text() == "v2"
+
+
+    def test_interleaved_runs_keep_their_own_staging(self, tmp_path):
+        final = tmp_path / "out"
+        with staged_output(final) as first:
+            (first / "who.txt").write_text("first")
+            with staged_output(final) as second:
+                assert second != first
+                (second / "who.txt").write_text("second")
+            assert (final / "who.txt").read_text() == "second"
+            assert (first / "who.txt").read_text() == "first"
+        assert (final / "who.txt").read_text() == "first"
+        assert not list(tmp_path.glob("out.staging*"))
 
 
 class TestHashing:

@@ -221,6 +221,21 @@ class TestTrain:
         with pytest.raises(TrainingError):
             qgnn.train([], [], qsim.CircuitSpec.chain(2, 1), TrainConfig())
 
+    @pytest.mark.parametrize("poison", ["loss", "grad"])
+    def test_non_finite_batch_stops_training(self, monkeypatch, poison):
+        real = qgnn.backward_batch
+
+        def poisoned(*args, **kwargs):
+            loss, grads = real(*args, **kwargs)
+            if poison == "loss":
+                return float("nan"), grads
+            return loss, dict(grads, w_vqc=np.full_like(grads["w_vqc"], np.inf))
+
+        monkeypatch.setattr(qgnn, "backward_batch", poisoned)
+        graphs = random_graphs(4, seed=1, max_nodes=2)
+        with pytest.raises(TrainingError, match="non-finite"):
+            qgnn.train(graphs, [], qsim.CircuitSpec.chain(2, 1), TrainConfig(epochs=1, seed=0))
+
 
 class TestPredict:
     def test_empty_list(self):

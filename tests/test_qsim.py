@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qgfraud import qsim
+from tests import oracles
 from tests.oracles import dense_1q, dense_cnot, dense_encode, dense_run_vqc, dense_rx, dense_ry, fd_grad
 
 
@@ -207,6 +208,23 @@ class TestParamShift:
         spec = qsim.CircuitSpec.chain(2, 1)
         with pytest.raises(qsim.QsimError):
             qsim.param_shift_grad([0.0, 0.0], spec, np.zeros(4), [1.0])
+
+
+class TestAdjointMatchesParamShift:
+    def test_random_circuits(self, rng):
+        for layers in range(4):
+            for _ in range(25):
+                q = int(rng.integers(1, 7))
+                factory = qsim.CircuitSpec.chain if rng.random() < 0.5 else qsim.CircuitSpec.ring
+                spec = factory(q, layers)
+                n = int(rng.integers(1, 9))
+                xs = rng.uniform(-3, 3, (n, q))
+                w = rng.uniform(0, 2 * np.pi, spec.n_params)
+                upstream = rng.normal(size=(n, q))
+                grad_w, grad_x = qsim.param_shift_grad_batch(xs, spec, w, upstream)
+                ref_w, ref_x = oracles.param_shift_grad_batch(xs, spec, w, upstream)
+                np.testing.assert_allclose(grad_w, ref_w, rtol=0, atol=1e-10)
+                np.testing.assert_allclose(grad_x, ref_x, rtol=0, atol=1e-10)
 
 
 class TestCircuitSpec:

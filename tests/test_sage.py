@@ -253,6 +253,21 @@ class TestSageTrain:
         with pytest.raises(TrainingError):
             sage.sage_train([], [], TrainConfig())
 
+    @pytest.mark.parametrize("poison", ["loss", "grad"])
+    def test_non_finite_batch_stops_training(self, monkeypatch, poison):
+        real = sage.sage_backward
+
+        def poisoned(*args, **kwargs):
+            loss, grads = real(*args, **kwargs)
+            if poison == "loss":
+                return float("nan"), grads
+            return loss, dict(grads, head_w=np.full_like(grads["head_w"], np.nan))
+
+        monkeypatch.setattr(sage, "sage_backward", poisoned)
+        graphs = random_graphs(4, seed=1, max_nodes=3)
+        with pytest.raises(TrainingError, match="non-finite"):
+            sage.sage_train(graphs, [], TrainConfig(epochs=1, seed=0), widths=(4, 4))
+
 
 class TestSagePredict:
     def test_matches_eval_forward(self):
