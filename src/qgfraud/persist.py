@@ -88,12 +88,14 @@ def staged_output(final_dir):
     tmp = Path(tempfile.mkdtemp(prefix=final.name + ".staging-", dir=final.parent))
     try:
         yield tmp
+        if final.exists():
+            shutil.rmtree(final)
+        tmp.rename(final)
     except BaseException:
+        # also when the swap itself fails, e.g. a concurrent run finishing
+        # first: the staging directory never outlives the call
         shutil.rmtree(tmp, ignore_errors=True)
         raise
-    if final.exists():
-        shutil.rmtree(final)
-    tmp.rename(final)
 
 
 def sha256_files(paths) -> str:

@@ -13,14 +13,25 @@ matrices). The private kernels accept a leading batch dimension so a model
 can push many encodings through the same circuit at once; the public
 ``StateVector`` API wraps a single state.
 
-Circuit gradients come from the adjoint method: one forward run plus one
-reverse sweep over the gates, about three forward passes in all, where the
-parameter-shift rule needs 2 (2qL + q) runs. Parameter shift survives only
-as the test oracle in ``tests/oracles.py``.
+One-layer circuits never build a state. Their rotations leave a product
+state whose wire j has <Z> = z_j = cos 2x_j cos a_j cos b_j + sin 2x_j sin b_j
+(a_j, b_j the RY and RX angles), and the CNOTs that follow only permute basis
+states: output bit k is the GF(2) parity of the input bits in row k of a
+(q, q) mask. So <Z_k> = prod of z_j over that row, read and differentiated
+in O(q^2) per input. ``run_vqc``, ``run_vqc_batch`` and
+``param_shift_grad_batch`` take that path whenever ``spec.layers == 1``.
+
+Deeper circuits are simulated, and their gradients come from the adjoint
+method: one forward run plus one reverse sweep over the gates, about three
+forward passes in all, where the parameter-shift rule needs 2 (2qL + q)
+runs. Parameter shift survives only as the test oracle in
+``tests/oracles.py``; the simulator is the reference the closed form is
+tested against.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -234,11 +245,52 @@ def _check_shapes(x: np.ndarray, spec: CircuitSpec, w: np.ndarray) -> None:
         raise QsimError(f"expected {spec.n_params} circuit angles, got {w.shape}")
 
 
+# ---------------------------------------------------------------------------
+# closed form for one layer
+
+@functools.lru_cache(maxsize=64)
+def _parity_mask(spec: CircuitSpec) -> np.ndarray:
+    """(q, q) bools: after the entangler, bit k is the parity of input bits j with mask[k, j]."""
+    mask = np.eye(spec.q, dtype=bool)
+    for c, t in spec.entangler:
+        mask[t] ^= mask[c]
+    mask.setflags(write=False)  # one cached array serves every caller
+    return mask
+
+
+def _one_layer_z(x: np.ndarray, spec: CircuitSpec, w: np.ndarray) -> np.ndarray:
+    q = spec.q
+    z = np.cos(2.0 * x) * (np.cos(w[:q]) * np.cos(w[q:])) + np.sin(2.0 * x) * np.sin(w[q:])
+    return np.where(_parity_mask(spec), z[..., None, :], 1.0).prod(axis=-1)
+
+
+def _one_layer_grad(xs: np.ndarray, spec: CircuitSpec, w: np.ndarray, upstream: np.ndarray):
+    q = spec.q
+    mask = _parity_mask(spec)
+    sin2x, cos2x = np.sin(2.0 * xs), np.cos(2.0 * xs)
+    sin_a, cos_a, sin_b, cos_b = np.sin(w[:q]), np.cos(w[:q]), np.sin(w[q:]), np.cos(w[q:])
+    z = cos2x * (cos_a * cos_b) + sin2x * sin_b
+    # factors[n, k, j] is z_j where readout k depends on wire j, else 1; the
+    # leave-one-out products come from prefix and suffix products, never from
+    # dividing by z_j, which can be exactly 0
+    factors = np.where(mask, z[:, None, :], 1.0)
+    ones = np.ones(factors.shape[:-1] + (1,))
+    before = np.cumprod(np.concatenate([ones, factors[..., :-1]], axis=-1), axis=-1)
+    after = np.cumprod(np.concatenate([ones, factors[..., :0:-1]], axis=-1), axis=-1)[..., ::-1]
+    dz = np.einsum("nk,nkj->nj", upstream, before * after * mask)
+    cos_sum, sin_sum = (dz * cos2x).sum(axis=0), (dz * sin2x).sum(axis=0)
+    grad_w = np.concatenate([-cos_sum * sin_a * cos_b, sin_sum * cos_b - cos_sum * cos_a * sin_b])
+    grad_x = dz * (2.0 * cos2x * sin_b - 2.0 * sin2x * (cos_a * cos_b))
+    return grad_w, grad_x
+
+
 def run_vqc(x, spec: CircuitSpec, w) -> np.ndarray:
     """Encode x, apply the layered circuit, return per-qubit <Z>."""
     x = np.asarray(x, dtype=float)
     w = np.asarray(w, dtype=float)
     _check_shapes(x, spec, w)
+    if spec.layers == 1:
+        return _one_layer_z(x, spec, w)
     return _z_expectations(_run(x, spec, w), spec.q)
 
 
@@ -247,6 +299,8 @@ def run_vqc_batch(xs, spec: CircuitSpec, w) -> np.ndarray:
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     w = np.asarray(w, dtype=float)
     _check_shapes(xs, spec, w)
+    if spec.layers == 1:
+        return _one_layer_z(xs, spec, w)
     return _z_expectations(_run(xs, spec, w), spec.q)
 
 
@@ -268,8 +322,12 @@ def _halves(amps2d: np.ndarray, qubit: int, q: int):
 def param_shift_grad_batch(xs, spec: CircuitSpec, w, upstream):
     """Exact circuit gradients contracted with an upstream (n, q) cotangent.
 
-    Computed by the adjoint method (Jones & Gacon, arXiv:2009.02823). One
-    forward run gives psi; lam = O psi carries the observable
+    One-layer circuits use the closed form (see the module docstring):
+    dL/dz_j = sum_k upstream[n, k] prod_{i in row k, i != j} z_i, then the
+    chain rule through z_j(x_j, a_j, b_j).
+
+    Deeper circuits use the adjoint method (Jones & Gacon, arXiv:2009.02823).
+    One forward run gives psi; lam = O psi carries the observable
     O = sum_k upstream[n, k] Z_k, which is diagonal. A reverse sweep then
     undoes each gate on both states, and a gate exp(-i t P / 2) contributes
     Im<lam|P psi>, read where both sit just after it. The cost is about
@@ -286,6 +344,8 @@ def param_shift_grad_batch(xs, spec: CircuitSpec, w, upstream):
     _check_shapes(xs, spec, w)
     if upstream.shape != xs.shape:
         raise QsimError(f"upstream shape {upstream.shape} does not match inputs {xs.shape}")
+    if spec.layers == 1:
+        return _one_layer_grad(xs, spec, w, upstream)
 
     q = spec.q
     psi = _run(xs, spec, w).reshape(-1, 2**q)

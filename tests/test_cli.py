@@ -105,6 +105,14 @@ class TestTrain:
         assert history[0] == "epoch,train_loss,val_loss"
         assert len(history) == 3
 
+    def test_manifest_records_epoch_seconds(self, built_run):
+        _, out = built_run
+        for model in ("qgnn", "sage"):
+            manifest = json.loads((out / f"train_{model}" / "manifest.json").read_text())
+            seconds = manifest["epoch_seconds"]
+            assert len(seconds) == manifest["epochs_run"] == 2
+            assert all(isinstance(s, float) and s > 0 for s in seconds)
+
     def test_zero_epochs_checkpoint_equals_init(self, tiny_csv, tmp_path):
         out = tmp_path / "run"
         cfg = write_cfg(tmp_path, tiny_csv, out, training={"epochs": 0})

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -92,6 +94,18 @@ class TestStagedOutput:
             assert (final / "who.txt").read_text() == "second"
             assert (first / "who.txt").read_text() == "first"
         assert (final / "who.txt").read_text() == "first"
+        assert not list(tmp_path.glob("out.staging*"))
+
+    def test_failed_swap_removes_staging(self, tmp_path, monkeypatch):
+        def refuse(self, target):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(Path, "rename", refuse)
+        final = tmp_path / "out"
+        with pytest.raises(OSError, match="rename refused"):
+            with staged_output(final) as tmp:
+                (tmp / "v.txt").write_text("v1")
+        assert not final.exists()
         assert not list(tmp_path.glob("out.staging*"))
 
 

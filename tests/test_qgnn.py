@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -149,6 +151,17 @@ class TestBackward:
         for key in grads_b:
             mean_grad = np.mean([np.asarray(g[key], dtype=float) for _, g in singles], axis=0)
             np.testing.assert_allclose(np.asarray(grads_b[key], dtype=float), mean_grad, atol=1e-12)
+
+    @pytest.mark.parametrize("layers", [1, 2])
+    def test_batch_loss_ignores_graph_order(self, layers):
+        spec = qsim.CircuitSpec.chain(2, layers)
+        params = qgnn.init_params(spec, make_rng(1))
+        graphs = random_graphs(5, seed=0, max_nodes=2)
+        losses = {
+            qgnn.backward_batch([graphs[i] for i in order], params, spec, [graphs[i].label for i in order])[0]
+            for order in itertools.permutations(range(len(graphs)))
+        }
+        assert len(losses) == 1
 
 
 class TestAdam:

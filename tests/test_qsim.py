@@ -227,6 +227,70 @@ class TestAdjointMatchesParamShift:
                 np.testing.assert_allclose(grad_x, ref_x, rtol=0, atol=1e-10)
 
 
+def one_layer_specs(rng):
+    """Chain, ring and random one-layer entanglers, with empty and repeated-pair cases."""
+    specs = [qsim.CircuitSpec(2, 1, ()), qsim.CircuitSpec(3, 1, ((0, 1), (0, 1))),
+             qsim.CircuitSpec(3, 1, ((0, 1), (1, 0), (0, 1), (2, 1), (2, 1), (1, 2)))]
+    for q in range(1, 7):
+        specs += [qsim.CircuitSpec.chain(q, 1), qsim.CircuitSpec.ring(q, 1)]
+        for _ in range(8 if q > 1 else 0):
+            pairs = [tuple(int(v) for v in rng.choice(q, size=2, replace=False))
+                     for _ in range(int(rng.integers(0, 2 * q + 1)))]
+            specs.append(qsim.CircuitSpec(q, 1, tuple(pairs)))
+    return specs
+
+
+def simulated_z(xs, spec, w):
+    return qsim._z_expectations(qsim._run(xs, spec, w), spec.q)
+
+
+class TestOneLayerClosedForm:
+    def test_forward_matches_simulator(self, rng):
+        for spec in one_layer_specs(rng):
+            xs = rng.uniform(-3, 3, (int(rng.integers(1, 6)), spec.q))
+            w = rng.uniform(0, 2 * np.pi, spec.n_params)
+            want = simulated_z(xs, spec, w)
+            np.testing.assert_allclose(qsim.run_vqc_batch(xs, spec, w), want, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(qsim.run_vqc(xs[0], spec, w), want[0], rtol=0, atol=1e-12)
+
+    def test_forward_matches_simulator_at_16_qubits(self, rng):
+        xs = rng.uniform(-3, 3, (3, 16))
+        for factory in (qsim.CircuitSpec.chain, qsim.CircuitSpec.ring):
+            spec = factory(16, 1)
+            w = rng.uniform(0, 2 * np.pi, spec.n_params)
+            np.testing.assert_allclose(
+                qsim.run_vqc_batch(xs, spec, w), simulated_z(xs, spec, w), rtol=0, atol=1e-12
+            )
+
+    def test_gradient_matches_param_shift(self, rng):
+        for spec in one_layer_specs(rng):
+            n = int(rng.integers(1, 6))
+            xs = rng.uniform(-3, 3, (n, spec.q))
+            w = rng.uniform(0, 2 * np.pi, spec.n_params)
+            upstream = rng.normal(size=(n, spec.q))
+            grad_w, grad_x = qsim.param_shift_grad_batch(xs, spec, w, upstream)
+            ref_w, ref_x = oracles.param_shift_grad_batch(xs, spec, w, upstream)
+            np.testing.assert_allclose(grad_w, ref_w, rtol=0, atol=1e-10)
+            np.testing.assert_allclose(grad_x, ref_x, rtol=0, atol=1e-10)
+
+    def test_zero_wire_factor(self, rng):
+        # wire 1 has x = pi/4 and no RY; its RX angle is 0 but for an offset
+        # that cancels the rounding of cos(pi/2), so its factor z_1 is exactly
+        # 0, and every ring readout has that factor
+        spec = qsim.CircuitSpec.ring(3, 1)
+        xs = np.array([[0.3, np.pi / 4, -1.1], [0.7, np.pi / 4, 2.0]])
+        w = np.array([0.4, 0.0, 2.2, 1.3, -np.cos(np.pi / 2), 0.5])
+        z = qsim.run_vqc_batch(xs, spec, w)
+        assert np.all(z == 0.0)
+        np.testing.assert_allclose(z, simulated_z(xs, spec, w), rtol=0, atol=1e-12)
+        upstream = rng.normal(size=xs.shape)
+        grad_w, grad_x = qsim.param_shift_grad_batch(xs, spec, w, upstream)
+        assert np.isfinite(grad_w).all() and np.isfinite(grad_x).all()
+        ref_w, ref_x = oracles.param_shift_grad_batch(xs, spec, w, upstream)
+        np.testing.assert_allclose(grad_w, ref_w, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(grad_x, ref_x, rtol=0, atol=1e-10)
+
+
 class TestCircuitSpec:
     def test_chain_layout(self):
         assert qsim.CircuitSpec.chain(4, 1).entangler == ((0, 1), (1, 2), (2, 3))
