@@ -117,10 +117,15 @@ def cmd_build_graphs(args) -> int:
                 for t in scaled.rows
             ]
             tda.write_graph_corpus(tmp / CORPUS_FILES[name], graphs)
+            nodes = [g.n_nodes for g in graphs]
+            edges = [len(g.edges) for g in graphs]
             counts[name] = {
                 "graphs": len(graphs),
                 "fraud": sum(g.label for g in graphs),
-                "max_nodes": max((g.n_nodes for g in graphs), default=0),
+                "max_nodes": max(nodes, default=0),
+                "mean_nodes": sum(nodes) / len(graphs) if graphs else 0.0,
+                "mean_edges": sum(edges) / len(graphs) if graphs else 0.0,
+                "total_nodes": sum(nodes),
             }
         dataset.write_split_manifest(
             tmp / "split_manifest.txt", cfg.seed, cfg.split, idx_train, idx_val, idx_test

@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import DatasetError, SplitSpec
+from .qsim import MAX_QUBITS
 from .tda import CoverSpec, DbscanSpec, TdaError
 from .training import TrainConfig, TrainingError
 
@@ -63,8 +64,8 @@ class QgnnModelConfig:
     encode_activation: str = "none"
 
     def __post_init__(self) -> None:
-        if not 1 <= self.qubits <= 20:
-            raise ConfigError(f"model.qgnn.qubits must lie in [1, 20], got {self.qubits}")
+        if not 1 <= self.qubits <= MAX_QUBITS:
+            raise ConfigError(f"model.qgnn.qubits must lie in [1, {MAX_QUBITS}], got {self.qubits}")
         if self.layers < 1:
             raise ConfigError(f"model.qgnn.layers must be >= 1, got {self.layers}")
         if self.entangler not in ENTANGLERS:

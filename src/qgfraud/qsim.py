@@ -8,11 +8,6 @@ Conventions, fixed once and used everywhere:
 * Angle encoding prepares the product state with per-qubit amplitudes
   ``(cos x_i, i sin x_i)``, i.e. ``RX(-2 x_i)`` applied to |0>.
 
-Gates act on the amplitude array via axis manipulation (no 2^q x 2^q
-matrices). The private kernels accept a leading batch dimension so a model
-can push many encodings through the same circuit at once; the public
-``StateVector`` API wraps a single state.
-
 One-layer circuits never build a state. Their rotations leave a product
 state whose wire j has <Z> = z_j = cos 2x_j cos a_j cos b_j + sin 2x_j sin b_j
 (a_j, b_j the RY and RX angles), and the CNOTs that follow only permute basis
@@ -21,12 +16,31 @@ states: output bit k is the GF(2) parity of the input bits in row k of a
 in O(q^2) per input. ``run_vqc``, ``run_vqc_batch`` and
 ``param_shift_grad_batch`` take that path whenever ``spec.layers == 1``.
 
-Deeper circuits are simulated, and their gradients come from the adjoint
-method: one forward run plus one reverse sweep over the gates, about three
-forward passes in all, where the parameter-shift rule needs 2 (2qL + q)
-runs. Parameter shift survives only as the test oracle in
+Deeper circuits are simulated a layer at a time over (rows, 2^q) arrays:
+
+* The first layer acts on the encoded product state, so its rotations are
+  applied to each wire's two amplitudes before the product is formed.
+* A layer's RY and RX on a wire fuse to one 2x2 matrix, and the wires are
+  rotated in groups of up to ``GROUP_WIRES``: one matmul per group with the
+  Kronecker product of the group's matrices.
+* A layer's CNOT network permutes basis states, so it is one gather,
+  ``np.take(state, perm, axis=1)``. ``perm`` is cached per spec and built by
+  running the single-CNOT kernel on ``arange(2**q)``.
+* <Z_k> is read by halving the probabilities once per wire.
+
+Rows go through in chunks of ``CHUNK_AMPLITUDES`` amplitudes (at least one
+row), so a state stays cache-sized and a call's memory is a fixed multiple of
+that budget, or of one row beyond 16 qubits, whatever the batch size. Every
+per-row result is computed the same way whatever the chunk holds, so readouts
+and input gradients do not depend on the chunking.
+
+Gradients of deeper circuits come from the adjoint method: one forward run
+plus one reverse sweep with the inverse permutation and the conjugate group
+matrices, about three forward passes in all, where the parameter-shift rule
+needs 2 (2qL + q) runs. Parameter shift survives only as the test oracle in
 ``tests/oracles.py``; the simulator is the reference the closed form is
-tested against.
+tested against, and the single-gate kernels behind the ``StateVector`` API
+are the reference for the layer kernels.
 """
 
 from __future__ import annotations
@@ -37,6 +51,8 @@ from dataclasses import dataclass
 import numpy as np
 
 MAX_QUBITS = 20
+CHUNK_AMPLITUDES = 1 << 16  # 1 MiB of complex128 per simulated chunk
+GROUP_WIRES = 4  # wires per rotation matmul: 16 x 16 Kronecker products
 
 
 class QsimError(ValueError):
@@ -54,6 +70,7 @@ def ry_matrix(theta: float) -> np.ndarray:
 
 
 _ROTATIONS = {"x": rx_matrix, "y": ry_matrix}
+_PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -115,7 +132,7 @@ class StateVector:
 
 
 # ---------------------------------------------------------------------------
-# kernels over (..., 2**q) amplitude arrays
+# single-gate kernels over (..., 2**q) amplitude arrays
 #
 # Stride layout: for qubit k the index splits as (prefix, bit_k, block) with
 # block = 2**(q-1-k), so a contiguous reshape exposes the qubit as its own
@@ -158,41 +175,199 @@ def _apply_cnot(amps: np.ndarray, control: int, target: int, q: int) -> np.ndarr
     return out
 
 
-def _encode(x: np.ndarray) -> np.ndarray:
-    # x: (..., q) angles -> contiguous (..., 2**q) product-state amplitudes
-    lead, q = x.shape[:-1], x.shape[-1]
-    amps = np.ones(lead + (1,), dtype=complex)
-    for i in range(q):
-        qubit = np.stack(
-            [np.cos(x[..., i]).astype(complex), 1j * np.sin(x[..., i])], axis=-1
-        )
-        amps = (amps[..., :, None] * qubit[..., None, :]).reshape(lead + (-1,))
-    return np.ascontiguousarray(amps)
+def _product_state(wires: np.ndarray, out: np.ndarray) -> np.ndarray:
+    # wires: (n, q, 2) per-wire amplitudes -> their product state in out, (n, 2**q).
+    # Built in place from the last wire up: the tail of each row holds the
+    # product over wires k+1.., and wire k doubles it towards the front.
+    size = out.shape[1]
+    out[:, -1] = 1.0
+    for k in reversed(range(wires.shape[1])):
+        m = size >> (k + 1)
+        tail = out[:, size - m:]
+        np.multiply(tail, wires[:, k, 0, None], out=out[:, size - 2 * m:size - m])
+        np.multiply(tail, wires[:, k, 1, None], out=tail)
+    return out
+
+
+def _encoding_wires(x: np.ndarray) -> np.ndarray:
+    # (..., q) angles -> (..., q, 2) per-wire amplitudes (cos x, i sin x)
+    return np.stack([np.cos(x).astype(complex), 1j * np.sin(x)], axis=-1)
 
 
 def _z_expectations(amps: np.ndarray, q: int) -> np.ndarray:
+    # halving: split on the most significant wire left, read its <Z>, then
+    # sum the two halves so the next wire becomes the most significant
     lead = amps.shape[:-1]
-    probs = np.ascontiguousarray(amps.real**2 + amps.imag**2).reshape(-1, 2**q)
+    probs = (amps.real**2 + amps.imag**2).reshape(-1, 2**q)
     out = np.empty((probs.shape[0], q))
     for k in range(q):
-        block = 1 << (q - 1 - k)
-        p = probs.reshape(probs.shape[0], -1, 2, block).sum(axis=(1, 3))
-        out[:, k] = p[:, 0] - p[:, 1]
+        halves = probs.reshape(probs.shape[0], 2, -1)
+        lo, hi = halves[:, 0], halves[:, 1]
+        out[:, k] = lo.sum(axis=1) - hi.sum(axis=1)
+        probs = lo + hi
     return out.reshape(lead + (q,))
 
 
+# ---------------------------------------------------------------------------
+# layer kernels over (rows, 2**q) chunks
+
+
+def _chunks(n: int, q: int, buffers: int):
+    """Row slices of at most CHUNK_AMPLITUDES amplitudes each (one row at least),
+    each with that many rows of ``buffers`` work arrays, which every chunk reuses."""
+    step = max(1, min(n, CHUNK_AMPLITUDES >> q))
+    work = np.empty((buffers, step, 2**q), dtype=complex)
+    for start in range(0, n, step):
+        rows = slice(start, min(start + step, n))
+        yield rows, work[:, : rows.stop - start]
+
+
+def _wire_groups(q: int):
+    """(first wire, wire count) of each rotation group, in wire order."""
+    return [(k0, min(GROUP_WIRES, q - k0)) for k0 in range(0, q, GROUP_WIRES)]
+
+
+@functools.lru_cache(maxsize=64)
+def _entangler_perms(spec: CircuitSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(perm, inverse): ``np.take(state, perm, axis=-1)`` applies the CNOT network."""
+    perm = np.arange(2**spec.q)
+    for c, t in spec.entangler:
+        _cnot_inplace(perm[None, :], c, t, spec.q)
+    inverse = np.argsort(perm)
+    for a in (perm, inverse):
+        a.setflags(write=False)  # cached arrays serve every caller
+    return perm, inverse
+
+
+@functools.lru_cache(maxsize=None)
+def _marginal_index(c: int) -> np.ndarray:
+    """(2**(c-1), 2, 2, c) flat indices into a (2^c x 2^c) group overlap matrix:
+    [:, a, b, j] are the entries with the group's wire j at (a, b) and every
+    other wire equal."""
+    rest = np.arange(1 << (c - 1))
+    idx = np.empty((rest.size, 2, c), dtype=np.intp)
+    for j in range(c):
+        pos = c - 1 - j  # the group's first wire is its most significant bit
+        high, low = (rest >> pos) << (pos + 1), rest & ((1 << pos) - 1)
+        idx[:, 0, j], idx[:, 1, j] = high | low, high | (1 << pos) | low
+    flat = (idx[:, :, None] << c) | idx[:, None, :]
+    flat.setflags(write=False)
+    return flat
+
+
+def _kron(mats: np.ndarray) -> np.ndarray:
+    """Kronecker product of (c, 2, 2) matrices, the first one most significant."""
+    out = mats[0]
+    for m in mats[1:]:
+        out = (out[:, None, :, None] * m[None, :, None, :]).reshape(2 * len(out), -1)
+    return out
+
+
+def _permute(src: np.ndarray, perm: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    # a gather into dst; mode="clip" (perm is in range) keeps np.take from
+    # buffering its output
+    return np.take(src, perm, axis=1, out=dst, mode="clip")
+
+
+def _rotate(amps: np.ndarray, krons: list, q: int, spare: np.ndarray) -> None:
+    """Apply one layer's rotations to ``amps`` in place, one matmul per wire group.
+
+    Every matmul is stacked by row (and prefix), so a row's arithmetic does not
+    depend on how many rows the chunk holds.
+    """
+    n = amps.shape[0]
+    src, dst = amps, spare
+    for (k0, c), mat in zip(_wire_groups(q), krons):
+        d, block = 1 << c, 1 << (q - k0 - c)
+        if block == 1:
+            np.matmul(src.reshape(n, -1, d), mat.T, out=dst.reshape(n, -1, d))
+        else:
+            np.matmul(mat, src.reshape(-1, d, block), out=dst.reshape(-1, d, block))
+        src, dst = dst, src
+    if src is not amps:
+        np.copyto(amps, src)
+
+
+def _wire_overlaps(lam: np.ndarray, psi: np.ndarray, q: int, scratch: np.ndarray) -> np.ndarray:
+    """(n, 2, 2, q): [n, a, b, k] sums conj(lam) psi over row n's amplitude
+    pairs with lam's wire k at a, psi's at b and every other wire equal.
+
+    Each wire group's terms come from one (2^c x 2^c) overlap matrix per row,
+    a stacked matmul of the two states; ``scratch`` holds conj(lam).
+    """
+    n = lam.shape[0]
+    lam_c = np.conjugate(lam, out=scratch)
+    parts = []
+    for k0, c in _wire_groups(q):
+        d, block = 1 << c, 1 << (q - k0 - c)
+        if block == 1:
+            overlap = lam_c.reshape(n, -1, d).transpose(0, 2, 1) @ psi.reshape(n, -1, d)
+        else:
+            overlap = lam_c.reshape(n, -1, d, block) @ psi.reshape(n, -1, d, block).transpose(0, 1, 3, 2)
+            # the first group has one prefix, so there is nothing to sum
+            overlap = overlap[:, 0] if k0 == 0 else overlap.sum(axis=1)
+        # reductions run over a middle axis, so each row sums in the same order
+        parts.append(np.take(overlap.reshape(n, -1), _marginal_index(c), axis=1).sum(axis=1))
+    return np.concatenate(parts, axis=-1)
+
+
+class _Layers:
+    """One call's circuit in the form the layer kernels use."""
+
+    def __init__(self, spec: CircuitSpec, w: np.ndarray) -> None:
+        self.q, self.layers = spec.q, spec.layers
+        half = w.reshape(spec.layers, 2, spec.q) / 2.0
+        cos, sin = np.cos(half), np.sin(half)
+        ry = np.stack([np.stack([cos[:, 0], -sin[:, 0]], -1), np.stack([sin[:, 0], cos[:, 0]], -1)], -2)
+        rx = np.stack([np.stack([cos[:, 1], -1j * sin[:, 1]], -1), np.stack([-1j * sin[:, 1], cos[:, 1]], -1)], -2)
+        # (layers, q, 2, 2): a layer's RY then RX on one wire, as one matrix
+        self.wires = rx @ ry.astype(complex)
+        self.krons = [[_kron(mats[k0:k0 + c]) for k0, c in _wire_groups(spec.q)] for mats in self.wires[1:]]
+        self.perm, self.inverse = _entangler_perms(spec)
+
+    def first_wires(self, xs: np.ndarray) -> np.ndarray:
+        """(n, q, 2): each wire after encoding and the first layer's rotations."""
+        wires = _encoding_wires(xs)
+        if not self.layers:
+            return wires
+        u = self.wires[0]  # u @ wire for every row and wire, written out elementwise
+        return u[None, :, :, 0] * wires[:, :, None, 0] + u[None, :, :, 1] * wires[:, :, None, 1]
+
+    def rotated(self, first: np.ndarray, amps: np.ndarray, spare: np.ndarray):
+        """The state after the last layer's rotations, before its entangler.
+
+        Computed in the work arrays ``amps`` and ``spare``; returns (the one
+        that holds the state, the other).
+        """
+        _product_state(first, amps)
+        for krons in self.krons:
+            amps, spare = _permute(amps, self.perm, spare), amps
+            _rotate(amps, krons, self.q, spare)
+        return amps, spare
+
+    def state(self, xs: np.ndarray, work: np.ndarray) -> np.ndarray:
+        """Output state of the rows xs, in one of the two arrays of ``work``."""
+        amps, spare = self.rotated(self.first_wires(xs), work[0], work[1])
+        return _permute(amps, self.perm, spare) if self.layers else amps
+
+
 def _run(x: np.ndarray, spec: CircuitSpec, w: np.ndarray) -> np.ndarray:
-    amps = _encode(x)
-    flat = amps.reshape(-1, 2**spec.q)
-    for layer in range(spec.layers):
-        base = layer * 2 * spec.q
-        for k in range(spec.q):
-            # the layer applies RY on every wire, then RX on every wire;
-            # per wire that composes to one 2x2 matrix, saving a full pass
-            _rot_inplace(flat, rx_matrix(w[base + spec.q + k]) @ ry_matrix(w[base + k]), k, spec.q)
-        for c, t in spec.entangler:
-            _cnot_inplace(flat, c, t, spec.q)
-    return amps
+    """The full (..., 2**q) output state, for tests and oracles."""
+    xs = np.asarray(x, dtype=float).reshape(-1, spec.q)
+    circuit = _Layers(spec, np.asarray(w, dtype=float))
+    out = np.empty((len(xs), 2**spec.q), dtype=complex)
+    for rows, work in _chunks(len(xs), spec.q, 2):
+        out[rows] = circuit.state(xs[rows], work)
+    return out.reshape(np.shape(x)[:-1] + (-1,))
+
+
+def _simulated_z(xs: np.ndarray, spec: CircuitSpec, w: np.ndarray) -> np.ndarray:
+    # (n, q) inputs -> (n, q) readouts, one chunk of states at a time
+    circuit = _Layers(spec, w)
+    out = np.empty(xs.shape)
+    for rows, work in _chunks(len(xs), spec.q, 2):
+        out[rows] = _z_expectations(circuit.state(xs[rows], work), spec.q)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +405,7 @@ def angle_encode(x) -> StateVector:
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or not 1 <= x.size <= MAX_QUBITS:
         raise QsimError(f"encoding vector must have 1..{MAX_QUBITS} entries, got {x.shape}")
-    return StateVector(_encode(x))
+    return StateVector(_product_state(_encoding_wires(x)[None], np.empty((1, 2**x.size), dtype=complex))[0])
 
 
 def z_expectations(s: StateVector) -> np.ndarray:
@@ -291,7 +466,7 @@ def run_vqc(x, spec: CircuitSpec, w) -> np.ndarray:
     _check_shapes(x, spec, w)
     if spec.layers == 1:
         return _one_layer_z(x, spec, w)
-    return _z_expectations(_run(x, spec, w), spec.q)
+    return _simulated_z(x.reshape(-1, spec.q), spec, w).reshape(x.shape)
 
 
 def run_vqc_batch(xs, spec: CircuitSpec, w) -> np.ndarray:
@@ -301,7 +476,7 @@ def run_vqc_batch(xs, spec: CircuitSpec, w) -> np.ndarray:
     _check_shapes(xs, spec, w)
     if spec.layers == 1:
         return _one_layer_z(xs, spec, w)
-    return _z_expectations(_run(xs, spec, w), spec.q)
+    return _simulated_z(xs, spec, w)
 
 
 def _z_weights(upstream: np.ndarray) -> np.ndarray:
@@ -313,10 +488,14 @@ def _z_weights(upstream: np.ndarray) -> np.ndarray:
     return diag
 
 
-def _halves(amps2d: np.ndarray, qubit: int, q: int):
-    # the amplitudes with the qubit at 0 and at 1, as (prefix, block) views
-    v = amps2d.reshape(-1, 2, 1 << (q - 1 - qubit))
-    return v[:, 0, :], v[:, 1, :]
+def _rotation_grads(overlaps: np.ndarray, w_layer: np.ndarray) -> np.ndarray:
+    # (2, 2, q) wire overlaps read just after a layer's rotations -> its 2q
+    # angle gradients. RX is each wire's last rotation, so its generator there
+    # is X; RY sits under it and is seen as RX Y RX^dag = cos(t) Y + sin(t) Z.
+    (r00, r01), (r10, r11) = overlaps
+    theta_x = w_layer[len(r00):]
+    grad_y = np.cos(theta_x) * (r10 - r01).real + np.sin(theta_x) * (r00 - r11).imag
+    return np.concatenate([grad_y, (r01 + r10).imag])
 
 
 def param_shift_grad_batch(xs, spec: CircuitSpec, w, upstream):
@@ -329,14 +508,21 @@ def param_shift_grad_batch(xs, spec: CircuitSpec, w, upstream):
     Deeper circuits use the adjoint method (Jones & Gacon, arXiv:2009.02823).
     One forward run gives psi; lam = O psi carries the observable
     O = sum_k upstream[n, k] Z_k, which is diagonal. A reverse sweep then
-    undoes each gate on both states, and a gate exp(-i t P / 2) contributes
-    Im<lam|P psi>, read where both sit just after it. The cost is about
-    three forward passes, where the parameter-shift rule needs 2 (2qL + q);
+    undoes each layer on both states, and a gate exp(-i t P / 2) contributes
+    Im<lam|P psi>, read where both sit just after it. Every wire of a layer
+    is read at one point, just after the layer's rotations, from the wire
+    overlaps of ``_wire_overlaps``. Below the first layer psi is the product
+    state again, so it is rebuilt rather than undone, and the encoding
+    gradient is read there too, with the generator X carried through the
+    first layer's rotation of that wire. The cost is about three forward
+    passes, where the parameter-shift rule needs 2 (2qL + q);
     ``tests/oracles.py`` keeps that rule as the reference the tests compare
     against. The function keeps its parameter-shift name because callers and
     the benchmark's tracer look it up by that name.
 
-    Returns (grad_w totalled over the batch, grad_x per row).
+    Returns (grad_w totalled over the batch, grad_x per row). Rows run in
+    chunks (see ``CHUNK_AMPLITUDES``); grad_w adds the chunks' totals in row
+    order.
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     w = np.asarray(w, dtype=float)
@@ -347,42 +533,34 @@ def param_shift_grad_batch(xs, spec: CircuitSpec, w, upstream):
     if spec.layers == 1:
         return _one_layer_grad(xs, spec, w, upstream)
 
-    q = spec.q
-    psi = _run(xs, spec, w).reshape(-1, 2**q)
-    lam = _z_weights(upstream) * psi
-    grad_w = np.zeros(spec.n_params)
-    for layer in reversed(range(spec.layers)):
-        for c, t in reversed(spec.entangler):
-            _cnot_inplace(psi, c, t, q)
-            _cnot_inplace(lam, c, t, q)
-        base = layer * 2 * q
-        # every wire is read here, before any rotation is undone: gates on the
-        # other wires commute with the generator read, so this point serves all
-        lam_c = lam.conj()
-        im_diag = (lam_c * psi).imag.sum(axis=0)  # for the Im<lam|Z_k psi> terms
-        for k in range(q):
-            l0, l1 = _halves(lam_c, k, q)
-            p0, p1 = _halves(psi, k, q)
-            c01, c10 = (l0 * p1).sum(), (l1 * p0).sum()
-            d0, d1 = _halves(im_diag, k, q)
-            theta_x = w[base + q + k]
-            # RX is the wire's last rotation, so its generator here is X; RY
-            # sits under it and is seen as RX Y RX^dag = cos(t) Y + sin(t) Z
-            grad_w[base + q + k] = (c01 + c10).imag
-            grad_w[base + k] = np.cos(theta_x) * (c10 - c01).real + np.sin(theta_x) * (d0.sum() - d1.sum())
-        for k in range(q):
-            undo = ry_matrix(-w[base + k]) @ rx_matrix(-w[base + q + k])
-            _rot_inplace(psi, undo, k, q)
-            _rot_inplace(lam, undo, k, q)
-
-    # the encoding applies RX(-2 x_i) to |0> on each wire
-    lam_c = lam.conj()
+    q, layers = spec.q, spec.layers
+    circuit = _Layers(spec, w)
+    w_layers = w.reshape(layers, 2 * q)
+    undo = [[m.conj().T for m in krons] for krons in circuit.krons]
+    # the encoding applies RX(-2 x) to each wire; read just after the first
+    # layer's rotation u, its generator X is seen as u X u^dag
+    u = circuit.wires[0] if layers else np.eye(2, dtype=complex)[None]
+    enc_gen = np.moveaxis(u @ _PAULI_X @ u.conj().swapaxes(-1, -2), 0, -1)  # (2, 2, q)
+    grad_w = np.zeros((layers, 2 * q))
     grad_x = np.empty_like(xs)
-    for i in range(q):
-        l0, l1 = _halves(lam_c, i, q)
-        p0, p1 = _halves(psi, i, q)
-        grad_x[:, i] = -2.0 * (l0 * p1 + l1 * p0).imag.reshape(len(xs), -1).sum(axis=1)
-    return grad_w, grad_x
+    for rows, work in _chunks(len(xs), q, 3):
+        first = circuit.first_wires(xs[rows])
+        psi, spare = circuit.rotated(first, work[0], work[1])
+        weights = _z_weights(upstream[rows])
+        lam = np.multiply(np.take(weights, circuit.inverse, axis=1) if layers else weights, psi, out=work[2])
+        for layer in range(layers - 1, 0, -1):
+            overlaps = _wire_overlaps(lam, psi, q, spare)
+            grad_w[layer] += _rotation_grads(overlaps.sum(axis=0), w_layers[layer])
+            _rotate(lam, undo[layer - 1], q, spare)
+            lam, spare = _permute(lam, circuit.inverse, spare), lam
+            if layer > 1:
+                _rotate(psi, undo[layer - 1], q, spare)
+                psi, spare = _permute(psi, circuit.inverse, spare), psi
+        overlaps = _wire_overlaps(lam, _product_state(first, spare), q, psi)
+        if layers:
+            grad_w[0] += _rotation_grads(overlaps.sum(axis=0), w_layers[0])
+        grad_x[rows] = -2.0 * (enc_gen * overlaps).reshape(-1, 4, q).sum(axis=1).imag
+    return grad_w.reshape(-1), grad_x
 
 
 def param_shift_grad(x, spec: CircuitSpec, w, upstream):

@@ -52,6 +52,21 @@ class TestBuildGraphs:
         assert total == 48  # 2 * fraud count
         assert all(manifest["counts"][p]["max_nodes"] <= 28 for p in manifest["counts"])
 
+    def test_manifest_records_graph_sizes(self, tiny_csv, tmp_path):
+        out = tmp_path / "run"
+        cfg = write_cfg(tmp_path, tiny_csv, out)
+        assert run(["build-graphs", "--config", str(cfg)]) == 0
+        manifest = json.loads((out / "graphs" / "manifest.json").read_text())
+        for part, name in (("train", "graphs_train.jsonl"), ("val", "graphs_val.jsonl"),
+                           ("test", "graphs_test.jsonl")):
+            graphs = [json.loads(line) for line in (out / "graphs" / name).read_text().splitlines()]
+            nodes = [len(g["nodes"]) for g in graphs]
+            c = manifest["counts"][part]
+            assert c["total_nodes"] == sum(nodes)
+            assert c["mean_nodes"] == pytest.approx(sum(nodes) / len(graphs))
+            assert c["mean_edges"] == pytest.approx(sum(len(g["edges"]) for g in graphs) / len(graphs))
+            assert c["max_nodes"] == max(nodes)
+
     def test_rerun_is_byte_identical(self, tiny_csv, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         cfg_a = write_cfg(tmp_path, tiny_csv, out_a)

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from qgfraud import qsim
 from qgfraud.config import ConfigError, DEFAULTS, build_config, load_config
 
 
@@ -81,6 +82,13 @@ class TestValidation:
     def test_negative_eps_rejected(self):
         with pytest.raises(ConfigError):
             build_config(self.base(**{"tda.eps": -0.5}))
+
+    def test_qubit_bound_is_the_simulator_bound(self):
+        assert build_config(self.base(**{"model.qgnn.qubits": qsim.MAX_QUBITS})).qgnn.qubits == qsim.MAX_QUBITS
+        for bad in (0, qsim.MAX_QUBITS + 1):
+            with pytest.raises(ConfigError) as err:
+                build_config(self.base(**{"model.qgnn.qubits": bad}))
+            assert str(err.value) == f"model.qgnn.qubits must lie in [1, {qsim.MAX_QUBITS}], got {bad}"
 
     def test_bad_entangler_rejected(self):
         with pytest.raises(ConfigError):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -289,6 +291,97 @@ class TestOneLayerClosedForm:
         ref_w, ref_x = oracles.param_shift_grad_batch(xs, spec, w, upstream)
         np.testing.assert_allclose(grad_w, ref_w, rtol=0, atol=1e-10)
         np.testing.assert_allclose(grad_x, ref_x, rtol=0, atol=1e-10)
+
+
+def gate_by_gate_state(x, spec, w):
+    """The circuit through the single-gate StateVector API, one gate at a time."""
+    s = qsim.angle_encode(x)
+    for layer in range(spec.layers):
+        base = 2 * spec.q * layer
+        for k in range(spec.q):
+            s = qsim.apply_rotation(s, "y", k, w[base + k])
+        for k in range(spec.q):
+            s = qsim.apply_rotation(s, "x", k, w[base + spec.q + k])
+        for c, t in spec.entangler:
+            s = qsim.apply_cnot(s, c, t)
+    return s.amps
+
+
+class TestLayerKernels:
+    def test_run_matches_single_gate_kernels(self, rng):
+        # q up to 9 covers one, two and three rotation groups, a group of one
+        # wire, and the middle group of q=9 with wires on both sides
+        for q in range(1, 10):
+            for layers in range(4):
+                pairs = tuple(tuple(int(v) for v in rng.choice(q, size=2, replace=False))
+                              for _ in range(int(rng.integers(0, q + 1)) if q > 1 else 0))
+                for spec in (qsim.CircuitSpec.chain(q, layers), qsim.CircuitSpec.ring(q, layers),
+                             qsim.CircuitSpec(q, layers, pairs)):
+                    xs = rng.uniform(-3, 3, (2, q))
+                    w = rng.uniform(0, 2 * np.pi, spec.n_params)
+                    got = qsim._run(xs, spec, w)
+                    for x, amps in zip(xs, got):
+                        np.testing.assert_allclose(amps, gate_by_gate_state(x, spec, w), rtol=0, atol=1e-12)
+
+    def test_entangler_permutation_is_cached_and_inverted(self):
+        spec = qsim.CircuitSpec.ring(5, 2)
+        perm, inverse = qsim._entangler_perms(spec)
+        assert qsim._entangler_perms(qsim.CircuitSpec.ring(5, 2))[0] is perm
+        np.testing.assert_array_equal(perm[inverse], np.arange(32))
+        assert not perm.flags.writeable
+
+
+def chunking_cases():
+    for q in range(1, 7):
+        for layers in (2, 3):
+            for factory in (qsim.CircuitSpec.chain, qsim.CircuitSpec.ring):
+                yield factory(q, layers)
+
+
+class TestChunking:
+    def test_results_do_not_depend_on_chunk_size(self, rng, monkeypatch):
+        # at q <= 6 the default budget holds all 11 rows in one chunk; 2**q and
+        # 3 * 2**q force chunks of one row and of three (the last one short)
+        for spec in chunking_cases():
+            xs = rng.uniform(-3, 3, (11, spec.q))
+            w = rng.uniform(0, 2 * np.pi, spec.n_params)
+            upstream = rng.normal(size=xs.shape)
+            z = qsim.run_vqc_batch(xs, spec, w)
+            grad_w, grad_x = qsim.param_shift_grad_batch(xs, spec, w, upstream)
+            for rows in (1, 3):
+                monkeypatch.setattr(qsim, "CHUNK_AMPLITUDES", rows * 2**spec.q)
+                np.testing.assert_array_equal(qsim.run_vqc_batch(xs, spec, w), z)
+                chunked_w, chunked_x = qsim.param_shift_grad_batch(xs, spec, w, upstream)
+                np.testing.assert_array_equal(chunked_x, grad_x)
+                np.testing.assert_allclose(chunked_w, grad_w, rtol=0, atol=1e-12)
+                np.testing.assert_array_equal(qsim.run_vqc(xs[4], spec, w), z[4])
+                monkeypatch.undo()
+
+    def test_peak_memory_is_a_multiple_of_the_chunk_budget(self, rng, monkeypatch):
+        # 64 rows at q=12 are four chunks of 16; numpy reports its buffers to
+        # tracemalloc, so the peak counts every state and temporary
+        spec = qsim.CircuitSpec.chain(12, 2)
+        xs = rng.uniform(-3, 3, (64, 12))
+        w = rng.uniform(0, 2 * np.pi, spec.n_params)
+        upstream = rng.normal(size=xs.shape)
+
+        def peaks():
+            found = []
+            for call in (lambda: qsim.run_vqc_batch(xs, spec, w),
+                         lambda: qsim.param_shift_grad_batch(xs, spec, w, upstream)):
+                tracemalloc.start()
+                try:
+                    call()
+                    found.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+            return found
+
+        bound = 6 * qsim.CHUNK_AMPLITUDES * 16
+        assert max(peaks()) < bound
+        # the bound is tight enough to see a batch held as one state
+        monkeypatch.setattr(qsim, "CHUNK_AMPLITUDES", 64 * 2**12)
+        assert min(peaks()) > bound
 
 
 class TestCircuitSpec:
