@@ -153,64 +153,40 @@ def cmd_build_graphs(args) -> int:
 # ---------------------------------------------------------------------------
 # train
 
-def _train_qgnn(cfg: RunConfig, corpus: dict, corpus_hash: str, out_dir: Path, qubits=None, layers=None):
-    spec = _circuit_spec(cfg, qubits, layers)
+def _train(
+    cfg: RunConfig, corpus: dict, corpus_hash: str, out_dir: Path, model: str, qubits=None, layers=None
+):
+    """Train one model and write its checkpoint, history and manifest."""
     t0 = time.perf_counter()
-    params, history = qgnn.train(
-        corpus["train"], corpus["val"], spec, cfg.training, cfg.qgnn.encode_activation
-    )
-    elapsed = time.perf_counter() - t0
-    meta = {
-        "kind": "qgnn",
-        "qubits": spec.q,
-        "layers": spec.layers,
-        "entangler": cfg.qgnn.entangler,
-        "encode_activation": cfg.qgnn.encode_activation,
-        "corpus_config_hash": corpus_hash,
-        "seed": cfg.seed,
-    }
-    with staged_output(out_dir) as tmp:
-        save_arrays(tmp / "checkpoint.txt", params.to_dict(), meta)
-        write_history(tmp / "history.csv", history)
-        write_manifest(
-            tmp,
-            {
-                "command": "train",
-                "model": "qgnn",
-                "config": cfg.to_dict(),
-                "circuit": {"qubits": spec.q, "layers": spec.layers, "entangler": cfg.qgnn.entangler},
-                "corpus_config_hash": corpus_hash,
-                "parameter_count": params.n_parameters,
-                "epochs_run": len(history),
-                "final_train_loss": history.epochs[-1].train_loss if len(history) else None,
-                "final_val_loss": history.epochs[-1].val_loss if len(history) else None,
-                "epoch_seconds": [e.seconds for e in history.epochs],
-                "wall_clock_s": elapsed,
-                "artifacts": sorted(p.name for p in tmp.iterdir()),
-            },
+    extra = {}
+    if model == "qgnn":
+        spec = _circuit_spec(cfg, qubits, layers)
+        params, history = qgnn.train(
+            corpus["train"], corpus["val"], spec, cfg.training, cfg.qgnn.encode_activation
         )
-    return params, history, spec
-
-
-def _train_sage(cfg: RunConfig, corpus: dict, corpus_hash: str, out_dir: Path):
-    t0 = time.perf_counter()
-    params, history = sage.sage_train(
-        corpus["train"],
-        corpus["val"],
-        cfg.training,
-        widths=cfg.sage.widths,
-        fan_outs=cfg.sage.fan_outs,
-        dropout=cfg.sage.dropout,
-    )
+        meta = {
+            "qubits": spec.q,
+            "layers": spec.layers,
+            "entangler": cfg.qgnn.entangler,
+            "encode_activation": cfg.qgnn.encode_activation,
+        }
+        extra["circuit"] = {"qubits": spec.q, "layers": spec.layers, "entangler": cfg.qgnn.entangler}
+    else:
+        params, history = sage.sage_train(
+            corpus["train"],
+            corpus["val"],
+            cfg.training,
+            widths=cfg.sage.widths,
+            fan_outs=cfg.sage.fan_outs,
+            dropout=cfg.sage.dropout,
+        )
+        meta = {
+            "widths": ",".join(str(w) for w in cfg.sage.widths),
+            "fan_outs": ",".join("all" if f is None else str(f) for f in cfg.sage.fan_outs),
+            "dropout": cfg.sage.dropout,
+        }
     elapsed = time.perf_counter() - t0
-    meta = {
-        "kind": "sage",
-        "widths": ",".join(str(w) for w in cfg.sage.widths),
-        "fan_outs": ",".join("all" if f is None else str(f) for f in cfg.sage.fan_outs),
-        "dropout": cfg.sage.dropout,
-        "corpus_config_hash": corpus_hash,
-        "seed": cfg.seed,
-    }
+    meta.update(kind=model, corpus_config_hash=corpus_hash, seed=cfg.seed)
     with staged_output(out_dir) as tmp:
         save_arrays(tmp / "checkpoint.txt", params.to_dict(), meta)
         write_history(tmp / "history.csv", history)
@@ -218,8 +194,9 @@ def _train_sage(cfg: RunConfig, corpus: dict, corpus_hash: str, out_dir: Path):
             tmp,
             {
                 "command": "train",
-                "model": "sage",
+                "model": model,
                 "config": cfg.to_dict(),
+                **extra,
                 "corpus_config_hash": corpus_hash,
                 "parameter_count": params.n_parameters,
                 "epochs_run": len(history),
@@ -239,19 +216,14 @@ def cmd_train(args) -> int:
     corpus = _read_corpus(graphs_dir)
     corpus_hash = _corpus_meta(graphs_dir)["corpus_config_hash"]
     out_dir = _output_root(cfg) / f"train_{args.model}"
-    if args.model == "qgnn":
-        params, history, _ = _train_qgnn(cfg, corpus, corpus_hash, out_dir)
-        n_params = params.n_parameters
-    else:
-        params, history = _train_sage(cfg, corpus, corpus_hash, out_dir)
-        n_params = params.n_parameters
+    params, history = _train(cfg, corpus, corpus_hash, out_dir, args.model)
     if len(history):
         last = history.epochs[-1]
         print(
             f"{args.model}: {len(history)} epochs, train loss {last.train_loss:.4f}, "
             f"val loss {last.val_loss:.4f}"
         )
-    print(f"{n_params} trainable parameters; checkpoint in {out_dir}")
+    print(f"{params.n_parameters} trainable parameters; checkpoint in {out_dir}")
     return 0
 
 
@@ -263,14 +235,24 @@ def _score_split(arrays, meta, cfg: RunConfig, graphs) -> np.ndarray:
         spec = _circuit_spec(cfg, int(meta["qubits"]), int(meta["layers"]))
         params = qgnn.QgnnParams.from_dict(arrays)
         return qgnn.predict(graphs, params, spec, meta["encode_activation"])
-    layer_kwargs = dict(dropout_p=float(meta["dropout"]))
-    params = sage.SageModelParams(
-        layer1=sage.SageLayerParams(arrays["l1_w_self"], arrays["l1_w_neigh"], arrays["l1_b"], **layer_kwargs),
-        layer2=sage.SageLayerParams(arrays["l2_w_self"], arrays["l2_w_neigh"], arrays["l2_b"], **layer_kwargs),
-        head_w=arrays["head_w"],
-        head_b=float(arrays["head_b"]),
-    )
+    params = sage.SageModelParams.from_dict(arrays, float(meta["dropout"]))
     return sage.sage_predict(graphs, params)
+
+
+def _score_at_val_threshold(arrays, meta, cfg: RunConfig, corpus: dict, split: str) -> metrics.EvalReport:
+    """Metrics on ``split`` at the validation split's best-F1 threshold.
+
+    The threshold falls back to 0.5 when validation lacks a class and so
+    cannot rank thresholds.
+    """
+
+    def scored(name: str) -> metrics.ScoredSet:
+        graphs = corpus[name]
+        return metrics.ScoredSet(_score_split(arrays, meta, cfg, graphs), [g.label for g in graphs])
+
+    val = scored("val")
+    threshold = metrics.optimal_threshold(val) if set(val.labels.tolist()) == {0, 1} else 0.5
+    return metrics.evaluate(scored(split), threshold)
 
 
 def _check_checkpoint(meta: dict, cfg: RunConfig, corpus_hash: str) -> None:
@@ -299,21 +281,7 @@ def _evaluate(cfg: RunConfig, checkpoint: Path, graphs_dir: Path, out_dir: Path,
     corpus = _read_corpus(graphs_dir)
     corpus_hash = _corpus_meta(graphs_dir)["corpus_config_hash"]
     _check_checkpoint(meta, cfg, corpus_hash)
-
-    val_scored = metrics.ScoredSet(
-        _score_split(arrays, meta, cfg, corpus["val"]),
-        [g.label for g in corpus["val"]],
-    )
-    labels = set(val_scored.labels.tolist())
-    if len(val_scored) and labels == {0, 1}:
-        threshold = metrics.optimal_threshold(val_scored)
-    else:
-        threshold = 0.5  # validation split cannot rank thresholds; fall back
-    target = metrics.ScoredSet(
-        _score_split(arrays, meta, cfg, corpus[split]),
-        [g.label for g in corpus[split]],
-    )
-    report = metrics.evaluate(target, threshold)
+    report = _score_at_val_threshold(arrays, meta, cfg, corpus, split)
 
     with staged_output(out_dir) as tmp:
         metrics.write_report(report, tmp / "report.txt")
@@ -383,22 +351,9 @@ def cmd_grid(args) -> int:
             name = f"q{qubits}_l{layers}"
             print(f"grid {name}: training...")
             sub = tmp / name
-            _train_qgnn(cfg, corpus, corpus_hash, sub / "train", qubits=qubits, layers=layers)
+            _train(cfg, corpus, corpus_hash, sub / "train", "qgnn", qubits=qubits, layers=layers)
             arrays, meta = load_arrays(sub / "train" / "checkpoint.txt")
-            val_scored = metrics.ScoredSet(
-                _score_split(arrays, meta, cfg, corpus["val"]),
-                [g.label for g in corpus["val"]],
-            )
-            threshold = (
-                metrics.optimal_threshold(val_scored)
-                if len(val_scored) and set(val_scored.labels.tolist()) == {0, 1}
-                else 0.5
-            )
-            test_scored = metrics.ScoredSet(
-                _score_split(arrays, meta, cfg, corpus["test"]),
-                [g.label for g in corpus["test"]],
-            )
-            report = metrics.evaluate(test_scored, threshold)
+            report = _score_at_val_threshold(arrays, meta, cfg, corpus, "test")
             metrics.write_report(report, sub / "report.txt")
             rows.append(
                 (qubits, layers, report.accuracy, report.precision, report.recall, report.f1, report.auc_pr)

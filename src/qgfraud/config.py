@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import DatasetError, SplitSpec
+from .qgnn import ENCODE_ACTIVATIONS
 from .qsim import MAX_QUBITS
 from .tda import CoverSpec, DbscanSpec, TdaError
 from .training import TrainConfig, TrainingError
@@ -53,7 +54,6 @@ DEFAULTS: dict = {
 }
 
 ENTANGLERS = ("chain", "ring")
-ENCODE_ACTIVATIONS = ("none", "tanh_pi")
 
 
 @dataclass(frozen=True)

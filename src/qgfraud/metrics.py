@@ -134,6 +134,8 @@ def optimal_threshold(s: ScoredSet) -> float:
 
 def evaluate(s: ScoredSet, threshold: float) -> EvalReport:
     """Confusion counts, percentage metrics, and both curves at one threshold."""
+    if not len(s):
+        raise MetricsError("cannot evaluate an empty set: it has no scored graphs")
     tp, fp, tn, fn = confusion(s, threshold)
     accuracy = 100.0 * (tp + tn) / len(s)
     precision = 100.0 * tp / (tp + fp) if tp + fp else 0.0

@@ -7,24 +7,23 @@ Each layer updates node v as
 where u ranges over (a sample of) v's neighbours and drop() is inverted
 dropout, active only in training mode. Two layers feed a mean-pool over nodes
 and a dense sigmoid head, one probability per graph. Evaluation never touches
-the RNG: no dropout, full neighbourhoods.
+the RNG: no dropout, full neighbourhoods. Training is the Adam/BCE loop
+``training.fit`` shares with the qgnn.
 """
 
 from __future__ import annotations
 
-import time as _time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .optim import AdamState, adam_step
+from .optim import adam_step
 from .rng import make_rng
-from .training import TrainConfig, TrainHistory, TrainingError, batch_slices, check_finite
+from .training import TrainConfig, TrainingError, bce_loss, fit, sigmoid
 
 DEFAULT_WIDTHS = (128, 128)
 DEFAULT_FAN_OUTS = (2, 32)
 DEFAULT_DROPOUT = 0.1
-LOSS_CLAMP = 1e-7
 
 
 @dataclass(eq=False)
@@ -68,23 +67,21 @@ class SageModelParams:
             "head_b": np.asarray(self.head_b, dtype=float),
         }
 
+    @classmethod
+    def from_dict(cls, d: dict, dropout_p: float) -> "SageModelParams":
+        """The inverse of ``to_dict``, with ``dropout_p`` on both layers."""
+
+        def layer(prefix: str) -> SageLayerParams:
+            arrays = (np.asarray(d[f"{prefix}_{k}"], dtype=float) for k in ("w_self", "w_neigh", "b"))
+            return SageLayerParams(*arrays, dropout_p)
+
+        return cls(layer("l1"), layer("l2"), np.asarray(d["head_w"], dtype=float), float(np.asarray(d["head_b"])))
+
     def replace_arrays(self, d: dict) -> "SageModelParams":
-        return SageModelParams(
-            layer1=SageLayerParams(
-                np.asarray(d["l1_w_self"], dtype=float),
-                np.asarray(d["l1_w_neigh"], dtype=float),
-                np.asarray(d["l1_b"], dtype=float),
-                self.layer1.dropout_p,
-            ),
-            layer2=SageLayerParams(
-                np.asarray(d["l2_w_self"], dtype=float),
-                np.asarray(d["l2_w_neigh"], dtype=float),
-                np.asarray(d["l2_b"], dtype=float),
-                self.layer2.dropout_p,
-            ),
-            head_w=np.asarray(d["head_w"], dtype=float),
-            head_b=float(np.asarray(d["head_b"])),
-        )
+        """The same model, each layer's dropout included, with new arrays."""
+        new = SageModelParams.from_dict(d, self.layer1.dropout_p)
+        new.layer2.dropout_p = self.layer2.dropout_p
+        return new
 
     @property
     def n_parameters(self) -> int:
@@ -210,20 +207,13 @@ def _layer_backward(d_out, params: SageLayerParams, cache):
     return d_h, {"w_self": d_w_self, "w_neigh": d_w_neigh, "b": d_b}
 
 
-def _sigmoid(x: float) -> float:
-    if x >= 0:
-        return 1.0 / (1.0 + np.exp(-x))
-    e = np.exp(x)
-    return e / (1.0 + e)
-
-
 def _forward_graph(g, params: SageModelParams, rng, train_mode: bool, fan_outs):
     adj = neighbor_lists(g)
     h1, cache1 = _layer_forward(g.nodes, adj, params.layer1, rng, train_mode, fan_outs[0])
     h2, cache2 = _layer_forward(h1, adj, params.layer2, rng, train_mode, fan_outs[1])
     pooled = h2.mean(axis=0)
     logit = float(pooled @ params.head_w) + params.head_b
-    return _sigmoid(logit), (cache1, cache2, h2, pooled)
+    return sigmoid(logit), (cache1, cache2, h2, pooled)
 
 
 def sage_forward(
@@ -246,11 +236,6 @@ def sage_forward(
 
 def sage_predict(graphs, params: SageModelParams) -> np.ndarray:
     return np.array([sage_forward(g, params) for g in graphs])
-
-
-def bce_loss(p_hat: float, y: int) -> float:
-    p = min(max(float(p_hat), LOSS_CLAMP), 1.0 - LOSS_CLAMP)
-    return -(y * np.log(p) + (1 - y) * np.log(1.0 - p))
 
 
 def sage_backward(
@@ -284,12 +269,6 @@ def sage_backward(
     return loss, grads
 
 
-def _mean_loss(graphs, params) -> float:
-    if not graphs:
-        return float("nan")
-    return float(np.mean([bce_loss(sage_forward(g, params), g.label) for g in graphs]))
-
-
 def sage_train(
     train_graphs,
     val_graphs,
@@ -299,45 +278,26 @@ def sage_train(
     fan_outs=DEFAULT_FAN_OUTS,
     dropout: float = DEFAULT_DROPOUT,
 ):
-    """Seeded mini-batch Adam on binary cross-entropy; returns (params, history)."""
-    if not train_graphs:
-        raise TrainingError("training set is empty")
+    """Seeded mini-batch Adam (``training.fit``); returns (params, history).
+
+    The batch gradient averages per-graph gradients; dropout masks and
+    neighbour samples come from the same rng as the batch order.
+    """
     rng = make_rng(config.seed)
+
+    def batch_grad(params, batch):
+        acc: dict | None = None
+        batch_loss = 0.0
+        for g in batch:
+            loss, grads = sage_backward(g, params, g.label, rng, train_mode=True, fan_outs=fan_outs)
+            batch_loss += loss
+            acc = grads if acc is None else {k: acc[k] + grads[k] for k in acc}
+        return batch_loss, {k: v / len(batch) for k, v in acc.items()}
+
+    def val_probs(params, graphs):
+        return [sage_forward(g, params) for g in graphs]
+
     params = init_sage_params(rng, in_dim=in_dim, widths=widths, dropout=dropout)
-    state = AdamState.for_params(params.to_dict())
-    history = TrainHistory()
-    for epoch in range(1, config.epochs + 1):
-        t0 = _time.perf_counter()
-        order = rng.permutation(len(train_graphs))
-        total = 0.0
-        for start, stop in batch_slices(len(order), config.batch_size):
-            batch = [train_graphs[i] for i in order[start:stop]]
-            acc: dict | None = None
-            batch_loss = 0.0
-            for g in batch:
-                loss, grads = sage_backward(
-                    g, params, g.label, rng, train_mode=True, fan_outs=fan_outs
-                )
-                batch_loss += loss
-                if acc is None:
-                    acc = grads
-                else:
-                    acc = {k: acc[k] + grads[k] for k in acc}
-            assert acc is not None
-            grads = {k: v / len(batch) for k, v in acc.items()}
-            check_finite(epoch, batch_loss, grads)
-            new_dict, state = adam_step(
-                params.to_dict(),
-                grads,
-                state,
-                lr=config.learning_rate,
-                beta1=config.beta1,
-                beta2=config.beta2,
-                eps=config.eps,
-            )
-            params = params.replace_arrays(new_dict)
-            total += batch_loss
-        train_loss = total / len(train_graphs)
-        val_loss = _mean_loss(val_graphs, params)
-        history.append(epoch, train_loss, val_loss, _time.perf_counter() - t0)
-    return params, history
+    # this module's adam_step, looked up at call time: the benchmark tracer
+    # wraps it under this name to count optimizer steps
+    return fit(params, train_graphs, val_graphs, config, rng, batch_grad, val_probs, adam_step)

@@ -1,10 +1,22 @@
-"""Shared training plumbing: run configuration, epoch history, batching."""
+"""The training loop both models share, and its plumbing.
+
+``fit`` is the seeded mini-batch Adam loop on binary cross-entropy that
+``qgnn.train`` and ``sage.sage_train`` set up: each builds its rng and initial
+parameters and hands the loop a batch-gradient function and a predict
+function. The sigmoid, the clamped BCE, the run configuration and the epoch
+history live here too.
+"""
 
 from __future__ import annotations
 
+import time as _time
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .optim import AdamState
+
+LOSS_CLAMP = 1e-7
 
 
 class TrainingError(ValueError):
@@ -81,3 +93,57 @@ def batch_slices(n: int, batch_size: int):
     """Yield (start, stop) index pairs covering range(n) in order."""
     for start in range(0, n, batch_size):
         yield start, min(start + batch_size, n)
+
+
+def sigmoid(x: float) -> float:
+    # split to avoid overflow in exp for large |x|
+    if x >= 0:
+        return 1.0 / (1.0 + np.exp(-x))
+    e = np.exp(x)
+    return e / (1.0 + e)
+
+
+def bce_loss(p_hat: float, y: int) -> float:
+    """Binary cross-entropy with probabilities clamped to [1e-7, 1 - 1e-7]."""
+    p = min(max(float(p_hat), LOSS_CLAMP), 1.0 - LOSS_CLAMP)
+    return -(y * np.log(p) + (1 - y) * np.log(1.0 - p))
+
+
+def fit(params, train_graphs, val_graphs, config: TrainConfig, rng, batch_grad, predict, step):
+    """Seeded mini-batch Adam on BCE; returns (params, per-epoch history).
+
+    ``params`` has ``to_dict()`` and ``replace_arrays(dict)``.
+    ``batch_grad(params, batch)`` returns the batch's summed loss and the
+    gradient of its mean loss; ``predict(params, graphs)`` returns the
+    probabilities the validation loss is taken on; ``step`` is
+    ``optim.adam_step``. Each epoch draws its batch order from ``rng``.
+    """
+    if not train_graphs:
+        raise TrainingError("training set is empty")
+    state = AdamState.for_params(params.to_dict())
+    history = TrainHistory()
+    for epoch in range(1, config.epochs + 1):
+        t0 = _time.perf_counter()
+        order = rng.permutation(len(train_graphs))
+        total = 0.0
+        for start, stop in batch_slices(len(order), config.batch_size):
+            batch = [train_graphs[i] for i in order[start:stop]]
+            loss_sum, grads = batch_grad(params, batch)
+            check_finite(epoch, loss_sum, grads)
+            new_dict, state = step(
+                params.to_dict(),
+                grads,
+                state,
+                lr=config.learning_rate,
+                beta1=config.beta1,
+                beta2=config.beta2,
+                eps=config.eps,
+            )
+            params = params.replace_arrays(new_dict)
+            total += loss_sum
+        val_loss = float("nan")
+        if val_graphs:
+            probs = predict(params, val_graphs)
+            val_loss = float(np.mean([bce_loss(p, g.label) for p, g in zip(probs, val_graphs)]))
+        history.append(epoch, total / len(train_graphs), val_loss, _time.perf_counter() - t0)
+    return params, history

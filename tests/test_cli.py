@@ -207,6 +207,19 @@ class TestEvaluate:
         auc = float([l for l in report.splitlines() if l.startswith("auc_roc:")][0].split()[1])
         assert 0.3 <= auc <= 0.7
 
+    def test_empty_split_is_runtime_error(self, tmp_path, capsys):
+        # one fraud row undersamples to 2 rows, and both land in train
+        csv = tmp_path / "one_fraud.csv"
+        write_synthetic_csv(csv, n_clean=20, n_fraud=1, seed=3)
+        out = tmp_path / "run"
+        cfg = write_cfg(tmp_path, csv, out)
+        assert run(["build-graphs", "--config", str(cfg)]) == 0
+        assert json.loads((out / "graphs" / "manifest.json").read_text())["counts"]["test"]["graphs"] == 0
+        assert run(["train", "--config", str(cfg), "--model", "qgnn"]) == 0
+        capsys.readouterr()
+        assert run(["evaluate", "--config", str(cfg), "--model", "qgnn"]) == 2
+        assert "empty set" in capsys.readouterr().err
+
 
 class TestGrid:
     def test_small_grid_mechanics(self, built_run, monkeypatch):
@@ -226,6 +239,19 @@ class TestGrid:
         first = (out / "grid" / "summary.csv").read_bytes()
         run(["grid", "--config", str(cfg)])
         assert (out / "grid" / "summary.csv").read_bytes() == first
+
+    def test_grid_report_equals_evaluate_report(self, tiny_csv, tmp_path, monkeypatch):
+        # grid and evaluate score a checkpoint through the same code path
+        out = tmp_path / "run"
+        cfg = write_cfg(tmp_path, tiny_csv, out)
+        monkeypatch.setattr(cli, "GRID_CONFIGS", ((6, 1),))
+        q6 = ["--config", str(cfg), "--epochs", "1", "--qubits", "6", "--layers", "1"]
+        assert run(["build-graphs", "--config", str(cfg)]) == 0
+        assert run(["grid", *q6]) == 0
+        assert run(["train", "--model", "qgnn", *q6]) == 0
+        assert run(["evaluate", "--model", "qgnn", *q6]) == 0
+        grid_report = (out / "grid" / "q6_l1" / "report.txt").read_bytes()
+        assert grid_report == (out / "eval_qgnn_test" / "report.txt").read_bytes()
 
 
 class TestPlot:

@@ -186,6 +186,10 @@ class TestEvaluate:
             expected = 0.0 if p + r == 0 else 2 * p * r / (p + r)
             assert rep.f1 == pytest.approx(expected, abs=1e-12)
 
+    def test_empty_set_rejected(self):
+        with pytest.raises(MetricsError, match="empty"):
+            evaluate(scored([], []), 0.5)
+
 
 class TestReportIO:
     def test_format_contains_required_keys(self):
