@@ -100,6 +100,12 @@ def cmd_build_graphs(args) -> int:
 
     balanced = dataset.undersample(ts, cfg.seed)
     idx_train, idx_val, idx_test = dataset.split_indices(balanced.labels(), cfg.split, cfg.seed)
+    if not len(idx_test):
+        # train takes the remainder; an empty val split makes scoring use 0.5
+        raise dataset.DatasetError(
+            f"the test split is empty: {len(balanced)} undersampled rows at test_frac "
+            f"{cfg.split.test_frac} give no test row"
+        )
     parts = {
         "train": dataset.TransactionSet([balanced.rows[i] for i in idx_train], cfg.seed),
         "val": dataset.TransactionSet([balanced.rows[i] for i in idx_val], cfg.seed),
@@ -239,8 +245,9 @@ def _score_split(arrays, meta, cfg: RunConfig, graphs) -> np.ndarray:
     return sage.sage_predict(graphs, params)
 
 
-def _score_at_val_threshold(arrays, meta, cfg: RunConfig, corpus: dict, split: str) -> metrics.EvalReport:
-    """Metrics on ``split`` at the validation split's best-F1 threshold.
+def _score_at_val_threshold(arrays, meta, cfg: RunConfig, corpus: dict, split: str):
+    """Metrics on ``split`` at the validation split's best-F1 threshold, and
+    where that threshold came from.
 
     The threshold falls back to 0.5 when validation lacks a class and so
     cannot rank thresholds.
@@ -251,8 +258,11 @@ def _score_at_val_threshold(arrays, meta, cfg: RunConfig, corpus: dict, split: s
         return metrics.ScoredSet(_score_split(arrays, meta, cfg, graphs), [g.label for g in graphs])
 
     val = scored("val")
-    threshold = metrics.optimal_threshold(val) if set(val.labels.tolist()) == {0, 1} else 0.5
-    return metrics.evaluate(scored(split), threshold)
+    if set(val.labels.tolist()) == {0, 1}:
+        threshold, source = metrics.optimal_threshold(val), "validation best F1"
+    else:
+        threshold, source = 0.5, "0.5 fallback, validation lacks a class"
+    return metrics.evaluate(scored(split), threshold), source
 
 
 def _check_checkpoint(meta: dict, cfg: RunConfig, corpus_hash: str) -> None:
@@ -281,7 +291,7 @@ def _evaluate(cfg: RunConfig, checkpoint: Path, graphs_dir: Path, out_dir: Path,
     corpus = _read_corpus(graphs_dir)
     corpus_hash = _corpus_meta(graphs_dir)["corpus_config_hash"]
     _check_checkpoint(meta, cfg, corpus_hash)
-    report = _score_at_val_threshold(arrays, meta, cfg, corpus, split)
+    report, threshold_source = _score_at_val_threshold(arrays, meta, cfg, corpus, split)
 
     with staged_output(out_dir) as tmp:
         metrics.write_report(report, tmp / "report.txt")
@@ -303,6 +313,7 @@ def _evaluate(cfg: RunConfig, checkpoint: Path, graphs_dir: Path, out_dir: Path,
                 "checkpoint": str(checkpoint),
                 "split": split,
                 "threshold": report.threshold,
+                "threshold_source": threshold_source,
                 "metrics": {
                     "accuracy_pct": report.accuracy,
                     "precision_pct": report.precision,
@@ -315,7 +326,7 @@ def _evaluate(cfg: RunConfig, checkpoint: Path, graphs_dir: Path, out_dir: Path,
                 "artifacts": sorted(p.name for p in tmp.iterdir()),
             },
         )
-    return report
+    return report, threshold_source
 
 
 def cmd_evaluate(args) -> int:
@@ -325,11 +336,12 @@ def cmd_evaluate(args) -> int:
         _output_root(cfg) / f"train_{args.model}" / "checkpoint.txt"
     )
     out_dir = _output_root(cfg) / f"eval_{args.model}_{args.split}"
-    report = _evaluate(cfg, checkpoint, graphs_dir, out_dir, args.split, args.svg)
+    report, threshold_source = _evaluate(cfg, checkpoint, graphs_dir, out_dir, args.split, args.svg)
     print(
         f"{args.model} on {args.split}: accuracy {report.accuracy:.1f}%, "
         f"precision {report.precision:.1f}%, recall {report.recall:.1f}%, "
-        f"f1 {report.f1:.3f}, auc_roc {report.auc_roc:.3f}, auc_pr {report.auc_pr:.3f}"
+        f"f1 {report.f1:.3f}, auc_roc {report.auc_roc:.3f}, auc_pr {report.auc_pr:.3f}, "
+        f"threshold {report.threshold:.4g} ({threshold_source})"
     )
     print(f"report written to {out_dir}")
     return 0
@@ -345,7 +357,7 @@ def cmd_grid(args) -> int:
     corpus_hash = _corpus_meta(graphs_dir)["corpus_config_hash"]
     out_dir = _output_root(cfg) / "grid"
     t0 = time.perf_counter()
-    rows = []
+    rows, sources = [], []
     with staged_output(out_dir) as tmp:
         for qubits, layers in GRID_CONFIGS:
             name = f"q{qubits}_l{layers}"
@@ -353,8 +365,9 @@ def cmd_grid(args) -> int:
             sub = tmp / name
             _train(cfg, corpus, corpus_hash, sub / "train", "qgnn", qubits=qubits, layers=layers)
             arrays, meta = load_arrays(sub / "train" / "checkpoint.txt")
-            report = _score_at_val_threshold(arrays, meta, cfg, corpus, "test")
+            report, threshold_source = _score_at_val_threshold(arrays, meta, cfg, corpus, "test")
             metrics.write_report(report, sub / "report.txt")
+            sources.append(threshold_source)
             rows.append(
                 (qubits, layers, report.accuracy, report.precision, report.recall, report.f1, report.auc_pr)
             )
@@ -380,7 +393,8 @@ def cmd_grid(args) -> int:
             {
                 "command": "grid",
                 "config": cfg.to_dict(),
-                "rows": [list(r) for r in rows],
+                # each row: the summary.csv columns, then the threshold's source
+                "rows": [[*r, source] for r, source in zip(rows, sources)],
                 "wall_clock_s": time.perf_counter() - t0,
                 "artifacts": sorted(p.name for p in tmp.iterdir()),
             },

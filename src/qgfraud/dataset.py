@@ -75,7 +75,10 @@ class SplitSpec:
 
 
 def load_transactions(path) -> TransactionSet:
-    """Parse the CSV at ``path``; errors carry the offending row number."""
+    """Parse the CSV at ``path``; errors carry the offending row number.
+
+    A NaN or infinite cell is an error: it would pass into the graph corpus.
+    """
     p = Path(path)
     if not p.exists():
         raise DatasetError(f"dataset file not found: {p}")
@@ -95,27 +98,19 @@ def load_transactions(path) -> TransactionSet:
                     f"{p}: row {lineno}: expected {len(HEADER)} columns, got {len(cells)}"
                 )
             try:
-                time = float(cells[0])
-                v = tuple(float(c) for c in cells[1 : N_FEATURES + 1])
-                amount = float(cells[N_FEATURES + 1])
+                values = [float(c) for c in cells[: N_FEATURES + 2]]
             except ValueError as exc:
                 raise DatasetError(f"{p}: row {lineno}: non-numeric value ({exc})") from None
+            if not all(map(math.isfinite, values)):
+                column = next(h for h, x in zip(HEADER, values) if not math.isfinite(x))
+                raise DatasetError(f"{p}: row {lineno}: column {column} is not finite")
             label_cell = cells[N_FEATURES + 2].strip().strip("'\"")
             if label_cell not in ("0", "1"):
                 raise DatasetError(
                     f"{p}: row {lineno}: label must be 0 or 1, got {cells[N_FEATURES + 2]!r}"
                 )
-            rows.append(Transaction(time, v, amount, int(label_cell)))
+            rows.append(Transaction(values[0], tuple(values[1:-1]), values[-1], int(label_cell)))
     return TransactionSet(rows)
-
-
-def save_transactions(ts: TransactionSet, path) -> None:
-    """Write the same CSV dialect; floats use shortest round-trip repr."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(HEADER)
-        for t in ts.rows:
-            writer.writerow([repr(t.time), *(repr(x) for x in t.v), repr(t.amount), t.label])
 
 
 def undersample(ts: TransactionSet, seed: int) -> TransactionSet:
@@ -192,15 +187,6 @@ def split_indices(labels, spec: SplitSpec, seed: int):
         parts["train"].append(members[nv + nt :])
     return tuple(
         np.sort(np.concatenate(parts[name])).astype(int) for name in ("train", "val", "test")
-    )
-
-
-def split(ts: TransactionSet, spec: SplitSpec, seed: int):
-    """Partition into (train, val, test) TransactionSets per ``split_indices``."""
-    idx_train, idx_val, idx_test = split_indices(ts.labels(), spec, seed)
-    return tuple(
-        TransactionSet([ts.rows[i] for i in idx], seed=seed)
-        for idx in (idx_train, idx_val, idx_test)
     )
 
 

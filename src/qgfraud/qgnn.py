@@ -148,11 +148,6 @@ def backward_batch(graphs, params: QgnnParams, spec: qsim.CircuitSpec, ys, encod
     return loss, grads
 
 
-def backward(g, params: QgnnParams, spec: qsim.CircuitSpec, y: int, encode_activation: str = "none"):
-    """Loss and exact gradient for a single labelled graph."""
-    return backward_batch([g], params, spec, [y], encode_activation)
-
-
 def train(
     train_graphs,
     val_graphs,

@@ -13,8 +13,8 @@ state whose wire j has <Z> = z_j = cos 2x_j cos a_j cos b_j + sin 2x_j sin b_j
 (a_j, b_j the RY and RX angles), and the CNOTs that follow only permute basis
 states: output bit k is the GF(2) parity of the input bits in row k of a
 (q, q) mask. So <Z_k> = prod of z_j over that row, read and differentiated
-in O(q^2) per input. ``run_vqc``, ``run_vqc_batch`` and
-``param_shift_grad_batch`` take that path whenever ``spec.layers == 1``.
+in O(q^2) per input. ``run_vqc_batch`` and ``param_shift_grad_batch``
+take that path whenever ``spec.layers == 1``.
 
 Deeper circuits are simulated a layer at a time over (rows, 2^q) arrays:
 
@@ -24,8 +24,8 @@ Deeper circuits are simulated a layer at a time over (rows, 2^q) arrays:
   rotated in groups of up to ``GROUP_WIRES``: one matmul per group with the
   Kronecker product of the group's matrices.
 * A layer's CNOT network permutes basis states, so it is one gather,
-  ``np.take(state, perm, axis=1)``. ``perm`` is cached per spec and built by
-  running the single-CNOT kernel on ``arange(2**q)``.
+  ``np.take(state, perm, axis=1)``. ``perm`` is cached per spec and built
+  from the index bits of ``arange(2**q)``, one CNOT at a time.
 * <Z_k> is read by halving the probabilities once per wire.
 
 Rows go through in chunks of ``CHUNK_AMPLITUDES`` amplitudes (at least one
@@ -39,8 +39,8 @@ plus one reverse sweep with the inverse permutation and the conjugate group
 matrices, about three forward passes in all, where the parameter-shift rule
 needs 2 (2qL + q) runs. Parameter shift survives only as the test oracle in
 ``tests/oracles.py``; the simulator is the reference the closed form is
-tested against, and the single-gate kernels behind the ``StateVector`` API
-are the reference for the layer kernels.
+tested against, and ``tests/oracles.tensor_state``, which applies one gate
+at a time to a (2,) * q tensor, is the reference for the layer kernels.
 """
 
 from __future__ import annotations
@@ -59,17 +59,6 @@ class QsimError(ValueError):
     """Inconsistent circuit shapes or out-of-range indices."""
 
 
-def rx_matrix(theta: float) -> np.ndarray:
-    c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
-    return np.array([[c, -1j * s], [-1j * s, c]])
-
-
-def ry_matrix(theta: float) -> np.ndarray:
-    c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
-    return np.array([[c, -s], [s, c]], dtype=complex)
-
-
-_ROTATIONS = {"x": rx_matrix, "y": ry_matrix}
 _PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 
 
@@ -110,69 +99,6 @@ class CircuitSpec:
     @property
     def n_params(self) -> int:
         return 2 * self.q * self.layers
-
-
-@dataclass(eq=False)
-class StateVector:
-    """2^q complex amplitudes of a q-qubit register."""
-
-    amps: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.amps = np.asarray(self.amps, dtype=complex)
-        if self.amps.ndim != 1 or self.amps.size != 2 ** self.q:
-            raise QsimError(f"amplitude count {self.amps.size} is not a power of two")
-
-    @property
-    def q(self) -> int:
-        return max(self.amps.size.bit_length() - 1, 0)
-
-    def norm_sq(self) -> float:
-        return float(np.sum(self.amps.real**2 + self.amps.imag**2))
-
-
-# ---------------------------------------------------------------------------
-# single-gate kernels over (..., 2**q) amplitude arrays
-#
-# Stride layout: for qubit k the index splits as (prefix, bit_k, block) with
-# block = 2**(q-1-k), so a contiguous reshape exposes the qubit as its own
-# axis and every update is a pair of large elementwise expressions. The
-# in-place variants own their buffer; the public API always hands them a copy.
-
-def _rot_inplace(amps2d: np.ndarray, mat: np.ndarray, qubit: int, q: int) -> None:
-    block = 1 << (q - 1 - qubit)
-    v = amps2d.reshape(-1, 2, block)
-    a = v[:, 0, :].copy()
-    b = v[:, 1, :]
-    v[:, 0, :] = mat[0, 0] * a + mat[0, 1] * b
-    v[:, 1, :] = mat[1, 0] * a + mat[1, 1] * b
-
-
-def _cnot_inplace(amps2d: np.ndarray, control: int, target: int, q: int) -> None:
-    first, second = (control, target) if control < target else (target, control)
-    mid = 1 << (second - first - 1)
-    rest = 1 << (q - 1 - second)
-    v = amps2d.reshape(-1, 2, mid, 2, rest)
-    if control < target:
-        lo = v[:, 1, :, 0, :].copy()
-        v[:, 1, :, 0, :] = v[:, 1, :, 1, :]
-        v[:, 1, :, 1, :] = lo
-    else:
-        lo = v[:, 0, :, 1, :].copy()
-        v[:, 0, :, 1, :] = v[:, 1, :, 1, :]
-        v[:, 1, :, 1, :] = lo
-
-
-def _apply_1q(amps: np.ndarray, mat: np.ndarray, qubit: int, q: int) -> np.ndarray:
-    out = np.ascontiguousarray(amps).copy()
-    _rot_inplace(out.reshape(-1, 2**q), mat, qubit, q)
-    return out
-
-
-def _apply_cnot(amps: np.ndarray, control: int, target: int, q: int) -> np.ndarray:
-    out = np.ascontiguousarray(amps).copy()
-    _cnot_inplace(out.reshape(-1, 2**q), control, target, q)
-    return out
 
 
 def _product_state(wires: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -229,10 +155,16 @@ def _wire_groups(q: int):
 
 @functools.lru_cache(maxsize=64)
 def _entangler_perms(spec: CircuitSpec) -> tuple[np.ndarray, np.ndarray]:
-    """(perm, inverse): ``np.take(state, perm, axis=-1)`` applies the CNOT network."""
-    perm = np.arange(2**spec.q)
+    """(perm, inverse): ``np.take(state, perm, axis=-1)`` applies the CNOT network.
+
+    A CNOT (c, t) swaps amplitude i with i ^ (qubit t's bit) wherever qubit
+    c's bit of i is set, so each one reorders ``perm`` by that index map.
+    """
+    q = spec.q
+    idx = np.arange(2**q)
+    perm = idx
     for c, t in spec.entangler:
-        _cnot_inplace(perm[None, :], c, t, spec.q)
+        perm = perm[idx ^ (((idx >> (q - 1 - c)) & 1) << (q - 1 - t))]
     inverse = np.argsort(perm)
     for a in (perm, inverse):
         a.setflags(write=False)  # cached arrays serve every caller
@@ -370,49 +302,6 @@ def _simulated_z(xs: np.ndarray, spec: CircuitSpec, w: np.ndarray) -> np.ndarray
     return out
 
 
-# ---------------------------------------------------------------------------
-# public single-state API
-
-def zero_state(q: int) -> StateVector:
-    """|0...0> on q qubits."""
-    if not 1 <= q <= MAX_QUBITS:
-        raise QsimError(f"qubit count must be in [1, {MAX_QUBITS}], got {q}")
-    amps = np.zeros(2**q, dtype=complex)
-    amps[0] = 1.0
-    return StateVector(amps)
-
-
-def apply_rotation(s: StateVector, axis: str, qubit: int, theta: float) -> StateVector:
-    """Apply RX(theta) or RY(theta) on one wire; returns a new state."""
-    key = axis.lower()
-    if key not in _ROTATIONS:
-        raise QsimError(f"axis must be 'x' or 'y', got {axis!r}")
-    if not 0 <= qubit < s.q:
-        raise QsimError(f"qubit {qubit} out of range for q={s.q}")
-    return StateVector(_apply_1q(s.amps, _ROTATIONS[key](theta), qubit, s.q))
-
-
-def apply_cnot(s: StateVector, control: int, target: int) -> StateVector:
-    if control == target:
-        raise QsimError(f"CNOT control equals target: {control}")
-    if not (0 <= control < s.q and 0 <= target < s.q):
-        raise QsimError(f"CNOT ({control}, {target}) out of range for q={s.q}")
-    return StateVector(_apply_cnot(s.amps, control, target, s.q))
-
-
-def angle_encode(x) -> StateVector:
-    """Product state with per-qubit amplitudes (cos x_i, i sin x_i)."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or not 1 <= x.size <= MAX_QUBITS:
-        raise QsimError(f"encoding vector must have 1..{MAX_QUBITS} entries, got {x.shape}")
-    return StateVector(_product_state(_encoding_wires(x)[None], np.empty((1, 2**x.size), dtype=complex))[0])
-
-
-def z_expectations(s: StateVector) -> np.ndarray:
-    """<Z_k> for every qubit, each in [-1, 1]."""
-    return _z_expectations(s.amps, s.q)
-
-
 def _check_shapes(x: np.ndarray, spec: CircuitSpec, w: np.ndarray) -> None:
     if x.shape[-1] != spec.q:
         raise QsimError(f"input length {x.shape[-1]} does not match q={spec.q}")
@@ -459,18 +348,11 @@ def _one_layer_grad(xs: np.ndarray, spec: CircuitSpec, w: np.ndarray, upstream: 
     return grad_w, grad_x
 
 
-def run_vqc(x, spec: CircuitSpec, w) -> np.ndarray:
-    """Encode x, apply the layered circuit, return per-qubit <Z>."""
-    x = np.asarray(x, dtype=float)
-    w = np.asarray(w, dtype=float)
-    _check_shapes(x, spec, w)
-    if spec.layers == 1:
-        return _one_layer_z(x, spec, w)
-    return _simulated_z(x.reshape(-1, spec.q), spec, w).reshape(x.shape)
-
-
 def run_vqc_batch(xs, spec: CircuitSpec, w) -> np.ndarray:
-    """Row-wise ``run_vqc``: (n, q) inputs -> (n, q) expectations."""
+    """Encode each row of xs, apply the layered circuit, return per-qubit <Z>.
+
+    (n, q) inputs -> (n, q) expectations; a single (q,) input is one row.
+    """
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     w = np.asarray(w, dtype=float)
     _check_shapes(xs, spec, w)
@@ -561,11 +443,3 @@ def param_shift_grad_batch(xs, spec: CircuitSpec, w, upstream):
             grad_w[0] += _rotation_grads(overlaps.sum(axis=0), w_layers[0])
         grad_x[rows] = -2.0 * (enc_gen * overlaps).reshape(-1, 4, q).sum(axis=1).imag
     return grad_w.reshape(-1), grad_x
-
-
-def param_shift_grad(x, spec: CircuitSpec, w, upstream):
-    """Single-input ``param_shift_grad_batch``; returns (grad_w, grad_x)."""
-    grad_w, grad_x = param_shift_grad_batch(
-        np.asarray(x, dtype=float)[None, :], spec, w, np.asarray(upstream, dtype=float)[None, :]
-    )
-    return grad_w, grad_x[0]

@@ -142,16 +142,6 @@ def _masked_mean(h: np.ndarray, idx: np.ndarray, p: float, rng):
     return (masks * h[idx]).mean(axis=0), masks
 
 
-def mean_aggregate(g, h, v: int, dropout_p: float, rng=None) -> np.ndarray:
-    """Dropout-regularised mean of v's neighbour features; zeros if isolated."""
-    h = np.asarray(h, dtype=float)
-    if h.shape[0] != g.n_nodes:
-        raise TrainingError("feature matrix must cover every node")
-    if dropout_p > 0.0 and rng is None:
-        raise TrainingError("dropout requires an RNG")
-    return _masked_mean(h, neighbor_lists(g)[v], dropout_p, rng)[0]
-
-
 def _layer_forward(h, adj, params: SageLayerParams, rng, train_mode: bool, fan_out):
     n, d = h.shape
     p = params.dropout_p if train_mode else 0.0
@@ -173,21 +163,6 @@ def _layer_forward(h, adj, params: SageLayerParams, rng, train_mode: bool, fan_o
     out = np.maximum(pre, 0.0)
     cache = (h, dropped, agg, pre, self_masks, neigh_idx, neigh_masks)
     return out, cache
-
-
-def sage_layer(g, h, params: SageLayerParams, rng=None, train_mode: bool = False, fan_out=None):
-    """One convolution over all nodes; returns the (n, 2*width) activations."""
-    h = np.asarray(h, dtype=float)
-    if h.shape[0] != g.n_nodes:
-        raise TrainingError("feature matrix must cover every node")
-    if h.shape[1] != params.w_self.shape[1]:
-        raise TrainingError(
-            f"feature width {h.shape[1]} does not match weights {params.w_self.shape}"
-        )
-    if train_mode and params.dropout_p > 0.0 and rng is None:
-        raise TrainingError("training mode with dropout requires an RNG")
-    out, _ = _layer_forward(h, neighbor_lists(g), params, rng, train_mode, fan_out)
-    return out
 
 
 def _layer_backward(d_out, params: SageLayerParams, cache):

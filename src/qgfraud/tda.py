@@ -224,17 +224,11 @@ def transaction_graph(
     return build_graph(cover_and_cluster(f, cover, db), t)
 
 
-def adjacency(g: TransactionGraph) -> np.ndarray:
-    """Symmetric 0/1 matrix with zero diagonal: 1 iff an edge joins i and j."""
-    a = np.zeros((g.n_nodes, g.n_nodes), dtype=int)
-    for i, j in g.edges:
-        a[i, j] = 1
-        a[j, i] = 1
-    return a
-
-
 def write_graph_corpus(path, graphs) -> None:
-    """One JSON record per line: label, node feature vectors, edge list."""
+    """One JSON record per line: label, node feature vectors, edge list.
+
+    Strict JSON: a NaN or infinite node value raises ``ValueError``.
+    """
     with open(path, "w") as fh:
         for g in graphs:
             rec = {
@@ -242,17 +236,25 @@ def write_graph_corpus(path, graphs) -> None:
                 "nodes": [[float(x) for x in row] for row in g.nodes],
                 "edges": [[a, b] for a, b in g.edges],
             }
-            fh.write(json.dumps(rec, separators=(",", ":")) + "\n")
+            fh.write(json.dumps(rec, separators=(",", ":"), allow_nan=False) + "\n")
+
+
+def _reject_constant(token: str):
+    raise TdaError(f"non-finite value {token}")
 
 
 def read_graph_corpus(path) -> list[TransactionGraph]:
+    """The graphs ``write_graph_corpus`` wrote; a NaN or infinite value is a ``TdaError``."""
     graphs = []
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
-            rec = json.loads(line)
+            try:
+                rec = json.loads(line, parse_constant=_reject_constant)
+            except TdaError as exc:
+                raise TdaError(f"{path}: line {lineno}: {exc}") from None
             graphs.append(
                 TransactionGraph(
                     nodes=np.array(rec["nodes"], dtype=float),

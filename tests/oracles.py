@@ -1,11 +1,11 @@
 """Independent reference implementations the tests check the package against.
 
 Everything here is deliberately brute-force and kept free of the production
-code paths: dense 2^q x 2^q circuit matrices, central finite differences,
-pairwise density reachability for DBSCAN, pair-counting AUC, and direct
-cluster-intersection edges. The one exception is the parameter-shift
-gradient, which reruns the package's forward simulator (itself checked
-against the dense oracle) at shifted angles.
+code paths: dense 2^q x 2^q circuit matrices, a gate-by-gate circuit on a
+(2,) * q tensor, central finite differences, pairwise density reachability
+for DBSCAN, pair-counting AUC, and direct cluster-intersection edges. The one
+exception is the parameter-shift gradient, which reruns the package's forward
+simulator (itself checked against the dense oracle) at shifted angles.
 """
 
 from __future__ import annotations
@@ -72,6 +72,27 @@ def dense_run_vqc(x, spec, w) -> np.ndarray:
         signs = np.array([1.0 if ((i >> (q - 1 - k)) & 1) == 0 else -1.0 for i in range(2**q)])
         out[k] = float(probs @ signs)
     return out
+
+
+def tensor_state(x, spec, w) -> np.ndarray:
+    """The circuit's 2^q output amplitudes, one gate at a time on a (2,) * q tensor.
+
+    Qubit k is axis k. A rotation contracts its 2x2 matrix with its wire's
+    axis; a CNOT flips the target axis where the control axis is 1. Costs
+    O(2^q) per gate, where ``dense_run_vqc`` multiplies 2^q x 2^q matrices.
+    """
+    q = spec.q
+    state = dense_encode(x).reshape((2,) * q)
+    # control_is_one[c] broadcasts over the state: True where qubit c is 1
+    control_is_one = [np.arange(2).reshape([2 if a == c else 1 for a in range(q)]) == 1 for c in range(q)]
+    for layer in range(spec.layers):
+        angles = w[2 * q * layer : 2 * q * (layer + 1)]
+        gates = [dense_ry(a) for a in angles[:q]] + [dense_rx(a) for a in angles[q:]]
+        for k, mat in enumerate(gates):
+            state = np.moveaxis(np.tensordot(mat, state, axes=([1], [k % q])), 0, k % q)
+        for c, t in spec.entangler:
+            state = np.where(control_is_one[c], np.flip(state, axis=t), state)
+    return state.reshape(-1)
 
 
 def param_shift_grad_batch(xs, spec, w, upstream):

@@ -4,14 +4,16 @@ The public credit-card CSV cannot ship with the repo, so tests and the
 acceptance suite fall back to a generated file with the same schema: Gaussian
 PCA-style features, a handful of class-shifted dimensions, lognormal amounts,
 and a configurable fraud count. Also provides the tiny hand-built graph
-fixtures used by the learnability tests.
+fixtures used by the learnability tests, and a writer for hand-built rows.
 """
 
 from __future__ import annotations
 
+import csv
+
 import numpy as np
 
-from qgfraud.dataset import HEADER
+from qgfraud.dataset import HEADER, TransactionSet
 from qgfraud.rng import make_rng
 from qgfraud.tda import TransactionGraph
 
@@ -41,6 +43,15 @@ def write_synthetic_csv(path, n_clean: int = 20000, n_fraud: int = 492, seed: in
             cells += [repr(float(x)) for x in v[i]]
             cells += [repr(float(amounts[i])), str(int(labels[i]))]
             fh.write(",".join(cells) + "\n")
+
+
+def save_transactions(ts: TransactionSet, path) -> None:
+    """Write rows in the CSV dialect ``load_transactions`` reads; floats use shortest round-trip repr."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(HEADER)
+        for t in ts.rows:
+            writer.writerow([repr(t.time), *(repr(x) for x in t.v), repr(t.amount), t.label])
 
 
 def separable_four_graphs() -> list[TransactionGraph]:

@@ -57,11 +57,11 @@ def test_criterion_1_simulator_correctness():
         spec = factory(q, layers)
         x = rng.uniform(-3, 3, q)
         w = rng.uniform(0, 2 * np.pi, spec.n_params)
-        got = qsim.run_vqc(x, spec, w)
+        got = qsim.run_vqc_batch(x, spec, w)[0]
         want = dense_run_vqc(x, spec, w)
         worst = max(worst, float(np.abs(got - want).max()))
-        state = qsim.StateVector(qsim._run(x[None, :], spec, w)[0])
-        worst_norm = max(worst_norm, abs(state.norm_sq() - 1.0))
+        amps = qsim._run(x[None, :], spec, w)[0]
+        worst_norm = max(worst_norm, abs(np.vdot(amps, amps).real - 1.0))
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-10 and worst_norm < 1e-10 and elapsed < 10.0
     report_line(
@@ -82,7 +82,7 @@ def _qgnn_fd_instance(seed):
     nodes = rng.normal(size=(n_nodes, 28))
     edges = tuple((a, a + 1) for a in range(n_nodes - 1))
     g = tda.TransactionGraph(nodes=nodes, edges=edges, label=int(rng.integers(0, 2)))
-    _, grads = qgnn.backward(g, params, spec, g.label)
+    _, grads = qgnn.backward_batch([g], params, spec, [g.label])
     vec, layout = flatten_params(params.to_dict())
 
     def loss_of(v):
@@ -144,9 +144,10 @@ def test_criterion_2_gradient_correctness():
         x = rng.uniform(-2, 2, q)
         w = rng.uniform(0, 2 * np.pi, spec.n_params)
         up = rng.normal(size=q)
-        grad_w, grad_x = qsim.param_shift_grad(x, spec, w, up)
-        fw = fd_grad(lambda wv: float(qsim.run_vqc(x, spec, wv) @ up), w)
-        fx = fd_grad(lambda xv: float(qsim.run_vqc(xv, spec, w) @ up), x)
+        grad_w, grad_x = qsim.param_shift_grad_batch(x[None], spec, w, up[None])
+        grad_x = grad_x[0]
+        fw = fd_grad(lambda wv: float(qsim.run_vqc_batch(x, spec, wv)[0] @ up), w)
+        fx = fd_grad(lambda xv: float(qsim.run_vqc_batch(xv, spec, w)[0] @ up), x)
         denom = max(1.0, float(np.abs(fw).max()), float(np.abs(fx).max()))
         worst_shift = max(
             worst_shift,

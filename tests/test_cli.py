@@ -93,6 +93,20 @@ class TestBuildGraphs:
         cfg = write_cfg(tmp_path, tmp_path / "absent.csv", tmp_path / "run")
         assert run(["build-graphs", "--config", str(cfg)]) == 1
 
+    def test_non_finite_cell_is_validation_error(self, tiny_csv, tmp_path, capsys):
+        lines = tiny_csv.read_text().splitlines()
+        fraud = [i for i, line in enumerate(lines[1:], start=1) if line.endswith(",1")]
+        for i, cell in zip(fraud[:2], ("nan", "inf")):
+            cells = lines[i].split(",")
+            cells[3] = cell  # V3
+            lines[i] = ",".join(cells)
+        csv = tmp_path / "non_finite.csv"
+        csv.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "run"
+        assert run(["build-graphs", "--config", str(write_cfg(tmp_path, csv, out))]) == 1
+        assert f"row {fraud[0] + 1}: column V3 is not finite" in capsys.readouterr().err
+        assert not out.exists()
+
 
 @pytest.fixture(scope="module")
 def built_run(tiny_csv, tmp_path_factory):
@@ -156,6 +170,19 @@ class TestTrain:
         assert run(["train", "--config", str(cfg), "--model", "qgnn"]) == 2
 
 
+@pytest.fixture(scope="module")
+def empty_val_run(tmp_path_factory):
+    """A corpus whose 8 undersampled rows split 6/0/2, and a trained qgnn."""
+    tmp = tmp_path_factory.mktemp("empty_val")
+    csv = tmp / "few_fraud.csv"
+    write_synthetic_csv(csv, n_clean=40, n_fraud=4, seed=3)
+    out = tmp / "run"
+    cfg = write_cfg(tmp, csv, out)
+    assert run(["build-graphs", "--config", str(cfg)]) == 0
+    assert run(["train", "--config", str(cfg), "--model", "qgnn"]) == 0
+    return cfg, out
+
+
 class TestEvaluate:
     def test_report_schema(self, built_run):
         cfg, out = built_run
@@ -208,17 +235,33 @@ class TestEvaluate:
         assert 0.3 <= auc <= 0.7
 
     def test_empty_split_is_runtime_error(self, tmp_path, capsys):
-        # one fraud row undersamples to 2 rows, and both land in train
+        # one fraud row undersamples to 2 rows, and both land in train; an
+        # empty test split is rejected where the split is made
         csv = tmp_path / "one_fraud.csv"
         write_synthetic_csv(csv, n_clean=20, n_fraud=1, seed=3)
         out = tmp_path / "run"
         cfg = write_cfg(tmp_path, csv, out)
-        assert run(["build-graphs", "--config", str(cfg)]) == 0
-        assert json.loads((out / "graphs" / "manifest.json").read_text())["counts"]["test"]["graphs"] == 0
-        assert run(["train", "--config", str(cfg), "--model", "qgnn"]) == 0
+        assert run(["build-graphs", "--config", str(cfg)]) == 1
+        assert "test split is empty" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_evaluating_an_empty_val_split_is_runtime_error(self, empty_val_run, capsys):
+        cfg, out = empty_val_run
+        assert json.loads((out / "graphs" / "manifest.json").read_text())["counts"]["val"]["graphs"] == 0
         capsys.readouterr()
-        assert run(["evaluate", "--config", str(cfg), "--model", "qgnn"]) == 2
+        assert run(["evaluate", "--config", str(cfg), "--model", "qgnn", "--split", "val"]) == 2
         assert "empty set" in capsys.readouterr().err
+
+    def test_threshold_source_is_recorded(self, built_run, empty_val_run, capsys):
+        for (cfg, out), source in ((built_run, "validation best F1"),
+                                   (empty_val_run, "0.5 fallback, validation lacks a class")):
+            capsys.readouterr()
+            assert run(["evaluate", "--config", str(cfg), "--model", "qgnn"]) == 0
+            assert f"({source})" in capsys.readouterr().out
+            manifest = json.loads((out / "eval_qgnn_test" / "manifest.json").read_text())
+            assert manifest["threshold_source"] == source
+            if source.startswith("0.5"):
+                assert manifest["threshold"] == 0.5
 
 
 class TestGrid:
@@ -231,6 +274,8 @@ class TestGrid:
         assert len(summary) == 3
         assert (out / "grid" / "summary.txt").exists()
         assert (out / "grid" / "q2_l1" / "report.txt").exists()
+        rows = json.loads((out / "grid" / "manifest.json").read_text())["rows"]
+        assert [row[-1] for row in rows] == ["validation best F1"] * 2
 
     def test_grid_rerun_identical(self, built_run, monkeypatch, tmp_path):
         cfg, out = built_run

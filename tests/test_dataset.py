@@ -12,12 +12,11 @@ from qgfraud.dataset import (
     Transaction,
     TransactionSet,
     load_transactions,
-    save_transactions,
-    split,
     split_indices,
     undersample,
 )
 from qgfraud.rng import make_rng
+from tests.synth import save_transactions
 
 
 def make_row(label=0, time=0.0, amount=1.0, v=None):
@@ -90,6 +89,18 @@ class TestLoad:
         with open(p, "a") as fh:
             fh.write("1.0,2.0\n")
         with pytest.raises(DatasetError, match="row 3"):
+            load_transactions(p)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN", "Infinity"])
+    def test_non_finite_cell_names_row_and_column(self, tmp_path, cell):
+        p = tmp_path / "bad.csv"
+        save_transactions(TransactionSet([make_row(0), make_row(1), make_row(0)]), p)
+        lines = p.read_text().splitlines()
+        cells = lines[3].split(",")
+        cells[3] = cell  # V3
+        lines[3] = ",".join(cells)
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DatasetError, match="row 4: column V3 is not finite"):
             load_transactions(p)
 
     def test_quoted_label_accepted(self, tmp_path):
@@ -174,12 +185,11 @@ class TestUndersample:
 class TestSplit:
     def test_worked_sizes_984(self):
         ts = balanced_set(492)
-        tr, va, te = split(ts, SplitSpec(0.65, 0.05, 0.30), seed=0)
+        tr, va, te = split_indices(ts.labels(), SplitSpec(0.65, 0.05, 0.30), seed=0)
         assert (len(tr), len(va), len(te)) == (640, 49, 295)
 
     def test_single_row_goes_to_train(self):
-        ts = TransactionSet([make_row(1)])
-        tr, va, te = split(ts, SplitSpec(0.65, 0.05, 0.30), seed=0)
+        tr, va, te = split_indices([1], SplitSpec(0.65, 0.05, 0.30), seed=0)
         assert (len(tr), len(va), len(te)) == (1, 0, 0)
 
     def test_deterministic(self):
@@ -191,11 +201,10 @@ class TestSplit:
             assert np.array_equal(x, y)
 
     def test_stratified_within_one_row(self):
-        ts = balanced_set(492)
-        tr, va, te = split(ts, SplitSpec(0.65, 0.05, 0.30), seed=3)
-        for part in (tr, va, te):
-            n_clean, n_fraud = part.class_counts()
-            assert abs(n_clean - n_fraud) <= 2  # one row of slack per class
+        labels = balanced_set(492).labels()
+        for part in split_indices(labels, SplitSpec(0.65, 0.05, 0.30), seed=3):
+            n_fraud = int(labels[part].sum())
+            assert abs((len(part) - n_fraud) - n_fraud) <= 2  # one row of slack per class
 
     def test_disjoint_union_over_random_inputs(self):
         rng = make_rng(77)

@@ -95,7 +95,7 @@ class TestBackward:
             rng = make_rng(seed)
             params = qgnn.init_params(spec, rng)
             g = graph_with(rng.normal(size=(3, 28)), edges=((0, 1), (1, 2)), label=seed % 2)
-            _, grads = qgnn.backward(g, params, spec, g.label)
+            _, grads = qgnn.backward_batch([g], params, spec, [g.label])
             vec, layout = flatten_params(params.to_dict())
 
             def loss_of(v):
@@ -111,7 +111,7 @@ class TestBackward:
         rng = make_rng(11)
         params = qgnn.init_params(spec, rng)
         g = graph_with(rng.normal(size=(2, 28)), label=1)
-        _, grads = qgnn.backward(g, params, spec, 1, encode_activation="tanh_pi")
+        _, grads = qgnn.backward_batch([g], params, spec, [1], encode_activation="tanh_pi")
         vec, layout = flatten_params(params.to_dict())
 
         def loss_of(v):
@@ -125,7 +125,7 @@ class TestBackward:
         params = qgnn.init_params(spec, make_rng(2))
         params.w_o = np.zeros(3)
         g = graph_with(rng.normal(size=(2, 28)), label=1)
-        _, grads = qgnn.backward(g, params, spec, 1)
+        _, grads = qgnn.backward_batch([g], params, spec, [1])
         assert np.all(grads["w_c"] == 0.0)
         assert np.all(grads["w_vqc"] == 0.0)
 
@@ -133,9 +133,9 @@ class TestBackward:
         spec = qsim.CircuitSpec.chain(2, 1)
         params = qgnn.init_params(spec, make_rng(5))
         row = rng.normal(size=28)
-        _, g_single = qgnn.backward(graph_with(row[None, :], label=1), params, spec, 1)
-        _, g_double = qgnn.backward(
-            graph_with(np.vstack([row, row]), edges=((0, 1),), label=1), params, spec, 1
+        _, g_single = qgnn.backward_batch([graph_with(row[None, :], label=1)], params, spec, [1])
+        _, g_double = qgnn.backward_batch(
+            [graph_with(np.vstack([row, row]), edges=((0, 1),), label=1)], params, spec, [1]
         )
         for key in g_single:
             np.testing.assert_allclose(g_single[key], g_double[key], atol=1e-12)
@@ -146,7 +146,7 @@ class TestBackward:
         graphs = random_graphs(3, seed=9, max_nodes=3)
         ys = [g.label for g in graphs]
         loss_b, grads_b = qgnn.backward_batch(graphs, params, spec, ys)
-        singles = [qgnn.backward(g, params, spec, y) for g, y in zip(graphs, ys)]
+        singles = [qgnn.backward_batch([g], params, spec, [y]) for g, y in zip(graphs, ys)]
         assert loss_b == pytest.approx(np.mean([l for l, _ in singles]), abs=1e-12)
         for key in grads_b:
             mean_grad = np.mean([np.asarray(g[key], dtype=float) for _, g in singles], axis=0)

@@ -10,39 +10,67 @@ from tests.oracles import dense_1q, dense_cnot, dense_encode, dense_run_vqc, den
 
 def random_state(q, rng):
     amps = rng.normal(size=2**q) + 1j * rng.normal(size=2**q)
-    return qsim.StateVector(amps / np.linalg.norm(amps))
+    return amps / np.linalg.norm(amps)
+
+
+def encoded(x):
+    """The angle-encoded state of x: the circuit with no layers."""
+    x = np.asarray(x, dtype=float)
+    return qsim._run(x[None], qsim.CircuitSpec(x.size, 0, ()), np.zeros(0))[0]
+
+
+def rotated(x, layer_angles):
+    """Encode x, then apply layers of rotations and no CNOTs.
+
+    ``layer_angles`` is a list of (axis, qubit, theta), one per layer; every
+    other angle of that layer is 0.
+    """
+    q = len(x)
+    w = np.zeros((len(layer_angles), 2 * q))
+    for layer, (axis, qubit, theta) in enumerate(layer_angles):
+        w[layer, qubit if axis == "y" else q + qubit] = theta
+    spec = qsim.CircuitSpec(q, len(layer_angles), ())
+    return qsim._run(np.asarray(x, dtype=float)[None], spec, w.reshape(-1))[0]
+
+
+def cnot(amps, q, control, target):
+    """A single CNOT as the layer kernels apply it: a gather by the entangler permutation."""
+    perm, _ = qsim._entangler_perms(qsim.CircuitSpec(q, 1, ((control, target),)))
+    return np.asarray(amps)[perm]
 
 
 class TestZeroState:
+    """|0...0> is the encoding of all-zero angles."""
+
     def test_single_qubit(self):
-        assert np.array_equal(qsim.zero_state(1).amps, [1, 0])
+        assert np.array_equal(encoded([0.0]), [1, 0])
 
     def test_two_qubits(self):
-        assert np.array_equal(qsim.zero_state(2).amps, [1, 0, 0, 0])
+        assert np.array_equal(encoded([0.0, 0.0]), [1, 0, 0, 0])
 
     def test_norm(self):
-        assert qsim.zero_state(5).norm_sq() == pytest.approx(1.0, abs=1e-12)
+        amps = encoded(np.zeros(5))
+        assert np.vdot(amps, amps).real == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("q", [0, -1, 21])
     def test_out_of_range(self, q):
         with pytest.raises(qsim.QsimError):
-            qsim.zero_state(q)
+            qsim.CircuitSpec(q, 0, ())
 
 
 class TestRotations:
+    """A layer's RY and RX, seen one wire and one angle at a time."""
+
     def test_ry_zero_is_identity(self, rng):
-        s = random_state(3, rng)
-        out = qsim.apply_rotation(s, "y", 1, 0.0)
-        np.testing.assert_allclose(out.amps, s.amps, atol=1e-15)
+        x = rng.uniform(-3, 3, 3)
+        np.testing.assert_allclose(rotated(x, [("y", 1, 0.0)]), encoded(x), atol=1e-15)
 
     def test_ry_pi_flips_zero(self):
-        out = qsim.apply_rotation(qsim.zero_state(1), "y", 0, np.pi)
-        np.testing.assert_allclose(out.amps, [0, 1], atol=1e-15)
+        np.testing.assert_allclose(rotated([0.0], [("y", 0, np.pi)]), [0, 1], atol=1e-15)
 
     def test_rx_half_pi(self):
-        out = qsim.apply_rotation(qsim.zero_state(1), "x", 0, np.pi / 2)
         expected = [np.sqrt(2) / 2, -1j * np.sqrt(2) / 2]
-        np.testing.assert_allclose(out.amps, expected, atol=1e-15)
+        np.testing.assert_allclose(rotated([0.0], [("x", 0, np.pi / 2)]), expected, atol=1e-15)
 
     @pytest.mark.parametrize("axis,ref", [("x", dense_rx), ("y", dense_ry)])
     def test_matches_dense_matrix(self, axis, ref, rng):
@@ -50,86 +78,75 @@ class TestRotations:
             q = int(rng.integers(1, 5))
             qubit = int(rng.integers(0, q))
             theta = float(rng.uniform(-2 * np.pi, 2 * np.pi))
-            s = random_state(q, rng)
-            out = qsim.apply_rotation(s, axis, qubit, theta)
+            x = rng.uniform(-3, 3, q)
             np.testing.assert_allclose(
-                out.amps, dense_1q(q, ref(theta), qubit) @ s.amps, atol=1e-12
+                rotated(x, [(axis, qubit, theta)]), dense_1q(q, ref(theta), qubit) @ dense_encode(x), atol=1e-12
             )
 
     def test_inverse_restores_state(self, rng):
+        # the second layer runs through the wire-group kernels, not the first-layer path
         for _ in range(20):
             q = int(rng.integers(1, 7))
             qubit = int(rng.integers(0, q))
             theta = float(rng.uniform(-np.pi, np.pi))
             axis = "x" if rng.random() < 0.5 else "y"
-            s = random_state(q, rng)
-            back = qsim.apply_rotation(qsim.apply_rotation(s, axis, qubit, theta), axis, qubit, -theta)
-            np.testing.assert_allclose(back.amps, s.amps, atol=1e-12)
-
-    def test_bad_qubit(self):
-        with pytest.raises(qsim.QsimError):
-            qsim.apply_rotation(qsim.zero_state(2), "x", 2, 0.1)
-
-    def test_bad_axis(self):
-        with pytest.raises(qsim.QsimError):
-            qsim.apply_rotation(qsim.zero_state(1), "z", 0, 0.1)
+            x = rng.uniform(-3, 3, q)
+            back = rotated(x, [(axis, qubit, theta), (axis, qubit, -theta)])
+            np.testing.assert_allclose(back, encoded(x), atol=1e-12)
 
 
 class TestCnot:
     def test_truth_table(self):
-        s = qsim.StateVector(np.array([0, 0, 1, 0], dtype=complex))  # |10>
-        np.testing.assert_array_equal(qsim.apply_cnot(s, 0, 1).amps, [0, 0, 0, 1])
+        np.testing.assert_array_equal(cnot([0, 0, 1, 0], 2, 0, 1), [0, 0, 0, 1])  # |10> -> |11>
 
     def test_fixes_all_zero(self):
-        s = qsim.zero_state(2)
-        np.testing.assert_array_equal(qsim.apply_cnot(s, 0, 1).amps, [1, 0, 0, 0])
+        np.testing.assert_array_equal(cnot([1, 0, 0, 0], 2, 0, 1), [1, 0, 0, 0])
 
     def test_involution(self, rng):
         for _ in range(15):
             q = int(rng.integers(2, 7))
-            c, t = rng.choice(q, size=2, replace=False)
+            c, t = (int(v) for v in rng.choice(q, size=2, replace=False))
             s = random_state(q, rng)
-            back = qsim.apply_cnot(qsim.apply_cnot(s, int(c), int(t)), int(c), int(t))
-            np.testing.assert_allclose(back.amps, s.amps, atol=1e-12)
+            np.testing.assert_array_equal(cnot(cnot(s, q, c, t), q, c, t), s)
 
     def test_matches_dense_matrix(self, rng):
         for _ in range(15):
             q = int(rng.integers(2, 5))
             c, t = (int(x) for x in rng.choice(q, size=2, replace=False))
             s = random_state(q, rng)
-            np.testing.assert_allclose(
-                qsim.apply_cnot(s, c, t).amps, dense_cnot(q, c, t) @ s.amps, atol=1e-12
-            )
+            np.testing.assert_allclose(cnot(s, q, c, t), dense_cnot(q, c, t) @ s, atol=1e-12)
 
     def test_equal_indices_rejected(self):
-        with pytest.raises(qsim.QsimError):
-            qsim.apply_cnot(qsim.zero_state(2), 1, 1)
+        # every pair of the entangler is checked, not only the first
+        with pytest.raises(qsim.QsimError, match="control equals target"):
+            qsim.CircuitSpec(4, 2, ((0, 1), (2, 2)))
 
     def test_out_of_range_rejected(self):
-        with pytest.raises(qsim.QsimError):
-            qsim.apply_cnot(qsim.zero_state(2), 0, 2)
+        for pair in ((-1, 0), (0, 3)):
+            with pytest.raises(qsim.QsimError, match="out of range"):
+                qsim.CircuitSpec(3, 1, ((0, 1), pair))
 
 
 class TestAngleEncode:
     def test_zeros_give_ground_state(self):
-        np.testing.assert_array_equal(qsim.angle_encode([0.0, 0.0, 0.0]).amps, qsim.zero_state(3).amps)
+        np.testing.assert_array_equal(encoded([0.0, 0.0, 0.0]), np.eye(8)[0])
 
     def test_half_pi(self):
-        np.testing.assert_allclose(qsim.angle_encode([np.pi / 2]).amps, [0, 1j], atol=1e-15)
+        np.testing.assert_allclose(encoded([np.pi / 2]), [0, 1j], atol=1e-15)
 
     def test_two_qubit_quarter_pi(self):
-        out = qsim.angle_encode([np.pi / 4, np.pi / 4]).amps
+        out = encoded([np.pi / 4, np.pi / 4])
         np.testing.assert_allclose(out, [0.5, 0.5j, 0.5j, -0.5], atol=1e-15)
 
     def test_matches_kron_oracle(self, rng):
         for _ in range(20):
             q = int(rng.integers(1, 5))
             x = rng.uniform(-3, 3, q)
-            np.testing.assert_allclose(qsim.angle_encode(x).amps, dense_encode(x), atol=1e-14)
+            np.testing.assert_allclose(encoded(x), dense_encode(x), atol=1e-14)
 
     def test_length_mismatch(self):
         with pytest.raises(qsim.QsimError):
-            qsim.run_vqc([0.0, 0.0], qsim.CircuitSpec.chain(3, 1), np.zeros(6))
+            qsim.run_vqc_batch([[0.0, 0.0]], qsim.CircuitSpec.chain(3, 1), np.zeros(6))
 
 
 def random_spec(rng, max_q=3):
@@ -142,12 +159,12 @@ def random_spec(rng, max_q=3):
 class TestRunVqc:
     def test_all_zero_inputs_give_unit_z(self):
         spec = qsim.CircuitSpec.chain(4, 2)
-        out = qsim.run_vqc(np.zeros(4), spec, np.zeros(spec.n_params))
+        out = qsim.run_vqc_batch(np.zeros(4), spec, np.zeros(spec.n_params))[0]
         np.testing.assert_allclose(out, np.ones(4), atol=1e-12)
 
     def test_single_qubit_ry_pi(self):
         spec = qsim.CircuitSpec.chain(1, 1)
-        out = qsim.run_vqc([0.0], spec, [np.pi, 0.0])
+        out = qsim.run_vqc_batch([0.0], spec, [np.pi, 0.0])[0]
         np.testing.assert_allclose(out, [-1.0], atol=1e-12)
 
     def test_outputs_bounded_and_normalised(self, rng):
@@ -155,10 +172,10 @@ class TestRunVqc:
             spec = random_spec(rng, max_q=4)
             x = rng.uniform(-4, 4, spec.q)
             w = rng.uniform(0, 2 * np.pi, spec.n_params)
-            z = qsim.run_vqc(x, spec, w)
+            z = qsim.run_vqc_batch(x, spec, w)
             assert np.all(z <= 1.0 + 1e-12) and np.all(z >= -1.0 - 1e-12)
-            state = qsim.StateVector(qsim._run(x[None, :], spec, w)[0])
-            assert abs(state.norm_sq() - 1.0) < 1e-10
+            amps = qsim._run(x[None, :], spec, w)[0]
+            assert abs(np.vdot(amps, amps).real - 1.0) < 1e-10
 
     def test_matches_dense_oracle(self, rng):
         for _ in range(60):
@@ -166,7 +183,7 @@ class TestRunVqc:
             x = rng.uniform(-3, 3, spec.q)
             w = rng.uniform(0, 2 * np.pi, spec.n_params)
             np.testing.assert_allclose(
-                qsim.run_vqc(x, spec, w), dense_run_vqc(x, spec, w), atol=1e-10
+                qsim.run_vqc_batch(x, spec, w)[0], dense_run_vqc(x, spec, w), atol=1e-10
             )
 
     def test_batch_matches_single(self, rng):
@@ -175,23 +192,23 @@ class TestRunVqc:
         w = rng.uniform(0, 2 * np.pi, spec.n_params)
         batch = qsim.run_vqc_batch(xs, spec, w)
         for i, x in enumerate(xs):
-            np.testing.assert_allclose(batch[i], qsim.run_vqc(x, spec, w), atol=1e-13)
+            np.testing.assert_allclose(batch[i], qsim.run_vqc_batch(x[None], spec, w)[0], atol=1e-13)
 
     def test_wrong_param_count(self):
         with pytest.raises(qsim.QsimError):
-            qsim.run_vqc([0.0], qsim.CircuitSpec.chain(1, 1), [0.0])
+            qsim.run_vqc_batch([0.0], qsim.CircuitSpec.chain(1, 1), [0.0])
 
 
 class TestParamShift:
     def test_even_point_gives_zero(self):
         # <Z> = cos(w0) around w0=0 is locally even
         spec = qsim.CircuitSpec.chain(1, 1)
-        grad_w, _ = qsim.param_shift_grad([0.0], spec, [0.0, 0.0], [1.0])
+        grad_w, _ = qsim.param_shift_grad_batch([[0.0]], spec, [0.0, 0.0], [[1.0]])
         assert grad_w[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_ry_derivative_at_half_pi(self):
         spec = qsim.CircuitSpec.chain(1, 1)
-        grad_w, _ = qsim.param_shift_grad([0.0], spec, [np.pi / 2, 0.0], [1.0])
+        grad_w, _ = qsim.param_shift_grad_batch([[0.0]], spec, [np.pi / 2, 0.0], [[1.0]])
         assert grad_w[0] == pytest.approx(-1.0, abs=1e-12)
 
     def test_matches_finite_differences(self, rng):
@@ -200,16 +217,16 @@ class TestParamShift:
             x = rng.uniform(-2, 2, spec.q)
             w = rng.uniform(0, 2 * np.pi, spec.n_params)
             upstream = rng.normal(size=spec.q)
-            grad_w, grad_x = qsim.param_shift_grad(x, spec, w, upstream)
-            fw = fd_grad(lambda wv: float(qsim.run_vqc(x, spec, wv) @ upstream), w)
-            fx = fd_grad(lambda xv: float(qsim.run_vqc(xv, spec, w) @ upstream), x)
+            grad_w, grad_x = qsim.param_shift_grad_batch(x[None], spec, w, upstream[None])
+            fw = fd_grad(lambda wv: float(qsim.run_vqc_batch(x, spec, wv)[0] @ upstream), w)
+            fx = fd_grad(lambda xv: float(qsim.run_vqc_batch(xv, spec, w)[0] @ upstream), x)
             np.testing.assert_allclose(grad_w, fw, rtol=1e-5, atol=1e-8)
-            np.testing.assert_allclose(grad_x, fx, rtol=1e-5, atol=1e-8)
+            np.testing.assert_allclose(grad_x[0], fx, rtol=1e-5, atol=1e-8)
 
     def test_upstream_shape_checked(self):
         spec = qsim.CircuitSpec.chain(2, 1)
         with pytest.raises(qsim.QsimError):
-            qsim.param_shift_grad([0.0, 0.0], spec, np.zeros(4), [1.0])
+            qsim.param_shift_grad_batch([[0.0, 0.0]], spec, np.zeros(4), [[1.0]])
 
 
 class TestAdjointMatchesParamShift:
@@ -253,7 +270,7 @@ class TestOneLayerClosedForm:
             w = rng.uniform(0, 2 * np.pi, spec.n_params)
             want = simulated_z(xs, spec, w)
             np.testing.assert_allclose(qsim.run_vqc_batch(xs, spec, w), want, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(qsim.run_vqc(xs[0], spec, w), want[0], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(qsim.run_vqc_batch(xs[0], spec, w), want[:1], rtol=0, atol=1e-12)
 
     def test_forward_matches_simulator_at_16_qubits(self, rng):
         xs = rng.uniform(-3, 3, (3, 16))
@@ -293,35 +310,38 @@ class TestOneLayerClosedForm:
         np.testing.assert_allclose(grad_x, ref_x, rtol=0, atol=1e-10)
 
 
-def gate_by_gate_state(x, spec, w):
-    """The circuit through the single-gate StateVector API, one gate at a time."""
-    s = qsim.angle_encode(x)
-    for layer in range(spec.layers):
-        base = 2 * spec.q * layer
-        for k in range(spec.q):
-            s = qsim.apply_rotation(s, "y", k, w[base + k])
-        for k in range(spec.q):
-            s = qsim.apply_rotation(s, "x", k, w[base + spec.q + k])
-        for c, t in spec.entangler:
-            s = qsim.apply_cnot(s, c, t)
-    return s.amps
+def entangler_specs(q, layers, rng):
+    """Chain, ring and one random entangler (up to q CNOTs) on q qubits."""
+    pairs = tuple(tuple(int(v) for v in rng.choice(q, size=2, replace=False))
+                  for _ in range(int(rng.integers(0, q + 1)) if q > 1 else 0))
+    return qsim.CircuitSpec.chain(q, layers), qsim.CircuitSpec.ring(q, layers), qsim.CircuitSpec(q, layers, pairs)
 
 
 class TestLayerKernels:
-    def test_run_matches_single_gate_kernels(self, rng):
+    def test_run_matches_tensor_state(self, rng):
         # q up to 9 covers one, two and three rotation groups, a group of one
         # wire, and the middle group of q=9 with wires on both sides
         for q in range(1, 10):
             for layers in range(4):
-                pairs = tuple(tuple(int(v) for v in rng.choice(q, size=2, replace=False))
-                              for _ in range(int(rng.integers(0, q + 1)) if q > 1 else 0))
-                for spec in (qsim.CircuitSpec.chain(q, layers), qsim.CircuitSpec.ring(q, layers),
-                             qsim.CircuitSpec(q, layers, pairs)):
+                for spec in entangler_specs(q, layers, rng):
                     xs = rng.uniform(-3, 3, (2, q))
                     w = rng.uniform(0, 2 * np.pi, spec.n_params)
                     got = qsim._run(xs, spec, w)
                     for x, amps in zip(xs, got):
-                        np.testing.assert_allclose(amps, gate_by_gate_state(x, spec, w), rtol=0, atol=1e-12)
+                        np.testing.assert_allclose(amps, oracles.tensor_state(x, spec, w), rtol=0, atol=1e-12)
+
+    def test_entangler_permutation_matches_dense_cnots(self, rng):
+        # column j of the network's dense matrix is basis state j after the
+        # gather; the inverse gather undoes it
+        for q in range(1, 9):
+            for spec in entangler_specs(q, 1, rng):
+                network = np.eye(2**q)
+                for c, t in spec.entangler:
+                    network = dense_cnot(q, c, t).real @ network
+                perm, inverse = qsim._entangler_perms(spec)
+                basis = np.eye(2**q)
+                np.testing.assert_array_equal(basis[perm], network)
+                np.testing.assert_array_equal(basis[inverse], network.T)
 
     def test_entangler_permutation_is_cached_and_inverted(self):
         spec = qsim.CircuitSpec.ring(5, 2)
@@ -354,7 +374,7 @@ class TestChunking:
                 chunked_w, chunked_x = qsim.param_shift_grad_batch(xs, spec, w, upstream)
                 np.testing.assert_array_equal(chunked_x, grad_x)
                 np.testing.assert_allclose(chunked_w, grad_w, rtol=0, atol=1e-12)
-                np.testing.assert_array_equal(qsim.run_vqc(xs[4], spec, w), z[4])
+                np.testing.assert_array_equal(qsim.run_vqc_batch(xs[4], spec, w)[0], z[4])
                 monkeypatch.undo()
 
     def test_peak_memory_is_a_multiple_of_the_chunk_budget(self, rng, monkeypatch):

@@ -1,7 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
-from qgfraud import tda
+from qgfraud import sage, tda
 from qgfraud.dataset import Transaction
 from qgfraud.rng import make_rng
 from qgfraud.tda import (
@@ -9,7 +11,6 @@ from qgfraud.tda import (
     DbscanSpec,
     TdaError,
     TransactionGraph,
-    adjacency,
     build_graph,
     build_point_cloud,
     cover_and_cluster,
@@ -188,6 +189,14 @@ class TestBuildGraph:
         assert np.flatnonzero(g.nodes[1]).tolist() == [5] or v[5] == 0.0
 
 
+def adjacency(g):
+    """0/1 matrix of the neighbour lists the models read a graph through."""
+    a = np.zeros((g.n_nodes, g.n_nodes), dtype=int)
+    for i, neighbours in enumerate(sage.neighbor_lists(g)):
+        a[i, neighbours] = 1
+    return a
+
+
 class TestAdjacency:
     def test_five_node_reference(self):
         # directed reference: A->B, B->C, B->D, C->E, D->A, E->D; symmetrised
@@ -285,3 +294,19 @@ class TestCorpusIO:
         write_graph_corpus(p1, [g])
         write_graph_corpus(p2, [g])
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_write_rejects_non_finite(self, tmp_path):
+        nodes = np.zeros((2, 28))
+        nodes[1, 3] = np.nan
+        with pytest.raises(ValueError):
+            write_graph_corpus(tmp_path / "c.jsonl", [TransactionGraph(nodes=nodes, edges=((0, 1),), label=1)])
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_read_rejects_non_finite(self, tmp_path, bad):
+        # a corpus written before writes were strict JSON can hold NaN/Infinity tokens
+        good = {"label": 0, "nodes": [[0.5] * 28], "edges": []}
+        poisoned = {"label": 1, "nodes": [[0.0] * 3 + [bad] + [0.0] * 24], "edges": []}
+        path = tmp_path / "old.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n" for r in (good, poisoned)))
+        with pytest.raises(TdaError, match="line 2: non-finite value"):
+            read_graph_corpus(path)
