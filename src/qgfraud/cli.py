@@ -176,7 +176,12 @@ def _train(
             "entangler": cfg.qgnn.entangler,
             "encode_activation": cfg.qgnn.encode_activation,
         }
-        extra["circuit"] = {"qubits": spec.q, "layers": spec.layers, "entangler": cfg.qgnn.entangler}
+        extra["circuit"] = {
+            "qubits": spec.q,
+            "layers": spec.layers,
+            "entangler": cfg.qgnn.entangler,
+            "path": qsim.circuit_path(spec),
+        }
     else:
         params, history = sage.sage_train(
             corpus["train"],
@@ -357,13 +362,14 @@ def cmd_grid(args) -> int:
     corpus_hash = _corpus_meta(graphs_dir)["corpus_config_hash"]
     out_dir = _output_root(cfg) / "grid"
     t0 = time.perf_counter()
-    rows, sources = [], []
+    rows, sources, points = [], [], []
     with staged_output(out_dir) as tmp:
         for qubits, layers in GRID_CONFIGS:
             name = f"q{qubits}_l{layers}"
             print(f"grid {name}: training...")
+            started = time.perf_counter()
             sub = tmp / name
-            _train(cfg, corpus, corpus_hash, sub / "train", "qgnn", qubits=qubits, layers=layers)
+            _, history = _train(cfg, corpus, corpus_hash, sub / "train", "qgnn", qubits=qubits, layers=layers)
             arrays, meta = load_arrays(sub / "train" / "checkpoint.txt")
             report, threshold_source = _score_at_val_threshold(arrays, meta, cfg, corpus, "test")
             metrics.write_report(report, sub / "report.txt")
@@ -371,6 +377,12 @@ def cmd_grid(args) -> int:
             rows.append(
                 (qubits, layers, report.accuracy, report.precision, report.recall, report.f1, report.auc_pr)
             )
+            points.append({
+                "name": name,
+                "path": qsim.circuit_path(_circuit_spec(cfg, qubits, layers)),
+                "seconds": time.perf_counter() - started,
+                "epoch_seconds": [e.seconds for e in history.epochs],
+            })
         with open(tmp / "summary.csv", "w") as fh:
             fh.write("qubits,layers,accuracy_pct,precision_pct,recall_pct,f1,auc_pr\n")
             for row in rows:
@@ -380,8 +392,9 @@ def cmd_grid(args) -> int:
             for q, l, acc, prec, rec, f1, auc_pr in rows:
                 fh.write(f"{q:>6} {l:>6} {acc:9.2f} {prec:10.2f} {rec:7.2f} {f1:.3f} {auc_pr:.3f}\n")
             fh.write(
-                "\nl=1 rows are computed exactly in O(q^2) per node from a closed form, with no "
-                "simulator; l=2 rows simulate 2^q amplitudes per node.\n"
+                "\ncircuit paths: " + ", ".join(f"{p['name']} {p['path']}" for p in points) + ". Each is "
+                "exact: the closed form costs O(q^2) per node, the statevector 2^q amplitudes per node, "
+                "and the matrix product state (mps) O(q^2 chi^4) per node at bond chi.\n"
             )
             fh.write(
                 "reference targets (published results for this architecture): "
@@ -395,6 +408,8 @@ def cmd_grid(args) -> int:
                 "config": cfg.to_dict(),
                 # each row: the summary.csv columns, then the threshold's source
                 "rows": [[*r, source] for r, source in zip(rows, sources)],
+                # per grid point: its circuit path, and the seconds to train and score it
+                "points": points,
                 "wall_clock_s": time.perf_counter() - t0,
                 "artifacts": sorted(p.name for p in tmp.iterdir()),
             },

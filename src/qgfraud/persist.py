@@ -81,21 +81,32 @@ def staged_output(final_dir):
     An interrupted run leaves the final directory untouched (absent or the
     previous complete version); only a finished run is renamed in. Each run
     stages in its own uniquely named directory, so two runs aimed at one
-    target never delete each other's work; the last to finish wins.
+    target never delete each other's work; the last to finish wins. The swap
+    renames the previous version aside before renaming the new one in, and
+    deletes it only once the new one is in place, so the only tree a run ever
+    deletes is one it moved out of the final path itself, and a failed swap
+    puts the previous version back.
     """
     final = Path(final_dir)
     final.parent.mkdir(parents=True, exist_ok=True)
     tmp = Path(tempfile.mkdtemp(prefix=final.name + ".staging-", dir=final.parent))
+    aside = tmp.with_name(tmp.name + ".replaced")
     try:
         yield tmp
-        if final.exists():
-            shutil.rmtree(final)
+        try:
+            final.rename(aside)
+        except FileNotFoundError:
+            pass  # no previous version
         tmp.rename(final)
     except BaseException:
         # also when the swap itself fails, e.g. a concurrent run finishing
         # first: the staging directory never outlives the call
         shutil.rmtree(tmp, ignore_errors=True)
+        if aside.exists() and not final.exists():
+            aside.rename(final)
         raise
+    finally:
+        shutil.rmtree(aside, ignore_errors=True)
 
 
 def sha256_files(paths) -> str:

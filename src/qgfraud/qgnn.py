@@ -8,9 +8,12 @@ end-to-end with Adam on binary cross-entropy, in the loop ``training.fit``
 shares with the GraphSAGE baseline; the classical layers are
 differentiated by the chain rule, the quantum block by
 ``qsim.param_shift_grad_batch``. For one circuit layer that readout and its
-gradient are exact closed forms in O(q^2) per node, with no statevector; for
-deeper circuits they come from the simulator and the adjoint method (about
-three circuit runs per batch).
+gradient are exact closed forms in O(q^2) per node, with no statevector.
+Deeper circuits are read exactly from a matrix product state where the
+entanglement is short-range and q is large (a 16-qubit chain or ring), and
+otherwise from the statevector simulator with the adjoint method (about
+three circuit runs per batch); ``qsim.circuit_path`` names the path a spec
+takes, and train manifests record it.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Exact statevector simulation of small RX/RY/CNOT circuits.
+"""Exact readouts and gradients of small RX/RY/CNOT circuits.
 
 Conventions, fixed once and used everywhere:
 
@@ -16,31 +16,50 @@ states: output bit k is the GF(2) parity of the input bits in row k of a
 in O(q^2) per input. ``run_vqc_batch`` and ``param_shift_grad_batch``
 take that path whenever ``spec.layers == 1``.
 
-Deeper circuits are simulated a layer at a time over (rows, 2^q) arrays:
+Deeper circuits take one of two exact paths, which ``circuit_path`` picks
+from the spec alone by a cost model (no option selects it):
 
-* The first layer acts on the encoded product state, so its rotations are
-  applied to each wire's two amplitudes before the product is formed.
-* A layer's RY and RX on a wire fuse to one 2x2 matrix, and the wires are
-  rotated in groups of up to ``GROUP_WIRES``: one matmul per group with the
-  Kronecker product of the group's matrices.
-* A layer's CNOT network permutes basis states, so it is one gather,
-  ``np.take(state, perm, axis=1)``. ``perm`` is cached per spec and built
-  from the index bits of ``arange(2**q)``, one CNOT at a time.
-* <Z_k> is read by halving the probabilities once per wire.
+* As a matrix product state (Vidal, arXiv:quant-ph/0301063) when the
+  entanglement is short-range, as for chain and ring entanglers at 16 qubits.
+  After the first layer each wire is a bond-1 site. A CNOT is applied
+  exactly, with no SVD, as a bond-2 MPO: the projector P_b on the control,
+  X^b on the target and the identity carrying b on the wires between, so it
+  doubles the bond of each cut it spans. Rotations are 2x2 matrices on one
+  site. The last entangler is never applied: as in the closed form, <Z_k>
+  after it is the Z-string over row k of the parity mask before it, read
+  from left environments stacked over rows and readouts. A q16/l2 chain has
+  bond 2 and a ring bond 4, and a row costs O(q^2 chi^4) instead of 2^q
+  amplitudes. Every gate acts on single sites, so a wire's site tensor
+  depends only on that wire's input and angles; its gradient is its left
+  environment times the readout weights times its right environment,
+  pulled back through that wire's own gates.
+* Otherwise on the statevector, simulated a layer at a time over (rows, 2^q)
+  arrays. The first layer acts on the encoded product state, so its
+  rotations are applied to each wire's two amplitudes before the product is
+  formed. A layer's RY and RX on a wire fuse to one 2x2 matrix, and the
+  wires are rotated in groups of up to ``GROUP_WIRES``: one matmul per group
+  with the Kronecker product of the group's matrices. A layer's CNOT network
+  permutes basis states, so it is one gather, ``np.take(state, perm,
+  axis=1)``; ``perm`` is cached per spec and built from the index bits of
+  ``arange(2**q)``, one CNOT at a time. <Z_k> is read by halving the
+  probabilities once per wire.
 
 Rows go through in chunks of ``CHUNK_AMPLITUDES`` amplitudes (at least one
 row), so a state stays cache-sized and a call's memory is a fixed multiple of
-that budget, or of one row beyond 16 qubits, whatever the batch size. Every
-per-row result is computed the same way whatever the chunk holds, so readouts
-and input gradients do not depend on the chunking.
+that budget, or of one row beyond 16 qubits, whatever the batch size. The MPS
+path chunks by the amplitudes a row of its tensors and environments holds,
+and is taken only when one row fits in the budget. Every per-row result is
+computed the same way whatever the chunk holds, so readouts and input
+gradients do not depend on the chunking.
 
-Gradients of deeper circuits come from the adjoint method: one forward run
+On the statevector, gradients come from the adjoint method: one forward run
 plus one reverse sweep with the inverse permutation and the conjugate group
 matrices, about three forward passes in all, where the parameter-shift rule
 needs 2 (2qL + q) runs. Parameter shift survives only as the test oracle in
 ``tests/oracles.py``; the simulator is the reference the closed form is
 tested against, and ``tests/oracles.tensor_state``, which applies one gate
-at a time to a (2,) * q tensor, is the reference for the layer kernels.
+at a time to a (2,) * q tensor, is the reference for the layer kernels and
+the MPS path.
 """
 
 from __future__ import annotations
@@ -243,27 +262,49 @@ def _wire_overlaps(lam: np.ndarray, psi: np.ndarray, q: int, scratch: np.ndarray
     return np.concatenate(parts, axis=-1)
 
 
+def _wire_rotations(spec: CircuitSpec, w: np.ndarray) -> np.ndarray:
+    """(layers, q, 2, 2): a layer's RY then RX on one wire, as one matrix."""
+    half = w.reshape(spec.layers, 2, spec.q) / 2.0
+    cos, sin = np.cos(half), np.sin(half)
+    ry = np.stack([np.stack([cos[:, 0], -sin[:, 0]], -1), np.stack([sin[:, 0], cos[:, 0]], -1)], -2)
+    rx = np.stack([np.stack([cos[:, 1], -1j * sin[:, 1]], -1), np.stack([-1j * sin[:, 1], cos[:, 1]], -1)], -2)
+    return rx @ ry.astype(complex)
+
+
+def _first_wires(xs: np.ndarray, wires: np.ndarray) -> np.ndarray:
+    """(n, q, 2): each wire after encoding and the first layer's rotations."""
+    enc = _encoding_wires(xs)
+    if not len(wires):
+        return enc
+    u = wires[0]  # u @ wire for every row and wire, written out elementwise
+    return u[None, :, :, 0] * enc[:, :, None, 0] + u[None, :, :, 1] * enc[:, :, None, 1]
+
+
+def _encoding_generators(wires: np.ndarray) -> np.ndarray:
+    """(2, 2, q): the encoding's generator X of each wire, seen just after the
+    first layer's rotation u as u X u^dag (X itself with no layers)."""
+    u = wires[0] if len(wires) else np.eye(2, dtype=complex)[None]
+    return np.moveaxis(u @ _PAULI_X @ u.conj().swapaxes(-1, -2), 0, -1)
+
+
+def _layer_grads(overlaps: np.ndarray, w: np.ndarray, wires: np.ndarray):
+    """Gradients from wire overlaps (see ``_wire_overlaps``) read just after
+    each layer's rotations: (layers, n, 2, 2, q) -> (grad_w totalled over the
+    n rows, (n, q) grad_x). With no layers, overlaps[0] is read at the encoding."""
+    w_layers = w.reshape(-1, overlaps.shape[-1] * 2)
+    grad_w = np.array([_rotation_grads(o.sum(axis=0), wl) for o, wl in zip(overlaps, w_layers)])
+    enc = (_encoding_generators(wires) * overlaps[0]).reshape(-1, 4, overlaps.shape[-1])
+    return grad_w.reshape(-1), -2.0 * enc.sum(axis=1).imag
+
+
 class _Layers:
     """One call's circuit in the form the layer kernels use."""
 
     def __init__(self, spec: CircuitSpec, w: np.ndarray) -> None:
         self.q, self.layers = spec.q, spec.layers
-        half = w.reshape(spec.layers, 2, spec.q) / 2.0
-        cos, sin = np.cos(half), np.sin(half)
-        ry = np.stack([np.stack([cos[:, 0], -sin[:, 0]], -1), np.stack([sin[:, 0], cos[:, 0]], -1)], -2)
-        rx = np.stack([np.stack([cos[:, 1], -1j * sin[:, 1]], -1), np.stack([-1j * sin[:, 1], cos[:, 1]], -1)], -2)
-        # (layers, q, 2, 2): a layer's RY then RX on one wire, as one matrix
-        self.wires = rx @ ry.astype(complex)
+        self.wires = _wire_rotations(spec, w)
         self.krons = [[_kron(mats[k0:k0 + c]) for k0, c in _wire_groups(spec.q)] for mats in self.wires[1:]]
         self.perm, self.inverse = _entangler_perms(spec)
-
-    def first_wires(self, xs: np.ndarray) -> np.ndarray:
-        """(n, q, 2): each wire after encoding and the first layer's rotations."""
-        wires = _encoding_wires(xs)
-        if not self.layers:
-            return wires
-        u = self.wires[0]  # u @ wire for every row and wire, written out elementwise
-        return u[None, :, :, 0] * wires[:, :, None, 0] + u[None, :, :, 1] * wires[:, :, None, 1]
 
     def rotated(self, first: np.ndarray, amps: np.ndarray, spare: np.ndarray):
         """The state after the last layer's rotations, before its entangler.
@@ -279,7 +320,7 @@ class _Layers:
 
     def state(self, xs: np.ndarray, work: np.ndarray) -> np.ndarray:
         """Output state of the rows xs, in one of the two arrays of ``work``."""
-        amps, spare = self.rotated(self.first_wires(xs), work[0], work[1])
+        amps, spare = self.rotated(_first_wires(xs, self.wires), work[0], work[1])
         return _permute(amps, self.perm, spare) if self.layers else amps
 
 
@@ -348,6 +389,233 @@ def _one_layer_grad(xs: np.ndarray, spec: CircuitSpec, w: np.ndarray, upstream: 
     return grad_w, grad_x
 
 
+# ---------------------------------------------------------------------------
+# matrix product states for deep circuits
+
+CLOSED_FORM, MPS, STATEVECTOR = "closed form", "mps", "statevector"
+SITE_COST = 1 << 12  # amplitude updates per row that one MPS site's numpy calls cost
+
+
+@functools.lru_cache(maxsize=64)
+def _mps_bonds(spec: CircuitSpec) -> tuple[int, ...]:
+    """Bond of each of the q + 1 cuts (the outer two are 1) once every
+    entangler but the last is applied: each CNOT doubles the cuts it spans."""
+    bonds = [1] * (spec.q + 1)
+    for _ in range(spec.layers - 1):
+        for c, t in spec.entangler:
+            for cut in range(min(c, t) + 1, max(c, t) + 1):
+                bonds[cut] *= 2
+    return tuple(bonds)
+
+
+@functools.lru_cache(maxsize=64)
+def _mps_row_amplitudes(spec: CircuitSpec) -> int:
+    """Amplitudes one row holds on the MPS path: the site tensors after every
+    layer, the left environments of every cut, and the largest site's
+    transfer matrix and readout temporaries."""
+    bonds = _mps_bonds(spec)
+    pairs = list(zip(bonds, bonds[1:]))
+    sites = sum(2 * left * right for left, right in pairs)
+    temps = max(2 * (left * right) ** 2 + 2 * spec.q * (left * left + right * right) for left, right in pairs)
+    return spec.layers * sites + spec.q * sum(b * b for b in bonds) + temps
+
+
+def circuit_path(spec: CircuitSpec) -> str:
+    """How ``run_vqc_batch`` and ``param_shift_grad_batch`` evaluate the circuit.
+
+    One layer has a closed form. Deeper circuits run as a matrix product state
+    when a row of it fits in ``CHUNK_AMPLITUDES`` and its work is the smaller,
+    counted per row in amplitude updates: the statevector does about 2q per
+    amplitude and layer (rotation matmuls, gather, readout), so
+    2 q layers 2^q in all; the MPS carries q readouts through each site of
+    bonds (l, r) by its (l^2, 2 r^2) transfer matrix, q l^2 r^2, plus
+    ``SITE_COST`` for the site's numpy calls. The constants come from timings
+    on a 2-core x86 host, where the two paths break even at q = 10 to 12 for
+    chain and ring entanglers at two and three layers.
+    """
+    if spec.layers == 1:
+        return CLOSED_FORM
+    if spec.layers == 0 or _mps_row_amplitudes(spec) > CHUNK_AMPLITUDES:
+        return STATEVECTOR
+    bonds = _mps_bonds(spec)
+    work = sum(SITE_COST + spec.q * (left * right) ** 2 for left, right in zip(bonds, bonds[1:]))
+    return MPS if work < 2 * spec.q * spec.layers << spec.q else STATEVECTOR
+
+
+def _cnot_site(a: np.ndarray, j: int, c: int, t: int) -> np.ndarray:
+    """Wire j's (n, l, 2, r) site tensor after the CNOT (c, t), as a bond-2 MPO.
+
+    The MPO's index b is the control bit: P_b on the control, X^b on the
+    target, the identity on the wires between, with b carried across every
+    cut from c to t. b joins each bond it crosses as its least significant bit.
+    """
+    n, l, _, r = a.shape
+    left, right = int(j > min(c, t)), int(j < max(c, t))
+    out = np.zeros((n, l, 1 + left, 2, r, 1 + right), dtype=complex)
+    for b in (0, 1):
+        view = out[:, :, b * left, :, :, b * right]
+        if j == c:
+            view[:, :, b] = a[:, :, b]
+        else:
+            view[...] = a[:, :, ::-1] if j == t and b else a
+    return out.reshape(n, l * (1 + left), 2, r * (1 + right))
+
+
+def _cnot_site_adjoint(g: np.ndarray, j: int, c: int, t: int) -> np.ndarray:
+    """The adjoint of ``_cnot_site``: pulls a cotangent back to the site before the CNOT."""
+    left, right = int(j > min(c, t)), int(j < max(c, t))
+    n, l2, _, r2 = g.shape
+    g = g.reshape(n, l2 // (1 + left), 1 + left, 2, r2 // (1 + right), 1 + right)
+    out = np.zeros((n, l2 // (1 + left), 2, r2 // (1 + right)), dtype=complex)
+    for b in (0, 1):
+        part = g[:, :, b * left, :, :, b * right]
+        if j == c:
+            out[:, :, b] += part[:, :, b]
+        else:
+            out += part[:, :, ::-1] if j == t and b else part
+    return out
+
+
+def _mps_layers(spec: CircuitSpec, wires: np.ndarray, first: np.ndarray) -> list:
+    """Site tensors, one (n, l, 2, r) array per wire, just after each layer's rotations.
+
+    Every gate acts on single sites: a rotation on its wire's physical index,
+    a CNOT through ``_cnot_site`` on each wire it spans. So a wire's tensors
+    depend on that wire's input and angles alone. The last entangler is left
+    to the readout.
+    """
+    layers = [[first[:, j, None, :, None] for j in range(spec.q)]]
+    for u in wires[1:]:
+        sites = list(layers[-1])
+        for c, t in spec.entangler:
+            for j in range(min(c, t), max(c, t) + 1):
+                sites[j] = _cnot_site(sites[j], j, c, t)
+        layers.append([u[j] @ a for j, a in enumerate(sites)])
+    return layers
+
+
+@functools.lru_cache(maxsize=64)
+def _z_signs(spec: CircuitSpec) -> np.ndarray:
+    """(q, q, 2): [k, j, s] is -1 where readout k's Z-string holds wire j and j's bit s is 1.
+
+    After the last entangler <Z_k> is that Z-string (see ``_parity_mask``) before it.
+    """
+    signs = np.where(_parity_mask(spec)[..., None] & (np.arange(2) == 1), -1.0, 1.0)
+    signs.setflags(write=False)
+    return signs
+
+
+def _transfer(a: np.ndarray) -> np.ndarray:
+    """(n, l*l, 2*r*r) transfer matrices of the (n, l, 2, r) site ``a``:
+    [n, (x, y), (s, x', y')] = conj(a[n, x, s, x']) a[n, y, s, y']."""
+    n, l, _, r = a.shape
+    return (a.conj()[:, :, None, :, :, None] * a[:, None, :, :, None, :]).reshape(n, l * l, 2 * r * r)
+
+
+def _env_step(env: np.ndarray, a: np.ndarray, signs: np.ndarray) -> np.ndarray:
+    """Carry (n, k, l, l) environments across the (n, l, 2, r) site ``a``,
+    each readout k with its (k, 2) Z signs there: (n, k, r, r).
+
+    One matmul per row through the site's transfer matrix; the bonds are a few
+    wide, where that beats a stacked matmul per row and readout. With the site
+    transposed to (n, r, 2, l), the same step carries right environments
+    leftwards.
+    """
+    n, k, l, _ = env.shape
+    r = a.shape[-1]
+    both = (env.reshape(n, k, l * l) @ _transfer(a)).reshape(n, k, 2, r, r)
+    return both[:, :, 0] * signs[:, 0, None, None] + both[:, :, 1] * signs[:, 1, None, None]
+
+
+def _left_envs(sites: list, signs: np.ndarray) -> list:
+    """(n, q, l, l) per cut: the sites left of it contracted with their
+    conjugates through each readout's Z-string, one per readout k."""
+    env = np.ones((sites[0].shape[0], signs.shape[0], 1, 1), dtype=complex)
+    envs = [env]
+    for j, a in enumerate(sites):
+        env = _env_step(env, a, signs[:, j])
+        envs.append(env)
+    return envs
+
+
+def _site_cotangent(left: np.ndarray, a: np.ndarray, right: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """df/d conj(a) for f = sum_k weights[k, s] <Z-string_k>, from the
+    (n, k, l, l) left and (n, k, r, r) right environments of the (n, l, 2, r)
+    site ``a``; ``weights`` is (n, k, 2), over the readouts and the site's bit."""
+    n, k, l, _ = left.shape
+    r = a.shape[-1]
+    # m[n, s, (x, x'), (y, y')] = sum_k weights[n, k, s] left[n, k, x, y] right[n, k, x', y']
+    weighted = (weights.transpose(0, 2, 1)[..., None] * left.reshape(n, 1, k, l * l)).swapaxes(-1, -2)
+    m = (weighted.reshape(n, 2 * l * l, k) @ right.reshape(n, k, r * r)).reshape(n, 2, l, l, r, r)
+    m = m.transpose(0, 1, 2, 4, 3, 5).reshape(n, 2, l * r, l * r)
+    g = m @ a.transpose(0, 2, 1, 3).reshape(n, 2, l * r, 1)
+    return g.reshape(n, 2, l, r).transpose(0, 2, 1, 3)
+
+
+def _mps_chunks(n: int, spec: CircuitSpec):
+    """Row slices of at most CHUNK_AMPLITUDES amplitudes of MPS work each (one row at least)."""
+    step = max(1, CHUNK_AMPLITUDES // _mps_row_amplitudes(spec))
+    return [slice(start, min(start + step, n)) for start in range(0, n, step)]
+
+
+def _mps_z(xs: np.ndarray, spec: CircuitSpec, w: np.ndarray) -> np.ndarray:
+    # (n, q) inputs -> (n, q) readouts: the left environment past the last site
+    wires = _wire_rotations(spec, w)
+    out = np.empty(xs.shape)
+    for rows in _mps_chunks(len(xs), spec):
+        sites = _mps_layers(spec, wires, _first_wires(xs[rows], wires))[-1]
+        out[rows] = _left_envs(sites, _z_signs(spec))[-1][:, :, 0, 0].real
+    return out
+
+
+def _site_overlaps(g: np.ndarray, a: np.ndarray) -> np.ndarray:
+    # (n, 2, 2): [n, s, s'] sums conj(g) a over both bonds with g's bit s and a's s'
+    n = len(a)
+    return g.conj().swapaxes(1, 2).reshape(n, 2, -1) @ a.swapaxes(1, 2).reshape(n, 2, -1).swapaxes(1, 2)
+
+
+def _mps_grad(xs, spec: CircuitSpec, w, upstream):
+    """``param_shift_grad_batch`` on the MPS path.
+
+    f = sum_k upstream_k <Z-string_k> is a quadratic form in each wire's last
+    site tensor A_j; its cotangent G_j = df/d conj(A_j) is the left environment
+    times A_j times the right environment, each readout weighted by
+    upstream_k and its sign on wire j. Since A_j depends only on wire j's
+    input and angles, G_j is pulled back through that wire's own rotations
+    and CNOT site maps, and each rotation and the encoding read their
+    gradients from the overlaps of G_j with the stored site tensors, as
+    ``_wire_overlaps`` gives them on the statevector.
+    """
+    q, layers = spec.q, spec.layers
+    wires = _wire_rotations(spec, w)
+    signs = _z_signs(spec)
+    grad_w = np.zeros(spec.n_params)
+    grad_x = np.empty_like(xs)
+    for rows in _mps_chunks(len(xs), spec):
+        first = _first_wires(xs[rows], wires)
+        tensors = _mps_layers(spec, wires, first)
+        sites = tensors[-1]
+        n = len(first)
+        envs = _left_envs(sites, signs)
+        weights = upstream[rows][:, :, None, None] * signs  # (n, k, q, 2)
+        right = np.ones((n, q, 1, 1), dtype=complex)
+        overlaps = np.empty((layers, n, 2, 2, q), dtype=complex)
+        for j in reversed(range(q)):
+            a = sites[j]
+            g = _site_cotangent(envs[j], a, right, weights[:, :, j])
+            right = _env_step(right, a.transpose(0, 3, 2, 1), signs[:, j])
+            for layer in range(layers - 1, 0, -1):
+                overlaps[layer, ..., j] = _site_overlaps(g, tensors[layer][j])
+                g = wires[layer, j].conj().T @ g
+                for c, t in reversed(spec.entangler):
+                    if min(c, t) <= j <= max(c, t):
+                        g = _cnot_site_adjoint(g, j, c, t)
+            overlaps[0, ..., j] = _site_overlaps(g, tensors[0][j])
+        chunk_w, grad_x[rows] = _layer_grads(overlaps, w, wires)
+        grad_w += chunk_w
+    return grad_w, grad_x
+
+
 def run_vqc_batch(xs, spec: CircuitSpec, w) -> np.ndarray:
     """Encode each row of xs, apply the layered circuit, return per-qubit <Z>.
 
@@ -356,9 +624,10 @@ def run_vqc_batch(xs, spec: CircuitSpec, w) -> np.ndarray:
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     w = np.asarray(w, dtype=float)
     _check_shapes(xs, spec, w)
-    if spec.layers == 1:
+    path = circuit_path(spec)
+    if path == CLOSED_FORM:
         return _one_layer_z(xs, spec, w)
-    return _simulated_z(xs, spec, w)
+    return _mps_z(xs, spec, w) if path == MPS else _simulated_z(xs, spec, w)
 
 
 def _z_weights(upstream: np.ndarray) -> np.ndarray:
@@ -387,7 +656,10 @@ def param_shift_grad_batch(xs, spec: CircuitSpec, w, upstream):
     dL/dz_j = sum_k upstream[n, k] prod_{i in row k, i != j} z_i, then the
     chain rule through z_j(x_j, a_j, b_j).
 
-    Deeper circuits use the adjoint method (Jones & Gacon, arXiv:2009.02823).
+    Deeper circuits on the MPS path contract each wire's site tensor with
+    its environments and pull that back through the wire's own gates (see
+    ``_mps_grad``). On the statevector they use the adjoint method (Jones &
+    Gacon, arXiv:2009.02823).
     One forward run gives psi; lam = O psi carries the observable
     O = sum_k upstream[n, k] Z_k, which is diagonal. A reverse sweep then
     undoes each layer on both states, and a gate exp(-i t P / 2) contributes
@@ -412,34 +684,31 @@ def param_shift_grad_batch(xs, spec: CircuitSpec, w, upstream):
     _check_shapes(xs, spec, w)
     if upstream.shape != xs.shape:
         raise QsimError(f"upstream shape {upstream.shape} does not match inputs {xs.shape}")
-    if spec.layers == 1:
+    path = circuit_path(spec)
+    if path == CLOSED_FORM:
         return _one_layer_grad(xs, spec, w, upstream)
+    if path == MPS:
+        return _mps_grad(xs, spec, w, upstream)
 
     q, layers = spec.q, spec.layers
     circuit = _Layers(spec, w)
-    w_layers = w.reshape(layers, 2 * q)
     undo = [[m.conj().T for m in krons] for krons in circuit.krons]
-    # the encoding applies RX(-2 x) to each wire; read just after the first
-    # layer's rotation u, its generator X is seen as u X u^dag
-    u = circuit.wires[0] if layers else np.eye(2, dtype=complex)[None]
-    enc_gen = np.moveaxis(u @ _PAULI_X @ u.conj().swapaxes(-1, -2), 0, -1)  # (2, 2, q)
-    grad_w = np.zeros((layers, 2 * q))
+    grad_w = np.zeros(spec.n_params)
     grad_x = np.empty_like(xs)
     for rows, work in _chunks(len(xs), q, 3):
-        first = circuit.first_wires(xs[rows])
+        first = _first_wires(xs[rows], circuit.wires)
         psi, spare = circuit.rotated(first, work[0], work[1])
         weights = _z_weights(upstream[rows])
         lam = np.multiply(np.take(weights, circuit.inverse, axis=1) if layers else weights, psi, out=work[2])
+        overlaps = np.empty((max(layers, 1), len(first), 2, 2, q), dtype=complex)
         for layer in range(layers - 1, 0, -1):
-            overlaps = _wire_overlaps(lam, psi, q, spare)
-            grad_w[layer] += _rotation_grads(overlaps.sum(axis=0), w_layers[layer])
+            overlaps[layer] = _wire_overlaps(lam, psi, q, spare)
             _rotate(lam, undo[layer - 1], q, spare)
             lam, spare = _permute(lam, circuit.inverse, spare), lam
             if layer > 1:
                 _rotate(psi, undo[layer - 1], q, spare)
                 psi, spare = _permute(psi, circuit.inverse, spare), psi
-        overlaps = _wire_overlaps(lam, _product_state(first, spare), q, psi)
-        if layers:
-            grad_w[0] += _rotation_grads(overlaps.sum(axis=0), w_layers[0])
-        grad_x[rows] = -2.0 * (enc_gen * overlaps).reshape(-1, 4, q).sum(axis=1).imag
-    return grad_w.reshape(-1), grad_x
+        overlaps[0] = _wire_overlaps(lam, _product_state(first, spare), q, psi)
+        chunk_w, grad_x[rows] = _layer_grads(overlaps, w, circuit.wires)
+        grad_w += chunk_w
+    return grad_w, grad_x

@@ -350,7 +350,8 @@ def test_criterion_6_grid_summary(grid_corpus):
 
 def test_criterion_6_grid_on_multi_node_corpus(tmp_path):
     # the same grid on graphs built with the default TDA settings: 20 graphs
-    # of several nodes each, so the l=2 rows simulate 2^16 amplitudes per node
+    # of several nodes each, so the q16/l2 row runs its matrix product state
+    # path on multi-node graphs
     data_path = tmp_path / "surrogate.csv"
     write_synthetic_csv(data_path, n_clean=200, n_fraud=10, seed=23)
     out = tmp_path / "run"

@@ -142,6 +142,16 @@ class TestTrain:
             assert len(seconds) == manifest["epochs_run"] == 2
             assert all(isinstance(s, float) and s > 0 for s in seconds)
 
+    def test_manifest_records_circuit_path(self, built_run, tmp_path):
+        cfg, out = built_run
+        for qubits, layers, path in ((3, 1, qsim.CLOSED_FORM), (3, 2, qsim.STATEVECTOR), (16, 2, qsim.MPS)):
+            dest = tmp_path / f"q{qubits}_l{layers}"
+            argv = ["train", "--config", str(cfg), "--model", "qgnn", "--graphs", str(out / "graphs"),
+                    "--output-dir", str(dest), "--qubits", str(qubits), "--layers", str(layers), "--epochs", "1"]
+            assert run(argv) == 0
+            circuit = json.loads((dest / "train_qgnn" / "manifest.json").read_text())["circuit"]
+            assert (circuit["qubits"], circuit["layers"], circuit["path"]) == (qubits, layers, path)
+
     def test_zero_epochs_checkpoint_equals_init(self, tiny_csv, tmp_path):
         out = tmp_path / "run"
         cfg = write_cfg(tmp_path, tiny_csv, out, training={"epochs": 0})
@@ -276,6 +286,19 @@ class TestGrid:
         assert (out / "grid" / "q2_l1" / "report.txt").exists()
         rows = json.loads((out / "grid" / "manifest.json").read_text())["rows"]
         assert [row[-1] for row in rows] == ["validation best F1"] * 2
+
+    def test_manifest_records_point_timings(self, built_run, monkeypatch):
+        cfg, out = built_run
+        monkeypatch.setattr(cli, "GRID_CONFIGS", ((2, 1), (3, 2)))
+        assert run(["grid", "--config", str(cfg)]) == 0
+        points = json.loads((out / "grid" / "manifest.json").read_text())["points"]
+        assert [p["name"] for p in points] == ["q2_l1", "q3_l2"]
+        assert [p["path"] for p in points] == [qsim.CLOSED_FORM, qsim.STATEVECTOR]
+        for p in points:
+            assert len(p["epoch_seconds"]) == 2
+            assert 0 < sum(p["epoch_seconds"]) < p["seconds"]
+        summary = (out / "grid" / "summary.txt").read_text()
+        assert "circuit paths: q2_l1 closed form, q3_l2 statevector." in summary
 
     def test_grid_rerun_identical(self, built_run, monkeypatch, tmp_path):
         cfg, out = built_run

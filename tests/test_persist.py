@@ -108,6 +108,46 @@ class TestStagedOutput:
         assert not final.exists()
         assert not list(tmp_path.glob("out.staging*"))
 
+    def test_failed_swap_keeps_previous_version(self, tmp_path, monkeypatch):
+        # the previous run has finished; the new run's rename into place fails
+        final = tmp_path / "out"
+        with staged_output(final) as tmp:
+            (tmp / "v.txt").write_text("v1")
+        real_rename = Path.rename
+
+        def refuse_staging(self, target):
+            if ".staging-" in self.name and not self.name.endswith(".replaced"):
+                raise OSError("rename refused")
+            return real_rename(self, target)
+
+        monkeypatch.setattr(Path, "rename", refuse_staging)
+        with pytest.raises(OSError, match="rename refused"):
+            with staged_output(final) as tmp:
+                (tmp / "v.txt").write_text("v2")
+        assert (final / "v.txt").read_text() == "v1"
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+    def test_concurrent_finish_is_not_deleted(self, tmp_path, monkeypatch):
+        # another run lands its finished output while this one swaps: this
+        # run's rename fails, and the other run's output stays whole
+        final = tmp_path / "out"
+        with staged_output(final) as tmp:
+            (tmp / "v.txt").write_text("v1")
+        real_rename = Path.rename
+
+        def other_run_lands_first(self, target):
+            if Path(target) == final and ".staging-" in self.name and not final.exists():
+                final.mkdir()
+                (final / "v.txt").write_text("other")
+            return real_rename(self, target)
+
+        monkeypatch.setattr(Path, "rename", other_run_lands_first)
+        with pytest.raises(OSError):
+            with staged_output(final) as tmp:
+                (tmp / "v.txt").write_text("v2")
+        assert (final / "v.txt").read_text() == "other"
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
 
 class TestHashing:
     def test_order_independent(self, tmp_path):

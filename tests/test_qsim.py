@@ -379,8 +379,10 @@ class TestChunking:
 
     def test_peak_memory_is_a_multiple_of_the_chunk_budget(self, rng, monkeypatch):
         # 64 rows at q=12 are four chunks of 16; numpy reports its buffers to
-        # tracemalloc, so the peak counts every state and temporary
-        spec = qsim.CircuitSpec.chain(12, 2)
+        # tracemalloc, so the peak counts every state and temporary. A
+        # three-layer ring is simulated at any q (its MPS bond is 16)
+        spec = qsim.CircuitSpec.ring(12, 3)
+        assert qsim.circuit_path(spec) == qsim.STATEVECTOR
         xs = rng.uniform(-3, 3, (64, 12))
         w = rng.uniform(0, 2 * np.pi, spec.n_params)
         upstream = rng.normal(size=xs.shape)
@@ -421,3 +423,134 @@ class TestCircuitSpec:
     def test_rejects_out_of_range(self):
         with pytest.raises(qsim.QsimError):
             qsim.CircuitSpec(2, 1, ((0, 2),))
+
+
+def mps_specs(q, layers, rng):
+    """Chain, ring and random entanglers; random ones only where a row of their
+    MPS fits in ``CHUNK_AMPLITUDES``, the largest ``circuit_path`` ever sends to it."""
+    chain, ring, _ = entangler_specs(q, layers, rng)
+    randoms = [entangler_specs(q, layers, rng)[2] for _ in range(5)]
+    return [chain, ring] + [s for s in randoms if qsim._mps_row_amplitudes(s) <= qsim.CHUNK_AMPLITUDES]
+
+
+def tensor_z(xs, spec, w):
+    return np.array([qsim._z_expectations(oracles.tensor_state(x, spec, w), spec.q) for x in xs])
+
+
+class TestMatrixProductState:
+    """The MPS kernels, called directly: ``circuit_path`` sends q <= 12 to the
+    simulator, so these are the only tests of the MPS path there."""
+
+    def test_readouts_match_tensor_state(self, rng):
+        randoms = 0
+        for q in range(1, 10):
+            for layers in (2, 3):
+                specs = mps_specs(q, layers, rng)
+                randoms += len(specs) - 2
+                for spec in specs:
+                    xs = rng.uniform(-3, 3, (3, q))
+                    w = rng.uniform(0, 2 * np.pi, spec.n_params)
+                    np.testing.assert_allclose(qsim._mps_z(xs, spec, w), tensor_z(xs, spec, w), rtol=0, atol=1e-12)
+        assert randoms > 50
+
+    def test_readouts_match_tensor_state_at_16_qubits(self, rng):
+        xs = rng.uniform(-3, 3, (2, 16))
+        for factory in (qsim.CircuitSpec.chain, qsim.CircuitSpec.ring):
+            spec = factory(16, 2)
+            w = rng.uniform(0, 2 * np.pi, spec.n_params)
+            np.testing.assert_allclose(qsim._mps_z(xs, spec, w), tensor_z(xs, spec, w), rtol=0, atol=1e-12)
+
+    def test_gradient_matches_param_shift(self, rng):
+        for q in range(1, 9):
+            for layers in (2, 3):
+                for spec in mps_specs(q, layers, rng):
+                    n = int(rng.integers(1, 5))
+                    xs = rng.uniform(-3, 3, (n, q))
+                    w = rng.uniform(0, 2 * np.pi, spec.n_params)
+                    upstream = rng.normal(size=(n, q))
+                    grad_w, grad_x = qsim._mps_grad(xs, spec, w, upstream)
+                    ref_w, ref_x = oracles.param_shift_grad_batch(xs, spec, w, upstream)
+                    np.testing.assert_allclose(grad_w, ref_w, rtol=0, atol=1e-10)
+                    np.testing.assert_allclose(grad_x, ref_x, rtol=0, atol=1e-10)
+
+    def test_rows_do_not_depend_on_the_call(self, rng, monkeypatch):
+        # 74 rows at q16/l2 chain are two chunks by default; then one call per
+        # row, and chunks of three rows
+        specs = [factory(q, layers) for q in (3, 6) for layers in (2, 3)
+                 for factory in (qsim.CircuitSpec.chain, qsim.CircuitSpec.ring)]
+        for spec in specs + [qsim.CircuitSpec.chain(16, 2)]:
+            n = 74 if spec.q == 16 else 11
+            xs = rng.uniform(-3, 3, (n, spec.q))
+            w = rng.uniform(0, 2 * np.pi, spec.n_params)
+            upstream = rng.normal(size=xs.shape)
+            z = qsim._mps_z(xs, spec, w)
+            grad_w, grad_x = qsim._mps_grad(xs, spec, w, upstream)
+            total_w = np.zeros_like(grad_w)
+            for i in range(n):
+                np.testing.assert_array_equal(qsim._mps_z(xs[i:i + 1], spec, w), z[i:i + 1])
+                row_w, row_x = qsim._mps_grad(xs[i:i + 1], spec, w, upstream[i:i + 1])
+                np.testing.assert_array_equal(row_x, grad_x[i:i + 1])
+                total_w += row_w
+            np.testing.assert_allclose(total_w, grad_w, rtol=0, atol=1e-12)
+            monkeypatch.setattr(qsim, "CHUNK_AMPLITUDES", 3 * qsim._mps_row_amplitudes(spec))
+            np.testing.assert_array_equal(qsim._mps_z(xs, spec, w), z)
+            np.testing.assert_array_equal(qsim._mps_grad(xs, spec, w, upstream)[1], grad_x)
+            monkeypatch.undo()
+
+    def test_path_selection(self, rng):
+        assert qsim.circuit_path(qsim.CircuitSpec.chain(6, 1)) == qsim.CLOSED_FORM
+        for factory in (qsim.CircuitSpec.chain, qsim.CircuitSpec.ring):
+            assert qsim.circuit_path(factory(6, 2)) == qsim.STATEVECTOR
+            assert qsim.circuit_path(factory(16, 2)) == qsim.MPS
+        assert qsim.circuit_path(qsim.CircuitSpec.chain(16, 0)) == qsim.STATEVECTOR
+        # the public entry points take the MPS path at q16/l2 chain
+        spec = qsim.CircuitSpec.chain(16, 2)
+        xs = rng.uniform(-3, 3, (5, 16))
+        w = rng.uniform(0, 2 * np.pi, spec.n_params)
+        upstream = rng.normal(size=xs.shape)
+        np.testing.assert_array_equal(qsim.run_vqc_batch(xs, spec, w), qsim._mps_z(xs, spec, w))
+        for got, want in zip(qsim.param_shift_grad_batch(xs, spec, w, upstream),
+                             qsim._mps_grad(xs, spec, w, upstream)):
+            np.testing.assert_array_equal(got, want)
+
+    def test_peak_memory_is_a_multiple_of_the_chunk_budget(self, rng, monkeypatch):
+        spec = qsim.CircuitSpec.chain(16, 2)
+        w = rng.uniform(0, 2 * np.pi, spec.n_params)
+
+        def peaks(n):
+            xs = rng.uniform(-3, 3, (n, 16))
+            upstream = rng.normal(size=xs.shape)
+            found = []
+            for call in (lambda: qsim.run_vqc_batch(xs, spec, w),
+                         lambda: qsim.param_shift_grad_batch(xs, spec, w, upstream)):
+                tracemalloc.start()
+                try:
+                    call()
+                    found.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+            return found
+
+        bound = 3 * qsim.CHUNK_AMPLITUDES * 16
+        assert max(peaks(74)) < bound
+        # the bound is tight enough to see 740 rows held at once
+        monkeypatch.setattr(qsim, "CHUNK_AMPLITUDES", 740 * qsim._mps_row_amplitudes(spec))
+        assert min(peaks(740)) > bound
+
+    def test_wide_entangler_falls_back_to_the_simulator(self, rng):
+        # random CNOTs across 16 wires stack up on the middle cuts: a row of
+        # that MPS would not fit in a chunk, so the statevector runs it
+        pairs = tuple(tuple(int(v) for v in rng.choice(16, size=2, replace=False)) for _ in range(16))
+        spec = qsim.CircuitSpec(16, 2, pairs)
+        assert qsim._mps_row_amplitudes(spec) > qsim.CHUNK_AMPLITUDES
+        assert qsim.circuit_path(spec) == qsim.STATEVECTOR
+        xs = rng.uniform(-3, 3, (2, 16))
+        w = rng.uniform(0, 2 * np.pi, spec.n_params)
+        tracemalloc.start()
+        try:
+            z = qsim.run_vqc_batch(xs, spec, w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * qsim.CHUNK_AMPLITUDES * 16
+        np.testing.assert_allclose(z, simulated_z(xs, spec, w), rtol=0, atol=1e-12)
