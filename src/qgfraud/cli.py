@@ -94,10 +94,13 @@ def _circuit_spec(cfg: RunConfig, qubits=None, layers=None) -> qsim.CircuitSpec:
 def cmd_build_graphs(args) -> int:
     cfg = _load_cfg(args)
     t0 = time.perf_counter()
+    stage_seconds = {}
     ts = dataset.load_transactions(cfg.dataset)
     n_clean, n_fraud = ts.class_counts()
     print(f"loaded {len(ts)} transactions ({n_fraud} fraud, {n_clean} non-fraud)")
+    stage_seconds["load"] = time.perf_counter() - t0
 
+    started = time.perf_counter()
     balanced = dataset.undersample(ts, cfg.seed)
     idx_train, idx_val, idx_test = dataset.split_indices(balanced.labels(), cfg.split, cfg.seed)
     if not len(idx_test):
@@ -112,31 +115,40 @@ def cmd_build_graphs(args) -> int:
         "test": dataset.TransactionSet([balanced.rows[i] for i in idx_test], cfg.seed),
     }
     scaler = dataset.TimeAmountScaler.fit(parts["train"])
+    stage_seconds["undersample_split"] = time.perf_counter() - started
+
+    started = time.perf_counter()
+    graphs = {
+        name: [
+            tda.transaction_graph(t, cfg.cover, cfg.dbscan, cfg.projection)
+            for t in scaler.apply(part).rows
+        ]
+        for name, part in parts.items()
+    }
+    stage_seconds["graphs"] = time.perf_counter() - started
 
     counts = {}
+    for name, part_graphs in graphs.items():
+        nodes = [g.n_nodes for g in part_graphs]
+        edges = [len(g.edges) for g in part_graphs]
+        counts[name] = {
+            "graphs": len(part_graphs),
+            "fraud": sum(g.label for g in part_graphs),
+            "max_nodes": max(nodes, default=0),
+            "mean_nodes": sum(nodes) / len(part_graphs) if part_graphs else 0.0,
+            "mean_edges": sum(edges) / len(part_graphs) if part_graphs else 0.0,
+            "total_nodes": sum(nodes),
+        }
     out_dir = _output_root(cfg) / "graphs"
     with staged_output(out_dir) as tmp:
-        for name, part in parts.items():
-            scaled = scaler.apply(part)
-            graphs = [
-                tda.transaction_graph(t, cfg.cover, cfg.dbscan, cfg.projection)
-                for t in scaled.rows
-            ]
-            tda.write_graph_corpus(tmp / CORPUS_FILES[name], graphs)
-            nodes = [g.n_nodes for g in graphs]
-            edges = [len(g.edges) for g in graphs]
-            counts[name] = {
-                "graphs": len(graphs),
-                "fraud": sum(g.label for g in graphs),
-                "max_nodes": max(nodes, default=0),
-                "mean_nodes": sum(nodes) / len(graphs) if graphs else 0.0,
-                "mean_edges": sum(edges) / len(graphs) if graphs else 0.0,
-                "total_nodes": sum(nodes),
-            }
+        started = time.perf_counter()
+        for name, part_graphs in graphs.items():
+            tda.write_graph_corpus(tmp / CORPUS_FILES[name], part_graphs)
         dataset.write_split_manifest(
             tmp / "split_manifest.txt", cfg.seed, cfg.split, idx_train, idx_val, idx_test
         )
         corpus_hash = sha256_files([tmp / f for f in CORPUS_FILES.values()])
+        stage_seconds["write"] = time.perf_counter() - started
         write_manifest(
             tmp,
             {
@@ -146,6 +158,7 @@ def cmd_build_graphs(args) -> int:
                 "corpus_hash": corpus_hash,
                 "counts": counts,
                 "scaler": scaler.to_dict(),
+                "stage_seconds": stage_seconds,
                 "wall_clock_s": time.perf_counter() - t0,
                 "artifacts": sorted(p.name for p in tmp.iterdir()),
             },

@@ -6,12 +6,20 @@ the points onto a fixed line, cluster the projections inside overlapping
 intervals with DBSCAN, and connect clusters that share points. Node k carries
 a 28-dim vector that is zero everywhere except at the coordinates of its
 cluster's points, which keep their feature values, so the node vectors of a
-graph jointly cover all 28 features.
+graph jointly cover all 28 features. Overlapping intervals can put a point in
+several clusters, so a graph can have more than 28 nodes.
+
+The projections are sorted once per transaction. Each interval's points are
+then a slice of the sorted values, and DBSCAN on a line is a scan of that
+slice (see ``dbscan``): no pairwise distance matrix, no breadth-first search.
+Edges come from one boolean cluster-by-feature membership matrix M: clusters
+k and l share a point iff (M M^T)[k, l] is nonzero.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,8 +84,8 @@ class TransactionGraph:
         if self.nodes.ndim != 2 or self.nodes.shape[1] != N_FEATURES:
             raise TdaError(f"nodes must be (n, {N_FEATURES}), got {self.nodes.shape}")
         n = self.nodes.shape[0]
-        if not 1 <= n <= N_FEATURES:
-            raise TdaError(f"node count must be in [1, {N_FEATURES}], got {n}")
+        if n < 1:
+            raise TdaError(f"a graph needs at least one node, got {n}")
         if self.label not in (0, 1):
             raise TdaError(f"label must be 0 or 1, got {self.label!r}")
         seen = set()
@@ -112,34 +120,85 @@ def project_1d(cloud: PointCloud, direction=None) -> np.ndarray:
     return cloud.points @ w
 
 
+def _sorted_values(values, what: str) -> tuple[list[float], list[int]]:
+    """Values in stable ascending order, with the original index of each."""
+    v = np.asarray(values, dtype=float)
+    if v.ndim != 1 or v.size == 0:
+        raise TdaError(f"{what} expects a non-empty 1-D value list")
+    if not np.isfinite(v).all():
+        raise TdaError(f"{what} expects finite values")
+    order = np.argsort(v, kind="stable")
+    return v[order].tolist(), order.tolist()
+
+
+def _scan_clusters(s: list[float], idx: list[int], spec: DbscanSpec) -> list[list[int]]:
+    """DBSCAN clusters of the sorted values ``s`` as lists of their indices ``idx``,
+    in cluster-number order; see ``dbscan`` for the rules."""
+    eps = spec.eps
+    n = len(s)
+    core = []
+    lo = hi = 0
+    for x in s:
+        while abs(x - s[lo]) > eps:
+            lo += 1
+        while hi + 1 < n and abs(s[hi + 1] - x) <= eps:
+            hi += 1
+        core.append(hi - lo + 1 >= spec.min_pts)
+
+    runs: list[list[int]] = []  # members of each run of cores, left to right
+    run_of = [-1] * n
+    prev = -1
+    for i in range(n):
+        if core[i]:
+            if prev < 0 or abs(s[i] - s[prev]) > eps:
+                runs.append([])
+            runs[-1].append(idx[i])
+            run_of[i] = len(runs) - 1
+            prev = i
+    first = [min(r) for r in runs]
+
+    left = [-1] * n  # run of the nearest core left of point i, if within eps
+    near = -1
+    for i in range(n):
+        if core[i]:
+            near = i
+        elif near >= 0 and abs(s[i] - s[near]) <= eps:
+            left[i] = run_of[near]
+    near = -1
+    for i in range(n - 1, -1, -1):
+        if core[i]:
+            near = i
+            continue
+        r = left[i]
+        if near >= 0 and abs(s[near] - s[i]) <= eps:
+            if r < 0 or first[run_of[near]] < first[r]:
+                r = run_of[near]
+        if r >= 0:
+            runs[r].append(idx[i])
+    return [runs[r] for r in sorted(range(len(runs)), key=first.__getitem__)]
+
+
 def dbscan(values, spec: DbscanSpec) -> np.ndarray:
     """1-D DBSCAN labels; -1 marks noise.
 
     A point is core iff at least ``min_pts`` values (itself included) lie
     within ``eps`` (inclusive). Clusters are the density-connected components
-    of core points, numbered in ascending order of their first core point;
-    border points keep the label of the first cluster that reaches them.
+    of core points, numbered in ascending order of their lowest-index core
+    point; a border point keeps the label of the first cluster that reaches
+    it, i.e. the lowest-numbered cluster with a core within ``eps``.
+
+    On a line this needs one stable sort and a scan, with no pairwise
+    distance matrix. Each point's eps-window is found with two pointers,
+    comparing ``abs(a - b) <= eps`` exactly as the definition does. A cluster
+    is a run of consecutive core points (in sorted order) whose gaps are
+    within ``eps``. All cores within ``eps`` on one side of a border point
+    belong to one cluster, so the point takes the lower-numbered cluster of
+    its nearest core on each side that lies within ``eps``.
     """
-    v = np.asarray(values, dtype=float)
-    if v.ndim != 1 or v.size == 0:
-        raise TdaError("dbscan expects a non-empty 1-D value list")
-    within = np.abs(v[:, None] - v[None, :]) <= spec.eps
-    core = within.sum(axis=1) >= spec.min_pts
-    labels = np.full(v.size, -1, dtype=int)
-    cluster = 0
-    for i in range(v.size):
-        if labels[i] != -1 or not core[i]:
-            continue
-        labels[i] = cluster
-        queue = [i]
-        while queue:
-            p = queue.pop(0)
-            for j in np.flatnonzero(within[p]):
-                if labels[j] == -1:
-                    labels[j] = cluster
-                    if core[j]:
-                        queue.append(int(j))
-        cluster += 1
+    s, idx = _sorted_values(values, "dbscan")
+    labels = np.full(len(s), -1, dtype=int)
+    for c, members in enumerate(_scan_clusters(s, idx, spec)):
+        labels[members] = c
     return labels
 
 
@@ -166,20 +225,16 @@ def cover_and_cluster(f, cover: CoverSpec, db: DbscanSpec) -> list[tuple[int, ..
     clusters sharing points. Points that end up in no cluster at all are kept
     as singletons so no feature is dropped.
     """
-    f = np.asarray(f, dtype=float)
-    if f.ndim != 1 or f.size == 0:
-        raise TdaError("cover_and_cluster expects a non-empty 1-D value list")
+    s, idx = _sorted_values(f, "cover_and_cluster")
     clusters: list[tuple[int, ...]] = []
-    for a, b in cover_intervals(float(f.min()), float(f.max()), cover):
-        inside = np.flatnonzero((f >= a) & (f <= b))
-        if inside.size == 0:
-            continue
-        labels = dbscan(f[inside], db)
-        for c in range(int(labels.max()) + 1):
-            members = inside[labels == c]
-            clusters.append(tuple(int(j) for j in members))
+    for a, b in cover_intervals(s[0], s[-1], cover):
+        # an interval's points are a contiguous slice of the sorted values,
+        # in the order a stable sort of those points alone would give
+        lo, hi = bisect_left(s, a), bisect_right(s, b)
+        if lo < hi:
+            clusters.extend(tuple(sorted(m)) for m in _scan_clusters(s[lo:hi], idx[lo:hi], db))
     clustered = set().union(*clusters) if clusters else set()
-    for j in range(f.size):
+    for j in range(len(s)):
         if j not in clustered:
             clusters.append((j,))
     return clusters
@@ -193,23 +248,18 @@ def build_graph(clusters, t: Transaction) -> TransactionGraph:
     """
     if not clusters:
         raise TdaError("build_graph needs at least one cluster")
-    canon = sorted(tuple(sorted({int(j) for j in c})) for c in clusters)
-    v = np.asarray(t.v, dtype=float)
-    nodes = np.zeros((len(canon), N_FEATURES))
-    for k, members in enumerate(canon):
+    canon = sorted(tuple(sorted(set(map(int, c)))) for c in clusters)
+    for members in canon:
         if not members:
             raise TdaError("clusters must be non-empty")
         if members[0] < 0 or members[-1] >= N_FEATURES:
             raise TdaError(f"cluster indices out of range: {members}")
-        idx = list(members)
-        nodes[k, idx] = v[idx]
-    sets = [set(c) for c in canon]
-    edges = tuple(
-        (k, l)
-        for k in range(len(canon))
-        for l in range(k + 1, len(canon))
-        if sets[k] & sets[l]
-    )
+    member = np.zeros((len(canon), N_FEATURES), dtype=bool)
+    member[[k for k, m in enumerate(canon) for _ in m], [j for m in canon for j in m]] = True
+    nodes = np.where(member, np.asarray(t.v, dtype=float), 0.0)
+    # clusters k < l share a point iff (member @ member.T)[k, l]
+    rows, cols = np.nonzero(member @ member.T)
+    edges = tuple((k, l) for k, l in zip(rows.tolist(), cols.tolist()) if k < l)
     return TransactionGraph(nodes=nodes, edges=edges, label=t.label)
 
 

@@ -3,9 +3,11 @@
 Everything here is deliberately brute-force and kept free of the production
 code paths: dense 2^q x 2^q circuit matrices, a gate-by-gate circuit on a
 (2,) * q tensor, central finite differences, pairwise density reachability
-for DBSCAN, pair-counting AUC, and direct cluster-intersection edges. The one
-exception is the parameter-shift gradient, which reruns the package's forward
-simulator (itself checked against the dense oracle) at shifted angles.
+for DBSCAN, pair-counting AUC, direct cluster-intersection edges, and the
+transaction graph assembled from those. The exceptions are the
+parameter-shift gradient, which reruns the package's forward simulator
+(itself checked against the dense oracle) at shifted angles, and the graph
+oracle's projection and cover intervals, which are the package's own.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from functools import reduce
 
 import numpy as np
 
-from qgfraud import qsim
+from qgfraud import qsim, tda
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -206,6 +208,31 @@ def intersection_edges(clusters) -> set:
         for j in range(i + 1, len(sets))
         if sets[i] & sets[j]
     }
+
+
+def oracle_transaction_graph(t, cover, db, direction=None):
+    """(nodes, edges) of one transaction's graph, by membership tests per interval.
+
+    Points whose projection lies in a cover interval (inclusive) are
+    clustered by ``brute_dbscan``; unclustered points become singletons;
+    nodes are the clusters in sorted member order, each keeping its members'
+    feature values; edges are the sorted ``intersection_edges`` pairs.
+    """
+    f = [float(x) for x in tda.project_1d(tda.build_point_cloud(t), direction)]
+    clusters = []
+    for a, b in tda.cover_intervals(min(f), max(f), cover):
+        inside = [j for j in range(len(f)) if a <= f[j] <= b]
+        labels = brute_dbscan([f[j] for j in inside], db.eps, db.min_pts)
+        for c in range(max(labels, default=-1) + 1):
+            clusters.append(tuple(j for j, label in zip(inside, labels) if label == c))
+    clustered = {j for c in clusters for j in c}
+    clusters += [(j,) for j in range(len(f)) if j not in clustered]
+    canon = sorted(tuple(sorted(set(c))) for c in clusters)
+    nodes = np.zeros((len(canon), len(t.v)))
+    for k, members in enumerate(canon):
+        for j in members:
+            nodes[k, j] = t.v[j]
+    return nodes, sorted(intersection_edges(canon))
 
 
 def flatten_params(d: dict):

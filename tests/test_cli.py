@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from qgfraud import cli, qgnn, qsim
+from qgfraud import cli, qgnn, qsim, sage, tda
 from qgfraud.persist import load_arrays
 from qgfraud.rng import make_rng
 from tests.synth import write_synthetic_csv
@@ -66,6 +66,34 @@ class TestBuildGraphs:
             assert c["mean_nodes"] == pytest.approx(sum(nodes) / len(graphs))
             assert c["mean_edges"] == pytest.approx(sum(len(g["edges"]) for g in graphs) / len(graphs))
             assert c["max_nodes"] == max(nodes)
+
+    def test_manifest_records_stage_seconds(self, tiny_csv, tmp_path):
+        out = tmp_path / "run"
+        cfg = write_cfg(tmp_path, tiny_csv, out)
+        assert run(["build-graphs", "--config", str(cfg)]) == 0
+        manifest = json.loads((out / "graphs" / "manifest.json").read_text())
+        stages = manifest["stage_seconds"]
+        assert sorted(stages) == ["graphs", "load", "undersample_split", "write"]
+        assert all(isinstance(s, float) and s >= 0.0 for s in stages.values())
+        assert sum(stages.values()) <= manifest["wall_clock_s"]
+
+    def test_overlapping_cover_allows_more_than_28_nodes(self, tiny_csv, tmp_path):
+        out = tmp_path / "run"
+        cfg = write_cfg(tmp_path, tiny_csv, out, tda={"overlap": 0.75})
+        assert run(["build-graphs", "--config", str(cfg)]) == 0
+        corpus = out / "graphs" / "graphs_train.jsonl"
+        graphs = tda.read_graph_corpus(corpus)
+        big = [g for g in graphs if g.n_nodes > 28]
+        assert big
+        again = tmp_path / "again.jsonl"
+        tda.write_graph_corpus(again, graphs)
+        assert again.read_bytes() == corpus.read_bytes()
+        spec = qsim.CircuitSpec.chain(3, 1)
+        q_params = qgnn.init_params(spec, make_rng(0))
+        s_params = sage.init_sage_params(make_rng(0), widths=(8, 8), dropout=0.0)
+        for g in big:
+            assert 0.0 < qgnn.forward(g, q_params, spec) < 1.0
+            assert 0.0 < sage.sage_forward(g, s_params) < 1.0
 
     def test_rerun_is_byte_identical(self, tiny_csv, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"

@@ -21,7 +21,7 @@ from qgfraud.tda import (
     transaction_graph,
     write_graph_corpus,
 )
-from tests.oracles import brute_dbscan, intersection_edges
+from tests.oracles import brute_dbscan, intersection_edges, oracle_transaction_graph
 
 
 def make_transaction(v=None, time=0.5, amount=0.2, label=0, seed=None):
@@ -99,6 +99,22 @@ class TestDbscan:
             got = list(dbscan(values, DbscanSpec(eps=eps, min_pts=min_pts)))
             want = brute_dbscan(values, eps, min_pts)
             assert got == want, (values, eps, min_pts)
+        # up to 28 values on a 0.05 grid, with duplicates, and eps a multiple
+        # of the step, so gaps land on eps, one float rounding either side
+        for _ in range(3000):
+            n = int(rng.integers(1, 29))
+            values = np.round(rng.integers(0, 40, size=n) * 0.05, 2)
+            eps = round(int(rng.integers(1, 9)) * 0.05, 2)
+            min_pts = int(rng.integers(1, 7))
+            got = list(dbscan(values, DbscanSpec(eps=eps, min_pts=min_pts)))
+            want = brute_dbscan(values, eps, min_pts)
+            assert got == want, (values, eps, min_pts)
+
+    def test_non_finite_rejected(self):
+        with pytest.raises(TdaError, match="finite"):
+            dbscan([0.0, float("nan")], DbscanSpec())
+        with pytest.raises(TdaError, match="finite"):
+            cover_and_cluster(np.array([0.0, float("inf")]), CoverSpec(), DbscanSpec())
 
     def test_empty_rejected(self):
         with pytest.raises(TdaError):
@@ -251,6 +267,40 @@ class TestGraphInvariants:
         g2 = transaction_graph(t)
         assert np.array_equal(g1.nodes, g2.nodes)
         assert g1.edges == g2.edges and g1.label == 1
+
+
+PIPELINE_SETTINGS = [
+    (CoverSpec(), DbscanSpec()),
+    (CoverSpec(4, 0.75), DbscanSpec(0.1, 2)),
+    (CoverSpec(1, 0.0), DbscanSpec(0.15, 3)),
+    (CoverSpec(2, 0.0), DbscanSpec(0.3, 1)),
+    (CoverSpec(6, 0.6), DbscanSpec(0.05, 2)),
+    (CoverSpec(3, 0.25), DbscanSpec(0.2, 5)),
+    (CoverSpec(8, 0.75), DbscanSpec(0.4, 4)),
+]
+
+
+class TestPipelineOracle:
+    def test_matches_oracle_graph(self):
+        rng = make_rng(31)
+        over_28 = 0
+        for i in range(300):
+            v = rng.normal(size=28) * float(rng.uniform(0.3, 3.0))
+            if i % 2:
+                v = np.round(v, 1)  # duplicate values and tied gaps
+            t = Transaction(
+                time=float(rng.uniform(0, 1)),
+                v=tuple(float(x) for x in v),
+                amount=float(rng.uniform(0, 1)),
+                label=int(rng.integers(0, 2)),
+            )
+            for cover, db in PIPELINE_SETTINGS:
+                g = transaction_graph(t, cover, db)
+                nodes, edges = oracle_transaction_graph(t, cover, db)
+                assert g.nodes.tobytes() == nodes.tobytes() and g.nodes.shape == nodes.shape, (i, cover, db)
+                assert list(g.edges) == edges, (i, cover, db)
+                over_28 += g.n_nodes > 28
+        assert over_28 > 0  # overlapping covers do give graphs above 28 nodes
 
 
 class TestGraphValidation:
