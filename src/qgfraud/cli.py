@@ -227,6 +227,9 @@ def _train(
                 "final_train_loss": history.epochs[-1].train_loss if len(history) else None,
                 "final_val_loss": history.epochs[-1].val_loss if len(history) else None,
                 "epoch_seconds": [e.seconds for e in history.epochs],
+                "grad_norms": [
+                    {"mean": e.grad_norm_mean, "max": e.grad_norm_max} for e in history.epochs
+                ],
                 "wall_clock_s": elapsed,
                 "artifacts": sorted(p.name for p in tmp.iterdir()),
             },

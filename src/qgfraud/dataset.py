@@ -3,12 +3,21 @@
 The expected CSV layout is the usual credit-card fraud format: a header of
 ``Time,V1,...,V28,Amount,Class`` followed by numeric rows, ``Class`` being 0
 (non-fraud) or 1 (fraud). Quoted label cells are accepted.
+
+The body is parsed in one ``np.loadtxt`` call into an (n, 31) float array.
+The real file has 284 807 rows and undersampling keeps 984, so a loaded set
+stays columnar and builds ``Transaction`` objects only for rows a caller
+reads. When the array parse fails, or gives the wrong column count or a
+non-finite value, the row-by-row parser reads the file again: its
+``DatasetError`` names the row and column, and it accepts the cells
+``float()`` takes and ``loadtxt`` refuses, such as ``1_5``.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -18,6 +27,7 @@ from .rng import make_rng
 
 N_FEATURES = 28
 HEADER = ("Time", *[f"V{i}" for i in range(1, N_FEATURES + 1)], "Amount", "Class")
+N_VALUES = N_FEATURES + 2  # time, V1..V28, amount
 
 
 class DatasetError(ValueError):
@@ -40,23 +50,46 @@ class Transaction:
             raise DatasetError(f"label must be 0 or 1, got {self.label!r}")
 
 
-@dataclass
 class TransactionSet:
-    """Ordered transactions plus the seed of whatever sampling produced them."""
+    """Ordered transactions plus the seed of whatever sampling produced them.
 
-    rows: list[Transaction]
-    seed: int | None = None
+    The rows are held as an (n, 30) float array of time, V1..V28 and amount
+    and an int label vector; ``rows`` builds the ``Transaction`` list on
+    first use and keeps it.
+    """
+
+    def __init__(self, rows: Iterable[Transaction] = (), seed: int | None = None):
+        self._rows = list(rows)
+        values = [(t.time, *t.v, t.amount) for t in self._rows]
+        self.values = np.array(values, dtype=float).reshape(-1, N_VALUES)
+        self._labels = np.array([t.label for t in self._rows], dtype=int)
+        self.seed = seed
+
+    @classmethod
+    def _from_arrays(cls, values: np.ndarray, labels: np.ndarray, seed: int | None = None):
+        ts = cls(seed=seed)
+        ts.values, ts._labels, ts._rows = values, labels, None
+        return ts
+
+    @property
+    def rows(self) -> list[Transaction]:
+        if self._rows is None:
+            self._rows = [
+                Transaction(x[0], tuple(x[1:-1]), x[-1], y)
+                for x, y in zip(self.values.tolist(), self._labels.tolist())
+            ]
+        return self._rows
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self._labels)
 
     def labels(self) -> np.ndarray:
-        return np.array([t.label for t in self.rows], dtype=int)
+        return self._labels.copy()
 
     def class_counts(self) -> tuple[int, int]:
         """(non-fraud count, fraud count)."""
-        labels = self.labels()
-        return int(np.sum(labels == 0)), int(np.sum(labels == 1))
+        n_fraud = int(np.count_nonzero(self._labels == 1))
+        return len(self) - n_fraud, n_fraud
 
 
 @dataclass(frozen=True)
@@ -74,6 +107,21 @@ class SplitSpec:
             raise DatasetError(f"split fractions must sum to 1, got {sum(fracs)!r}")
 
 
+def _label(cell: str) -> float:
+    """A quoted or bare 0 or 1 (the real file quotes its labels); "1.0" is refused."""
+    if (bare := cell.strip().strip("'\"")) not in ("0", "1"):
+        raise ValueError(f"label must be 0 or 1, got {cell!r}")
+    return float(bare)
+
+
+def _has_body(fh) -> bool:
+    """Whether anything but line breaks follows; ``loadtxt`` warns on no data."""
+    while chunk := fh.read(1 << 16):
+        if chunk.strip("\r\n"):
+            return True
+    return False
+
+
 def load_transactions(path) -> TransactionSet:
     """Parse the CSV at ``path``; errors carry the offending row number.
 
@@ -82,14 +130,43 @@ def load_transactions(path) -> TransactionSet:
     p = Path(path)
     if not p.exists():
         raise DatasetError(f"dataset file not found: {p}")
-    rows: list[Transaction] = []
-    with open(p, newline="") as fh:
+    if p.is_dir():
+        raise DatasetError(f"{p}: is a directory, expected a CSV file")
+    try:
+        with open(p, newline="", encoding="utf-8") as fh:
+            header = next(csv.reader(fh), None)
+            if header is None:
+                raise DatasetError(f"{p}: empty file, expected header {','.join(HEADER)}")
+            if tuple(h.strip().strip("'\"") for h in header) != HEADER:
+                raise DatasetError(f"{p}: malformed header {header!r}")
+            if not _has_body(fh):
+                return TransactionSet()
+        try:
+            table = np.loadtxt(
+                p,
+                delimiter=",",
+                comments=None,
+                quotechar='"',
+                ndmin=2,
+                skiprows=1,
+                converters={N_VALUES: _label},
+                encoding="utf-8",
+            )
+        except (ValueError, OSError):  # OSError: loadtxt decompresses by file suffix
+            table = None
+        if table is None or table.shape[1] != len(HEADER) or not np.isfinite(table).all():
+            table = _parse_rows(p)
+    except UnicodeDecodeError:
+        raise DatasetError(f"{p}: not UTF-8 text (a compressed file must be unpacked first)") from None
+    return TransactionSet._from_arrays(table[:, :N_VALUES], table[:, N_VALUES].astype(int))
+
+
+def _parse_rows(p: Path) -> np.ndarray:
+    """Row-by-row parse into an (n, 31) array: slow, but errors name the row and column."""
+    rows = []
+    with open(p, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise DatasetError(f"{p}: empty file, expected header {','.join(HEADER)}")
-        if tuple(h.strip().strip("'\"") for h in header) != HEADER:
-            raise DatasetError(f"{p}: malformed header {header!r}")
+        next(reader)
         for lineno, cells in enumerate(reader, start=2):
             if not cells:
                 continue
@@ -98,19 +175,18 @@ def load_transactions(path) -> TransactionSet:
                     f"{p}: row {lineno}: expected {len(HEADER)} columns, got {len(cells)}"
                 )
             try:
-                values = [float(c) for c in cells[: N_FEATURES + 2]]
+                row = [float(c) for c in cells[:N_VALUES]]
             except ValueError as exc:
                 raise DatasetError(f"{p}: row {lineno}: non-numeric value ({exc})") from None
-            if not all(map(math.isfinite, values)):
-                column = next(h for h, x in zip(HEADER, values) if not math.isfinite(x))
+            if not all(map(math.isfinite, row)):
+                column = next(h for h, x in zip(HEADER, row) if not math.isfinite(x))
                 raise DatasetError(f"{p}: row {lineno}: column {column} is not finite")
-            label_cell = cells[N_FEATURES + 2].strip().strip("'\"")
-            if label_cell not in ("0", "1"):
-                raise DatasetError(
-                    f"{p}: row {lineno}: label must be 0 or 1, got {cells[N_FEATURES + 2]!r}"
-                )
-            rows.append(Transaction(values[0], tuple(values[1:-1]), values[-1], int(label_cell)))
-    return TransactionSet(rows)
+            try:
+                row.append(_label(cells[N_VALUES]))
+            except ValueError as exc:
+                raise DatasetError(f"{p}: row {lineno}: {exc}") from None
+            rows.append(row)
+    return np.array(rows, dtype=float).reshape(-1, len(HEADER))
 
 
 def undersample(ts: TransactionSet, seed: int) -> TransactionSet:
@@ -128,8 +204,8 @@ def undersample(ts: TransactionSet, seed: int) -> TransactionSet:
     if clean.size > fraud.size:
         clean = rng.choice(clean, size=fraud.size, replace=False)
     kept = np.sort(np.concatenate([fraud, clean]))
-    order = rng.permutation(kept.size)
-    return TransactionSet([ts.rows[i] for i in kept[order]], seed=seed)
+    chosen = kept[rng.permutation(kept.size)]
+    return TransactionSet._from_arrays(ts.values[chosen], labels[chosen], seed=seed)
 
 
 def _largest_remainder(class_sizes: list[int], total: int, n: int) -> list[int]:

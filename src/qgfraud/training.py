@@ -53,15 +53,21 @@ class EpochStats:
     train_loss: float
     val_loss: float
     seconds: float
+    grad_norm_mean: float  # L2 norm of a batch's gradient over all parameter arrays
+    grad_norm_max: float
 
 
 @dataclass
 class TrainHistory:
     epochs: list[EpochStats] = field(default_factory=list)
 
-    def append(self, epoch: int, train_loss: float, val_loss: float, seconds: float) -> None:
+    def append(
+        self, epoch: int, train_loss: float, val_loss: float, seconds: float, grad_norms: list[float]
+    ) -> None:
         # plain floats only: numpy scalars would repr as np.float64(...) on disk
-        self.epochs.append(EpochStats(int(epoch), float(train_loss), float(val_loss), float(seconds)))
+        norms = np.asarray(grad_norms, dtype=float)
+        stats = (train_loss, val_loss, seconds, norms.mean(), norms.max())
+        self.epochs.append(EpochStats(int(epoch), *map(float, stats)))
 
     def __len__(self) -> int:
         return len(self.epochs)
@@ -116,7 +122,8 @@ def fit(params, train_graphs, val_graphs, config: TrainConfig, rng, batch_grad, 
     ``batch_grad(params, batch)`` returns the batch's summed loss and the
     gradient of its mean loss; ``predict(params, graphs)`` returns the
     probabilities the validation loss is taken on; ``step`` is
-    ``optim.adam_step``. Each epoch draws its batch order from ``rng``.
+    ``optim.adam_step``. Each epoch draws its batch order from ``rng`` and
+    records the mean and max of its batch-gradient norms.
     """
     if not train_graphs:
         raise TrainingError("training set is empty")
@@ -126,10 +133,12 @@ def fit(params, train_graphs, val_graphs, config: TrainConfig, rng, batch_grad, 
         t0 = _time.perf_counter()
         order = rng.permutation(len(train_graphs))
         total = 0.0
+        grad_norms = []
         for start, stop in batch_slices(len(order), config.batch_size):
             batch = [train_graphs[i] for i in order[start:stop]]
             loss_sum, grads = batch_grad(params, batch)
             check_finite(epoch, loss_sum, grads)
+            grad_norms.append(np.sqrt(sum(np.sum(np.square(g)) for g in grads.values())))
             new_dict, state = step(
                 params.to_dict(),
                 grads,
@@ -145,5 +154,5 @@ def fit(params, train_graphs, val_graphs, config: TrainConfig, rng, batch_grad, 
         if val_graphs:
             probs = predict(params, val_graphs)
             val_loss = float(np.mean([bce_loss(p, g.label) for p, g in zip(probs, val_graphs)]))
-        history.append(epoch, total / len(train_graphs), val_loss, _time.perf_counter() - t0)
+        history.append(epoch, total / len(train_graphs), val_loss, _time.perf_counter() - t0, grad_norms)
     return params, history

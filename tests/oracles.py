@@ -3,8 +3,9 @@
 Everything here is deliberately brute-force and kept free of the production
 code paths: dense 2^q x 2^q circuit matrices, a gate-by-gate circuit on a
 (2,) * q tensor, central finite differences, pairwise density reachability
-for DBSCAN, pair-counting AUC, direct cluster-intersection edges, and the
-transaction graph assembled from those. The exceptions are the
+for DBSCAN, pair-counting AUC, direct cluster-intersection edges, the
+transaction graph assembled from those, and a row-by-row CSV reader with
+``float()`` on every cell. The exceptions are the
 parameter-shift gradient, which reruns the package's forward simulator
 (itself checked against the dense oracle) at shifted angles, and the graph
 oracle's projection and cover intervals, which are the package's own.
@@ -12,11 +13,15 @@ oracle's projection and cover intervals, which are the package's own.
 
 from __future__ import annotations
 
+import csv
+import math
 from functools import reduce
+from pathlib import Path
 
 import numpy as np
 
 from qgfraud import qsim, tda
+from qgfraud.dataset import HEADER, N_FEATURES, DatasetError, Transaction
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -233,6 +238,46 @@ def oracle_transaction_graph(t, cover, db, direction=None):
         for j in members:
             nodes[k, j] = t.v[j]
     return nodes, sorted(intersection_edges(canon))
+
+
+def read_transactions(path) -> list:
+    """Every row of the CSV at ``path`` as a ``Transaction``, one ``float()`` per cell.
+
+    Raises the ``DatasetError`` texts ``dataset.load_transactions`` must give:
+    the missing file, the header, and the first bad row by number and column.
+    """
+    p = Path(path)
+    if not p.exists():
+        raise DatasetError(f"dataset file not found: {p}")
+    rows = []
+    with open(p, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise DatasetError(f"{p}: empty file, expected header {','.join(HEADER)}")
+        if tuple(h.strip().strip("'\"") for h in header) != HEADER:
+            raise DatasetError(f"{p}: malformed header {header!r}")
+        for lineno, cells in enumerate(reader, start=2):
+            if not cells:
+                continue
+            if len(cells) != len(HEADER):
+                raise DatasetError(
+                    f"{p}: row {lineno}: expected {len(HEADER)} columns, got {len(cells)}"
+                )
+            try:
+                values = [float(c) for c in cells[: N_FEATURES + 2]]
+            except ValueError as exc:
+                raise DatasetError(f"{p}: row {lineno}: non-numeric value ({exc})") from None
+            if not all(map(math.isfinite, values)):
+                column = next(h for h, x in zip(HEADER, values) if not math.isfinite(x))
+                raise DatasetError(f"{p}: row {lineno}: column {column} is not finite")
+            label_cell = cells[N_FEATURES + 2].strip().strip("'\"")
+            if label_cell not in ("0", "1"):
+                raise DatasetError(
+                    f"{p}: row {lineno}: label must be 0 or 1, got {cells[N_FEATURES + 2]!r}"
+                )
+            rows.append(Transaction(values[0], tuple(values[1:-1]), values[-1], int(label_cell)))
+    return rows
 
 
 def flatten_params(d: dict):

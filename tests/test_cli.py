@@ -1,3 +1,4 @@
+import gzip
 import json
 
 import numpy as np
@@ -121,6 +122,22 @@ class TestBuildGraphs:
         cfg = write_cfg(tmp_path, tmp_path / "absent.csv", tmp_path / "run")
         assert run(["build-graphs", "--config", str(cfg)]) == 1
 
+    def test_directory_dataset_is_validation_error(self, tmp_path, capsys):
+        folder = tmp_path / "creditcard.csv"
+        folder.mkdir()
+        out = tmp_path / "run"
+        assert run(["build-graphs", "--config", str(write_cfg(tmp_path, folder, out))]) == 1
+        assert f"{folder}: is a directory" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_compressed_dataset_is_validation_error(self, tiny_csv, tmp_path, capsys):
+        packed = tmp_path / "creditcard.csv.gz"
+        packed.write_bytes(gzip.compress(tiny_csv.read_bytes()))
+        out = tmp_path / "run"
+        assert run(["build-graphs", "--config", str(write_cfg(tmp_path, packed, out))]) == 1
+        assert f"{packed}: not UTF-8 text" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_non_finite_cell_is_validation_error(self, tiny_csv, tmp_path, capsys):
         lines = tiny_csv.read_text().splitlines()
         fraud = [i for i, line in enumerate(lines[1:], start=1) if line.endswith(",1")]
@@ -169,6 +186,16 @@ class TestTrain:
             seconds = manifest["epoch_seconds"]
             assert len(seconds) == manifest["epochs_run"] == 2
             assert all(isinstance(s, float) and s > 0 for s in seconds)
+
+    def test_manifest_records_grad_norms(self, built_run):
+        _, out = built_run
+        for model in ("qgnn", "sage"):
+            manifest = json.loads((out / f"train_{model}" / "manifest.json").read_text())
+            norms = manifest["grad_norms"]
+            assert len(norms) == manifest["epochs_run"] == 2
+            for epoch in norms:
+                assert sorted(epoch) == ["max", "mean"]
+                assert 0.0 < epoch["mean"] <= epoch["max"] < float("inf")
 
     def test_manifest_records_circuit_path(self, built_run, tmp_path):
         cfg, out = built_run

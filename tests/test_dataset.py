@@ -1,4 +1,5 @@
 import os
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ from qgfraud.dataset import (
     undersample,
 )
 from qgfraud.rng import make_rng
+from tests import oracles
 from tests.synth import save_transactions
 
 
@@ -128,6 +130,81 @@ class TestLoad:
         save_transactions(TransactionSet(rows), p)
         back = load_transactions(p)
         assert back.rows == rows
+
+
+def csv_line(label="0", **cells) -> str:
+    """A 31-cell row: distinct values per column, ``cells`` replacing some (``c3`` is V3)."""
+    row = [repr(0.25 + 1.5 * j) for j in range(30)] + [label]
+    for key, cell in cells.items():
+        row[int(key[1:])] = cell
+    return ",".join(row)
+
+
+GOOD = [csv_line("0"), csv_line("1", c0="7.0"), csv_line("0", c29="3.5")]
+
+# (case, text after the header line)
+LOADER_CASES = [
+    ("blank line", GOOD[0] + "\n\n" + GOOD[1] + "\n"),
+    ("whitespace-only line", GOOD[0] + "\n   \n" + GOOD[1] + "\n"),
+    ("crlf", "\r\n".join(GOOD) + "\r\n"),
+    ("no final newline", "\n".join(GOOD)),
+    ("header only", ""),
+    ("header and blank lines", "\n\n"),
+    ("header and a whitespace-only line", " \n"),
+    ("quoted numeric cell", csv_line("1", c5='"2.5"') + "\n"),
+    *[(f"label {cell}", csv_line(cell) + "\n") for cell in ('"1"', "'1'", " 1 ", "1.0")],
+    *[(f"cell {cell!r}", GOOD[0] + "\n" + csv_line("1", c3=cell) + "\n")
+      for cell in ("1.5#", "1_5", "0x1p3", "", "nan", "Infinity")],
+    ("30-cell row", GOOD[0] + "\n" + GOOD[1].rsplit(",", 1)[0] + "\n"),
+    ("32-cell row", GOOD[0] + "\n" + GOOD[1] + ",0\n"),
+    ("every row 32 cells", "".join(line + ",0\n" for line in GOOD)),
+]
+
+
+def load_or_error(load, path):
+    """(rows, None) or (None, the DatasetError text)."""
+    try:
+        ts = load(path)
+    except DatasetError as exc:
+        return None, str(exc)
+    return (ts if isinstance(ts, list) else ts.rows), None
+
+
+class TestLoaderMatchesRowOracle:
+    """``load_transactions`` against the ``float()``-per-cell reader: equal
+    rows, or the identical error text, with every warning an error."""
+
+    @pytest.mark.parametrize("case, body", LOADER_CASES, ids=[c for c, _ in LOADER_CASES])
+    def test_edge_case(self, tmp_path, case, body):
+        p = tmp_path / "case.csv"
+        p.write_bytes((",".join(dataset.HEADER) + "\n" + body).encode())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = load_or_error(load_transactions, p)
+        assert got == load_or_error(oracles.read_transactions, p)
+
+    def test_synthetic_file(self, small_csv):
+        rows, error = load_or_error(load_transactions, small_csv)
+        assert error is None and len(rows) == 340
+        assert rows == oracles.read_transactions(small_csv)
+
+
+class TestColumnarLoad:
+    def test_only_kept_rows_become_transactions(self, small_csv, monkeypatch):
+        built = []
+        post_init = Transaction.__post_init__
+
+        def counted(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(Transaction, "__post_init__", counted)
+        ts = load_transactions(small_csv)
+        assert len(ts) == 340  # every CSV row is counted
+        out = undersample(ts, seed=1)
+        assert len(built) <= len(out) == 80
+        assert len(out.rows) == 80
+        assert len(built) == 80
 
 
 REAL_DATASET = Path(os.environ.get("QGFRAUD_DATASET", "data/creditcard.csv"))
