@@ -64,14 +64,13 @@ def _graphs_dir(cfg: RunConfig, args) -> Path:
     return _output_root(cfg) / "graphs"
 
 
-def _read_corpus(graphs_dir: Path) -> dict:
-    corpus = {}
-    for name, fname in CORPUS_FILES.items():
-        path = graphs_dir / fname
+def _read_corpus(graphs_dir: Path, splits=tuple(CORPUS_FILES)) -> dict:
+    """The graphs of each split in ``splits``; all three files must exist."""
+    paths = {name: graphs_dir / fname for name, fname in CORPUS_FILES.items()}
+    for path in paths.values():
         if not path.exists():
             raise CliError(f"graph corpus not found: {path} (run build-graphs first)")
-        corpus[name] = tda.read_graph_corpus(path)
-    return corpus
+    return {name: tda.read_graph_corpus(paths[name]) for name in dict.fromkeys(splits)}
 
 
 def _corpus_meta(graphs_dir: Path) -> dict:
@@ -240,7 +239,7 @@ def _train(
 def cmd_train(args) -> int:
     cfg = _load_cfg(args)
     graphs_dir = _graphs_dir(cfg, args)
-    corpus = _read_corpus(graphs_dir)
+    corpus = _read_corpus(graphs_dir, ("train", "val"))
     corpus_hash = _corpus_meta(graphs_dir)["corpus_config_hash"]
     out_dir = _output_root(cfg) / f"train_{args.model}"
     params, history = _train(cfg, corpus, corpus_hash, out_dir, args.model)
@@ -309,7 +308,7 @@ def _check_checkpoint(meta: dict, cfg: RunConfig, corpus_hash: str) -> None:
 def _evaluate(cfg: RunConfig, checkpoint: Path, graphs_dir: Path, out_dir: Path, split: str, svg: bool):
     t0 = time.perf_counter()
     arrays, meta = load_arrays(checkpoint)
-    corpus = _read_corpus(graphs_dir)
+    corpus = _read_corpus(graphs_dir, ("val", split))
     corpus_hash = _corpus_meta(graphs_dir)["corpus_config_hash"]
     _check_checkpoint(meta, cfg, corpus_hash)
     report, threshold_source = _score_at_val_threshold(arrays, meta, cfg, corpus, split)

@@ -9,6 +9,15 @@ dropout, active only in training mode. Two layers feed a mean-pool over nodes
 and a dense sigmoid head, one probability per graph. Evaluation never touches
 the RNG: no dropout, full neighbourhoods. Training is the Adam/BCE loop
 ``training.fit`` shares with the qgnn.
+
+A layer's numpy calls do not grow with its node count: one gather of every
+node's neighbour rows, one ``bincount`` that sums them per node in neighbour
+order, and in the backward pass one ``np.add.at`` that scatters all neighbour
+cotangents in node order. The sums therefore round as a per-node loop's
+would. Dropout draws keep the per-node order too: node v's self row, then its
+neighbour rows, node after node. Without sampling that is one
+``rng.random`` call; when some node has more neighbours than the fan-out,
+the draws stay in a loop over nodes, each node's ``rng.choice`` first.
 """
 
 from __future__ import annotations
@@ -127,62 +136,83 @@ def neighbor_lists(g) -> list[np.ndarray]:
     return [np.array(sorted(nb), dtype=int) for nb in adj]
 
 
-def _dropout_mask(rng, p: float, shape) -> np.ndarray:
-    # inverted scaling: survivors are multiplied by 1/(1-p), eval needs no rescale
-    if p <= 0.0:
-        return np.ones(shape)
-    return (rng.random(shape) >= p) / (1.0 - p)
+def _sampled_draws(adj, rng, p: float, d: int, fan_out: int):
+    """Neighbour samples and dropout draws when some node has more than
+    ``fan_out`` neighbours: node by node, its sample, then its self row and
+    its neighbour rows, so ``rng.choice`` keeps its place among the draws."""
+    sampled, draws = [], []
+    for nb in adj:
+        if nb.size > fan_out:
+            nb = np.sort(rng.choice(nb, size=fan_out, replace=False))
+        sampled.append(nb)
+        if p > 0.0:
+            draws.append(rng.random((1 + nb.size, d)))
+    return sampled, np.concatenate(draws) if draws else None
 
 
-def _masked_mean(h: np.ndarray, idx: np.ndarray, p: float, rng):
-    """Mean of dropped-out neighbour rows; zero vector when idx is empty."""
-    if idx.size == 0:
-        return np.zeros(h.shape[1]), np.zeros((0, h.shape[1]))
-    masks = _dropout_mask(rng, p, (idx.size, h.shape[1]))
-    return (masks * h[idx]).mean(axis=0), masks
+def _cells(rows: np.ndarray, d: int) -> np.ndarray:
+    """Flat indices of every cell of ``rows`` in a C-ordered (., d) array."""
+    return (rows[:, None] * d + np.arange(d)).ravel()
 
 
 def _layer_forward(h, adj, params: SageLayerParams, rng, train_mode: bool, fan_out):
     n, d = h.shape
     p = params.dropout_p if train_mode else 0.0
-    self_masks = np.ones((n, d))
-    neigh_idx: list[np.ndarray] = []
-    neigh_masks: list[np.ndarray] = []
-    agg = np.zeros((n, d))
-    for v in range(n):
-        nb = adj[v]
-        if train_mode and fan_out is not None and nb.size > fan_out:
-            nb = np.sort(rng.choice(nb, size=fan_out, replace=False))
-        neigh_idx.append(nb)
-        if p > 0.0:
-            self_masks[v] = _dropout_mask(rng, p, d)
-        agg[v], masks = _masked_mean(h, nb, p, rng)
-        neigh_masks.append(masks)
-    dropped = self_masks * h
+    deg = np.array([nb.size for nb in adj])
+    if train_mode and fan_out is not None and deg.max() > fan_out:
+        adj, draws = _sampled_draws(adj, rng, p, d, fan_out)
+        deg = np.array([nb.size for nb in adj])
+    else:
+        # node v's self row, then its neighbour rows: one call fills them in
+        # the order a call per node would
+        draws = rng.random((n + deg.sum(), d)) if p > 0.0 else None
+    nbrs = np.concatenate(adj)
+    owner = np.repeat(np.arange(n), deg)
+    rows = h[nbrs]
+    self_masks = neigh_masks = None
+    dropped = h
+    if draws is not None:
+        masks = (draws >= p) / (1.0 - p)  # inverted dropout: eval needs no rescale
+        is_self = np.zeros(len(masks), dtype=bool)
+        is_self[np.arange(n) + np.cumsum(deg) - deg] = True
+        self_masks, neigh_masks = masks[is_self], masks[~is_self]
+        dropped = self_masks * h
+        rows = neigh_masks * rows
+    # bincount adds each node's rows in order onto 0.0, as a per-node mean does
+    count = np.maximum(deg, 1.0)[:, None]
+    agg = np.bincount(_cells(owner, d), weights=rows.ravel(), minlength=n * d).reshape(n, d) / count
     pre = np.concatenate([dropped @ params.w_self.T, agg @ params.w_neigh.T], axis=1) + params.b
     out = np.maximum(pre, 0.0)
-    cache = (h, dropped, agg, pre, self_masks, neigh_idx, neigh_masks)
+    cache = (h, dropped, agg, pre, self_masks, nbrs, owner, count, neigh_masks)
     return out, cache
 
 
 def _layer_backward(d_out, params: SageLayerParams, cache):
-    h, dropped, agg, pre, self_masks, neigh_idx, neigh_masks = cache
+    _, dropped, agg, pre, self_masks, nbrs, owner, count, neigh_masks = cache
     width = params.width
     d_pre = d_out * (pre > 0)
     d_b = d_pre.sum(axis=0)
     d_self, d_neigh = d_pre[:, :width], d_pre[:, width:]
     d_w_self = d_self.T @ dropped
     d_w_neigh = d_neigh.T @ agg
-    d_h = (d_self @ params.w_self) * self_masks
-    d_agg = d_neigh @ params.w_neigh
-    for v, (nb, masks) in enumerate(zip(neigh_idx, neigh_masks)):
-        if nb.size:
-            contrib = (d_agg[v][None, :] / nb.size) * masks
-            np.add.at(d_h, nb, contrib)
+    d_h = d_self @ params.w_self
+    if self_masks is not None:
+        d_h *= self_masks
+    contrib = (d_neigh @ params.w_neigh / count)[owner]
+    if neigh_masks is not None:
+        contrib *= neigh_masks
+    # in node order, onto the self term; flat indices take numpy's fast path
+    np.add.at(d_h.reshape(-1), _cells(nbrs, d_h.shape[1]), contrib.reshape(-1))
     return d_h, {"w_self": d_w_self, "w_neigh": d_w_neigh, "b": d_b}
 
 
 def _forward_graph(g, params: SageModelParams, rng, train_mode: bool, fan_outs):
+    if g.n_nodes < 1:
+        raise TrainingError("graph must have at least one node")
+    if train_mode and rng is None and (
+        params.layer1.dropout_p > 0 or params.layer2.dropout_p > 0 or any(fan_outs)
+    ):
+        raise TrainingError("training mode requires an RNG")
     adj = neighbor_lists(g)
     h1, cache1 = _layer_forward(g.nodes, adj, params.layer1, rng, train_mode, fan_outs[0])
     h2, cache2 = _layer_forward(h1, adj, params.layer2, rng, train_mode, fan_outs[1])
@@ -199,12 +229,6 @@ def sage_forward(
     fan_outs=(None, None),
 ) -> float:
     """Graph-level fraud probability. Eval mode is RNG-free and deterministic."""
-    if g.n_nodes < 1:
-        raise TrainingError("graph must have at least one node")
-    if train_mode and rng is None and (
-        params.layer1.dropout_p > 0 or params.layer2.dropout_p > 0 or any(fan_outs)
-    ):
-        raise TrainingError("training mode requires an RNG")
     prob, _ = _forward_graph(g, params, rng, train_mode, fan_outs)
     return prob
 
@@ -266,8 +290,14 @@ def sage_train(
         for g in batch:
             loss, grads = sage_backward(g, params, g.label, rng, train_mode=True, fan_outs=fan_outs)
             batch_loss += loss
-            acc = grads if acc is None else {k: acc[k] + grads[k] for k in acc}
-        return batch_loss, {k: v / len(batch) for k, v in acc.items()}
+            if acc is None:
+                acc = grads
+            else:
+                for k, v in acc.items():
+                    v += grads[k]
+        for v in acc.values():
+            v /= len(batch)
+        return batch_loss, acc
 
     def val_probs(params, graphs):
         return [sage_forward(g, params) for g in graphs]

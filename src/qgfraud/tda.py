@@ -283,7 +283,7 @@ def write_graph_corpus(path, graphs) -> None:
         for g in graphs:
             rec = {
                 "label": g.label,
-                "nodes": [[float(x) for x in row] for row in g.nodes],
+                "nodes": g.nodes.tolist(),
                 "edges": [[a, b] for a, b in g.edges],
             }
             fh.write(json.dumps(rec, separators=(",", ":"), allow_nan=False) + "\n")

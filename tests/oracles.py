@@ -4,11 +4,13 @@ Everything here is deliberately brute-force and kept free of the production
 code paths: dense 2^q x 2^q circuit matrices, a gate-by-gate circuit on a
 (2,) * q tensor, central finite differences, pairwise density reachability
 for DBSCAN, pair-counting AUC, direct cluster-intersection edges, the
-transaction graph assembled from those, and a row-by-row CSV reader with
-``float()`` on every cell. The exceptions are the
-parameter-shift gradient, which reruns the package's forward simulator
-(itself checked against the dense oracle) at shifted angles, and the graph
-oracle's projection and cover intervals, which are the package's own.
+transaction graph assembled from those, a row-by-row CSV reader with
+``float()`` on every cell, and a GraphSAGE layer that aggregates, draws its
+dropout masks and scatters its gradient one node at a time. The exceptions
+are the parameter-shift gradient, which reruns the package's forward
+simulator (itself checked against the dense oracle) at shifted angles, and
+the graph oracle's projection and cover intervals, which are the package's
+own.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import numpy as np
 
 from qgfraud import qsim, tda
 from qgfraud.dataset import HEADER, N_FEATURES, DatasetError, Transaction
+from qgfraud.sage import SageLayerParams
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -278,6 +281,64 @@ def read_transactions(path) -> list:
                 )
             rows.append(Transaction(values[0], tuple(values[1:-1]), values[-1], int(label_cell)))
     return rows
+
+
+def sage_dropout_mask(rng, p: float, shape) -> np.ndarray:
+    # inverted scaling: survivors are multiplied by 1/(1-p), eval needs no rescale
+    if p <= 0.0:
+        return np.ones(shape)
+    return (rng.random(shape) >= p) / (1.0 - p)
+
+
+def sage_masked_mean(h: np.ndarray, idx: np.ndarray, p: float, rng):
+    """Mean of dropped-out neighbour rows; zero vector when idx is empty."""
+    if idx.size == 0:
+        return np.zeros(h.shape[1]), np.zeros((0, h.shape[1]))
+    masks = sage_dropout_mask(rng, p, (idx.size, h.shape[1]))
+    return (masks * h[idx]).mean(axis=0), masks
+
+
+def sage_layer_forward(h, adj, params: SageLayerParams, rng, train_mode: bool, fan_out):
+    """One GraphSAGE layer, node by node: for each node its neighbour sample,
+    then its self mask, then its neighbour masks, each a separate rng call."""
+    n, d = h.shape
+    p = params.dropout_p if train_mode else 0.0
+    self_masks = np.ones((n, d))
+    neigh_idx: list[np.ndarray] = []
+    neigh_masks: list[np.ndarray] = []
+    agg = np.zeros((n, d))
+    for v in range(n):
+        nb = adj[v]
+        if train_mode and fan_out is not None and nb.size > fan_out:
+            nb = np.sort(rng.choice(nb, size=fan_out, replace=False))
+        neigh_idx.append(nb)
+        if p > 0.0:
+            self_masks[v] = sage_dropout_mask(rng, p, d)
+        agg[v], masks = sage_masked_mean(h, nb, p, rng)
+        neigh_masks.append(masks)
+    dropped = self_masks * h
+    pre = np.concatenate([dropped @ params.w_self.T, agg @ params.w_neigh.T], axis=1) + params.b
+    out = np.maximum(pre, 0.0)
+    cache = (h, dropped, agg, pre, self_masks, neigh_idx, neigh_masks)
+    return out, cache
+
+
+def sage_layer_backward(d_out, params: SageLayerParams, cache):
+    """The gradient of ``sage_layer_forward``, one ``np.add.at`` per node."""
+    h, dropped, agg, pre, self_masks, neigh_idx, neigh_masks = cache
+    width = params.width
+    d_pre = d_out * (pre > 0)
+    d_b = d_pre.sum(axis=0)
+    d_self, d_neigh = d_pre[:, :width], d_pre[:, width:]
+    d_w_self = d_self.T @ dropped
+    d_w_neigh = d_neigh.T @ agg
+    d_h = (d_self @ params.w_self) * self_masks
+    d_agg = d_neigh @ params.w_neigh
+    for v, (nb, masks) in enumerate(zip(neigh_idx, neigh_masks)):
+        if nb.size:
+            contrib = (d_agg[v][None, :] / nb.size) * masks
+            np.add.at(d_h, nb, contrib)
+    return d_h, {"w_self": d_w_self, "w_neigh": d_w_neigh, "b": d_b}
 
 
 def flatten_params(d: dict):

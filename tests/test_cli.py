@@ -274,6 +274,39 @@ class TestEvaluate:
         assert (out / "eval_qgnn_test" / "report.txt").read_bytes() == first
         assert (out / "eval_qgnn_test" / "roc.csv").read_bytes() == roc_first
 
+    def test_commands_parse_only_the_splits_they_use(self, built_run, tmp_path, monkeypatch):
+        cfg, out = built_run
+        real, read = tda.read_graph_corpus, []
+
+        def recording(path):
+            read.append(path.name)
+            return real(path)
+
+        monkeypatch.setattr(tda, "read_graph_corpus", recording)
+        common = ["--config", str(cfg), "--model", "sage", "--graphs", str(out / "graphs"),
+                  "--output-dir", str(tmp_path)]
+        checkpoint = ["--checkpoint", str(out / "train_sage" / "checkpoint.txt")]
+        for argv, want in (
+            (["train", *common, "--epochs", "1"], ["graphs_train.jsonl", "graphs_val.jsonl"]),
+            (["evaluate", *common, *checkpoint], ["graphs_val.jsonl", "graphs_test.jsonl"]),
+            (["evaluate", *common, *checkpoint, "--split", "val"], ["graphs_val.jsonl"]),
+            (["evaluate", *common, *checkpoint, "--split", "train"], ["graphs_val.jsonl", "graphs_train.jsonl"]),
+        ):
+            read.clear()
+            assert run(argv) == 0
+            assert read == want, argv
+
+    def test_train_still_requires_every_split_file(self, built_run, tmp_path):
+        cfg, out = built_run
+        graphs = tmp_path / "graphs"
+        graphs.mkdir()
+        for f in (out / "graphs").iterdir():
+            if f.name != "graphs_test.jsonl":
+                (graphs / f.name).write_bytes(f.read_bytes())
+        argv = ["train", "--config", str(cfg), "--model", "sage", "--graphs", str(graphs),
+                "--output-dir", str(tmp_path / "run")]
+        assert run(argv) == 2
+
     def test_qubit_mismatch_is_explicit_error(self, built_run):
         cfg, _ = built_run
         assert run(["evaluate", "--config", str(cfg), "--model", "qgnn", "--qubits", "5"]) == 1

@@ -7,6 +7,7 @@ from qgfraud import sage
 from qgfraud.rng import make_rng
 from qgfraud.tda import TransactionGraph
 from qgfraud.training import TrainConfig, TrainingError
+from tests import oracles
 from tests.oracles import fd_grad, flatten_params, unflatten_params
 from tests.synth import random_graphs, separable_four_graphs
 
@@ -44,7 +45,7 @@ def tiny_params(in_dim, width, dropout=0.0, seed=0):
 
 def neighbour_mean(g, h, v):
     """Node v's neighbour mean as a layer computes it in eval mode (no dropout)."""
-    return sage._masked_mean(np.asarray(h, dtype=float), sage.neighbor_lists(g)[v], 0.0, None)[0]
+    return oracles.sage_masked_mean(np.asarray(h, dtype=float), sage.neighbor_lists(g)[v], 0.0, None)[0]
 
 
 def layer(g, h, params, rng=None, train_mode=False, fan_out=None):
@@ -122,6 +123,83 @@ class TestSageLayer:
             ]
         )
         np.testing.assert_allclose(out, expected, atol=1e-12)
+
+
+def same_bits(a, b) -> bool:
+    """Equal to the last bit, the sign of a zero included."""
+    a, b = (np.ascontiguousarray(x, dtype=float) for x in (a, b))
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+class TestLayersMatchPerNodeOracle:
+    """The vectorised layers reproduce the node-by-node reference bit for bit,
+    and leave the rng where it leaves it, so the draws come in the same order."""
+
+    @staticmethod
+    def random_case(rng):
+        n = int(rng.integers(1, 13))
+        # inputs of the model's layers have 28 or 2 * width columns; with one
+        # column numpy's mean sums a node's rows pairwise rather than in order
+        d = int(rng.integers(2, 9))
+        width = int(rng.integers(1, 5))
+        density = rng.choice([0.0, 0.3, 0.9])
+        edges = tuple((a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < density)
+        h = rng.normal(size=(n, d))
+        h[rng.random((n, d)) < 0.2] = 0.0
+        h[rng.random((n, d)) < 0.1] = -0.0
+        params = sage.SageLayerParams(
+            rng.normal(size=(width, d)), rng.normal(size=(width, d)), rng.normal(size=2 * width),
+            dropout_p=float(rng.choice([0.0, 0.3])),
+        )
+        return FakeGraph(np.zeros((n, 1)), edges, 0), h, params
+
+    @pytest.mark.parametrize("train_mode", [False, True])
+    @pytest.mark.parametrize("fan_out", [None, 1, 3])
+    def test_forward_and_backward_match(self, train_mode, fan_out):
+        cases = make_rng(40 + 7 * (fan_out or 0) + train_mode)
+        paths = set()
+        for _ in range(60):
+            g, h, params = self.random_case(cases)
+            adj = sage.neighbor_lists(g)
+            seed = int(cases.integers(2**32))
+            rng_ref, rng_new = make_rng(seed), make_rng(seed)
+            out_ref, cache_ref = oracles.sage_layer_forward(h, adj, params, rng_ref, train_mode, fan_out)
+            out_new, cache_new = sage._layer_forward(h, adj, params, rng_new, train_mode, fan_out)
+            assert same_bits(out_new, out_ref)
+            assert same_bits(cache_new[3], cache_ref[3])  # pre-activations
+            assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+            d_out = cases.normal(size=out_ref.shape)
+            d_h_ref, grads_ref = oracles.sage_layer_backward(d_out, params, cache_ref)
+            d_h_new, grads_new = sage._layer_backward(d_out, params, cache_new)
+            assert same_bits(d_h_new, d_h_ref)
+            assert sorted(grads_new) == sorted(grads_ref)
+            for key in grads_ref:
+                assert same_bits(grads_new[key], grads_ref[key]), key
+            samples = fan_out is not None and any(nb.size > fan_out for nb in adj)
+            paths.add((train_mode and samples, params.dropout_p, any(nb.size == 0 for nb in adj)))
+        # every case the layer tells apart came up: sampling or not (train
+        # mode), dropout 0 and 0.3, with and without isolated nodes
+        sampled = {True, False} if train_mode and fan_out is not None else {False}
+        assert {s for s, _, _ in paths} == sampled
+        assert {p for _, p, _ in paths} == {0.0, 0.3}
+        assert {i for _, _, i in paths} == {True, False}
+
+
+    def test_one_column_input_matches_to_rounding(self):
+        # numpy's mean over a (k, 1) block sums pairwise, so the oracle and
+        # the in-order bincount may differ in the last bits; draws still match
+        cases = make_rng(77)
+        for _ in range(40):
+            n = int(cases.integers(2, 20))
+            edges = tuple((a, b) for a in range(n) for b in range(a + 1, n) if cases.random() < 0.7)
+            h = cases.normal(size=(n, 1))
+            params = sage.SageLayerParams(cases.normal(size=(2, 1)), cases.normal(size=(2, 1)), np.zeros(4), 0.3)
+            adj = sage.neighbor_lists(FakeGraph(np.zeros((n, 1)), edges, 0))
+            rng_ref, rng_new = make_rng(5), make_rng(5)
+            out_ref, _ = oracles.sage_layer_forward(h, adj, params, rng_ref, True, None)
+            out_new, _ = sage._layer_forward(h, adj, params, rng_new, True, None)
+            np.testing.assert_allclose(out_new, out_ref, rtol=1e-13, atol=1e-13)
+            assert rng_new.bit_generator.state == rng_ref.bit_generator.state
 
 
 class TestSageForward:
@@ -227,6 +305,13 @@ class TestSageBackward:
         assert loss1 == loss2
         for key in grads1:
             np.testing.assert_array_equal(grads1[key], grads2[key])
+
+
+    def test_dropout_requires_rng(self):
+        g = small_graph()
+        params = tiny_params(28, 4, dropout=0.1, seed=0)
+        with pytest.raises(TrainingError, match="requires an RNG"):
+            sage.sage_backward(g, params, 1, rng=None, train_mode=True, fan_outs=(2, 32))
 
 
 class TestSageTrain:
