@@ -108,21 +108,13 @@ def cmd_build_graphs(args) -> int:
             f"the test split is empty: {len(balanced)} undersampled rows at test_frac "
             f"{cfg.split.test_frac} give no test row"
         )
-    parts = {
-        "train": dataset.TransactionSet([balanced.rows[i] for i in idx_train], cfg.seed),
-        "val": dataset.TransactionSet([balanced.rows[i] for i in idx_val], cfg.seed),
-        "test": dataset.TransactionSet([balanced.rows[i] for i in idx_test], cfg.seed),
-    }
-    scaler = dataset.TimeAmountScaler.fit(parts["train"])
     stage_seconds["undersample_split"] = time.perf_counter() - started
 
     started = time.perf_counter()
+    rows = balanced.rows
     graphs = {
-        name: [
-            tda.transaction_graph(t, cfg.cover, cfg.dbscan, cfg.projection)
-            for t in scaler.apply(part).rows
-        ]
-        for name, part in parts.items()
+        name: [tda.transaction_graph(rows[i], cfg.cover, cfg.dbscan, cfg.projection) for i in idx]
+        for name, idx in (("train", idx_train), ("val", idx_val), ("test", idx_test))
     }
     stage_seconds["graphs"] = time.perf_counter() - started
 
@@ -156,7 +148,6 @@ def cmd_build_graphs(args) -> int:
                 "corpus_config_hash": cfg.corpus_config_hash(),
                 "corpus_hash": corpus_hash,
                 "counts": counts,
-                "scaler": scaler.to_dict(),
                 "stage_seconds": stage_seconds,
                 "wall_clock_s": time.perf_counter() - t0,
                 "artifacts": sorted(p.name for p in tmp.iterdir()),

@@ -193,6 +193,8 @@ def build_config(data: dict) -> RunConfig:
     if norm == 0.0:
         raise ConfigError("tda.projection must be non-zero")
     proj = proj / norm
+    if proj[1] == 0.0:  # time and amount alone put every point in one place
+        raise ConfigError(f"tda.projection must give V a non-zero weight, got {raw_proj!r}")
 
     try:
         split = SplitSpec(

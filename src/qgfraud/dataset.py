@@ -11,6 +11,9 @@ reads. When the array parse fails, or gives the wrong column count or a
 non-finite value, the row-by-row parser reads the file again: its
 ``DatasetError`` names the row and column, and it accepts the cells
 ``float()`` takes and ``loadtxt`` refuses, such as ``1_5``.
+
+Time and amount are parsed and validated like every column, but no graph
+reads them: they shift all of a transaction's projections alike (see ``tda``).
 """
 
 from __future__ import annotations
@@ -51,23 +54,22 @@ class Transaction:
 
 
 class TransactionSet:
-    """Ordered transactions plus the seed of whatever sampling produced them.
+    """Ordered transactions.
 
     The rows are held as an (n, 30) float array of time, V1..V28 and amount
     and an int label vector; ``rows`` builds the ``Transaction`` list on
     first use and keeps it.
     """
 
-    def __init__(self, rows: Iterable[Transaction] = (), seed: int | None = None):
+    def __init__(self, rows: Iterable[Transaction] = ()):
         self._rows = list(rows)
         values = [(t.time, *t.v, t.amount) for t in self._rows]
         self.values = np.array(values, dtype=float).reshape(-1, N_VALUES)
         self._labels = np.array([t.label for t in self._rows], dtype=int)
-        self.seed = seed
 
     @classmethod
-    def _from_arrays(cls, values: np.ndarray, labels: np.ndarray, seed: int | None = None):
-        ts = cls(seed=seed)
+    def _from_arrays(cls, values: np.ndarray, labels: np.ndarray):
+        ts = cls()
         ts.values, ts._labels, ts._rows = values, labels, None
         return ts
 
@@ -205,7 +207,7 @@ def undersample(ts: TransactionSet, seed: int) -> TransactionSet:
         clean = rng.choice(clean, size=fraud.size, replace=False)
     kept = np.sort(np.concatenate([fraud, clean]))
     chosen = kept[rng.permutation(kept.size)]
-    return TransactionSet._from_arrays(ts.values[chosen], labels[chosen], seed=seed)
+    return TransactionSet._from_arrays(ts.values[chosen], labels[chosen])
 
 
 def _largest_remainder(class_sizes: list[int], total: int, n: int) -> list[int]:
@@ -270,9 +272,9 @@ def split_indices(labels, spec: SplitSpec, seed: int):
 class TimeAmountScaler:
     """Min-max ranges for time and amount, fit on training rows only.
 
-    V1..V28 are already PCA-standardized and pass through unscaled; time and
-    amount are mapped onto [0, 1] so no single axis dominates the projection
-    used for graph construction. A constant column maps to 0.
+    ``transform`` maps time and amount onto [0, 1] and passes V1..V28 through;
+    a constant column maps to 0. No graph depends on it (see ``tda``): it
+    stays only because ``qgbench/worker.py`` still fits and applies it.
     """
 
     time_min: float
@@ -298,17 +300,6 @@ class TimeAmountScaler:
             time=self._scale(t.time, self.time_min, self.time_max),
             amount=self._scale(t.amount, self.amount_min, self.amount_max),
         )
-
-    def apply(self, ts: TransactionSet) -> TransactionSet:
-        return TransactionSet([self.transform(t) for t in ts.rows], seed=ts.seed)
-
-    def to_dict(self) -> dict:
-        return {
-            "time_min": self.time_min,
-            "time_max": self.time_max,
-            "amount_min": self.amount_min,
-            "amount_max": self.amount_max,
-        }
 
 
 def write_split_manifest(path, seed: int, spec: SplitSpec, idx_train, idx_val, idx_test) -> None:

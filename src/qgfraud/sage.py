@@ -187,14 +187,16 @@ def _layer_forward(h, adj, params: SageLayerParams, rng, train_mode: bool, fan_o
     return out, cache
 
 
-def _layer_backward(d_out, params: SageLayerParams, cache):
-    _, dropped, agg, pre, self_masks, nbrs, owner, count, neigh_masks = cache
-    width = params.width
+def _layer_grads(d_out, params: SageLayerParams, cache):
+    _, dropped, agg, pre, *_ = cache
     d_pre = d_out * (pre > 0)
-    d_b = d_pre.sum(axis=0)
-    d_self, d_neigh = d_pre[:, :width], d_pre[:, width:]
-    d_w_self = d_self.T @ dropped
-    d_w_neigh = d_neigh.T @ agg
+    d_self, d_neigh = d_pre[:, : params.width], d_pre[:, params.width :]
+    return d_pre, {"w_self": d_self.T @ dropped, "w_neigh": d_neigh.T @ agg, "b": d_pre.sum(axis=0)}
+
+
+def _input_cotangent(d_pre, params: SageLayerParams, cache):
+    *_, self_masks, nbrs, owner, count, neigh_masks = cache
+    d_self, d_neigh = d_pre[:, : params.width], d_pre[:, params.width :]
     d_h = d_self @ params.w_self
     if self_masks is not None:
         d_h *= self_masks
@@ -203,7 +205,7 @@ def _layer_backward(d_out, params: SageLayerParams, cache):
         contrib *= neigh_masks
     # in node order, onto the self term; flat indices take numpy's fast path
     np.add.at(d_h.reshape(-1), _cells(nbrs, d_h.shape[1]), contrib.reshape(-1))
-    return d_h, {"w_self": d_w_self, "w_neigh": d_w_neigh, "b": d_b}
+    return d_h
 
 
 def _forward_graph(g, params: SageModelParams, rng, train_mode: bool, fan_outs):
@@ -253,8 +255,9 @@ def sage_backward(
     d_head_b = d_logit
     d_pooled = d_logit * params.head_w
     d_h2 = np.tile(d_pooled / h2.shape[0], (h2.shape[0], 1))
-    d_h1, g2 = _layer_backward(d_h2, params.layer2, cache2)
-    _, g1 = _layer_backward(d_h1, params.layer1, cache1)
+    d_pre2, g2 = _layer_grads(d_h2, params.layer2, cache2)
+    # layer 1's input is the node features: no gradient reads its cotangent
+    _, g1 = _layer_grads(_input_cotangent(d_pre2, params.layer2, cache2), params.layer1, cache1)
     grads = {
         "l1_w_self": g1["w_self"],
         "l1_w_neigh": g1["w_neigh"],

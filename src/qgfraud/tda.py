@@ -1,13 +1,15 @@
 """Per-transaction graph construction.
 
-One transaction becomes a small undirected graph in four moves: lift the 28
-features into 3-D points (scaled time, feature value, scaled amount), project
-the points onto a fixed line, cluster the projections inside overlapping
-intervals with DBSCAN, and connect clusters that share points. Node k carries
-a 28-dim vector that is zero everywhere except at the coordinates of its
-cluster's points, which keep their feature values, so the node vectors of a
-graph jointly cover all 28 features. Overlapping intervals can put a point in
-several clusters, so a graph can have more than 28 nodes.
+One transaction becomes a small undirected graph in three moves: project its
+28 features onto a line, cluster the projections inside overlapping intervals
+with DBSCAN, and connect clusters that share points. Feature j projects to
+``v_j * w_V``, w_V being the V weight of the paper's unit (time, V, amount)
+direction: time and amount shift all 28 points by one constant, which neither
+the min-max-anchored cover nor DBSCAN sees. Node k carries a 28-dim vector
+that is zero everywhere except at the coordinates of its cluster's points,
+which keep their feature values, so the node vectors of a graph jointly cover
+all 28 features. Overlapping intervals can put a point in several clusters, so
+a graph can have more than 28 nodes.
 
 The projections are sorted once per transaction. Each interval's points are
 then a slice of the sorted values, and DBSCAN on a line is a scan of that
@@ -60,19 +62,6 @@ class DbscanSpec:
 
 
 @dataclass(frozen=True, eq=False)
-class PointCloud:
-    """28 points (time, V_j, amount); time and amount are shared across points."""
-
-    points: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.points.shape != (N_FEATURES, 3):
-            raise TdaError(f"point cloud must be ({N_FEATURES}, 3), got {self.points.shape}")
-        if np.ptp(self.points[:, 0]) != 0.0 or np.ptp(self.points[:, 2]) != 0.0:
-            raise TdaError("time and amount must be identical across points of one cloud")
-
-
-@dataclass(frozen=True, eq=False)
 class TransactionGraph:
     """Cluster graph of one transaction: node features, undirected edges, label."""
 
@@ -102,22 +91,6 @@ class TransactionGraph:
     @property
     def n_nodes(self) -> int:
         return self.nodes.shape[0]
-
-
-def build_point_cloud(t: Transaction) -> PointCloud:
-    pts = np.empty((N_FEATURES, 3))
-    pts[:, 0] = t.time
-    pts[:, 1] = t.v
-    pts[:, 2] = t.amount
-    return PointCloud(pts)
-
-
-def project_1d(cloud: PointCloud, direction=None) -> np.ndarray:
-    """Dot each point with a fixed unit direction; default is (1,1,1)/sqrt(3)."""
-    w = np.asarray(DEFAULT_PROJECTION if direction is None else direction, dtype=float)
-    if w.shape != (3,):
-        raise TdaError(f"projection direction must have 3 components, got {w.shape}")
-    return cloud.points @ w
 
 
 def _sorted_values(values, what: str) -> tuple[list[float], list[int]]:
@@ -269,8 +242,11 @@ def transaction_graph(
     db: DbscanSpec = DbscanSpec(),
     direction=None,
 ) -> TransactionGraph:
-    """Full pipeline: point cloud -> projection -> covered clustering -> graph."""
-    f = project_1d(build_point_cloud(t), direction)
+    """Full pipeline: projection along ``direction``'s V weight -> covered clustering -> graph."""
+    w = np.asarray(DEFAULT_PROJECTION if direction is None else direction, dtype=float)
+    if w.shape != (3,):
+        raise TdaError(f"projection direction must have 3 components, got {w.shape}")
+    f = np.asarray(t.v, dtype=float) * w[1]
     return build_graph(cover_and_cluster(f, cover, db), t)
 
 

@@ -221,12 +221,16 @@ def intersection_edges(clusters) -> set:
 def oracle_transaction_graph(t, cover, db, direction=None):
     """(nodes, edges) of one transaction's graph, by membership tests per interval.
 
-    Points whose projection lies in a cover interval (inclusive) are
-    clustered by ``brute_dbscan``; unclustered points become singletons;
-    nodes are the clusters in sorted member order, each keeping its members'
-    feature values; edges are the sorted ``intersection_edges`` pairs.
+    Feature j projects to ``v_j * w_V``, w_V being the middle (V) weight of
+    ``direction`` (default (1, 1, 1)/sqrt(3)): time and amount would shift
+    every projection alike. Points whose projection lies in a cover interval
+    (inclusive) are clustered by ``brute_dbscan``; unclustered points become
+    singletons; nodes are the clusters in sorted member order, each keeping
+    its members' feature values; edges are the sorted ``intersection_edges``
+    pairs.
     """
-    f = [float(x) for x in tda.project_1d(tda.build_point_cloud(t), direction)]
+    w_v = 1.0 / math.sqrt(3.0) if direction is None else float(direction[1])
+    f = [x * w_v for x in t.v]
     clusters = []
     for a, b in tda.cover_intervals(min(f), max(f), cover):
         inside = [j for j in range(len(f)) if a <= f[j] <= b]

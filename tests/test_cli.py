@@ -1,4 +1,5 @@
 import gzip
+import hashlib
 import json
 
 import numpy as np
@@ -112,6 +113,25 @@ class TestBuildGraphs:
                                                       "overlap": 0.5, "eps": -1.0, "min_pts": 2})
         assert run(["build-graphs", "--config", str(cfg)]) == 1
         assert not out.exists()
+
+    def test_zero_v_weight_is_validation_error(self, tiny_csv, tmp_path, capsys):
+        out = tmp_path / "run"
+        cfg = write_cfg(tmp_path, tiny_csv, out, tda={"projection": [1, 0, 1]})
+        assert run(["build-graphs", "--config", str(cfg)]) == 1
+        assert not (out / "graphs").exists()
+        assert "tda.projection" in capsys.readouterr().err
+
+    def test_desk_corpus_is_pinned(self, tmp_path):
+        # the default config on the 20 492-row desk CSV; any change to graph
+        # construction that moves a byte of the corpus shows here
+        csv = tmp_path / "desk.csv"
+        write_synthetic_csv(csv, n_clean=20000, n_fraud=492, seed=11)
+        out = tmp_path / "run"
+        assert run(["build-graphs", "--dataset", str(csv), "--output-dir", str(out)]) == 0
+        files = sorted((out / "graphs").glob("graphs_*.jsonl"))
+        assert [p.name for p in files] == ["graphs_test.jsonl", "graphs_train.jsonl", "graphs_val.jsonl"]
+        digest = hashlib.sha256(b"".join(p.read_bytes() for p in files)).hexdigest()
+        assert digest == "05bb1d9e9bdf64deaaa40333555c46b9e42ec14b9552bd5daf3e6de19b24956f"
 
     def test_unknown_key_rejected(self, tiny_csv, tmp_path):
         cfg_path = tmp_path / "bad.json"

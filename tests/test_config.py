@@ -79,6 +79,11 @@ class TestValidation:
         with pytest.raises(ConfigError, match="non-zero"):
             build_config(self.base(**{"tda.projection": [0, 0, 0]}))
 
+    def test_zero_v_weight_rejected(self):
+        # time and amount alone would put all 28 points in one place
+        with pytest.raises(ConfigError, match="tda.projection"):
+            build_config(self.base(**{"tda.projection": [1, 0, 1]}))
+
     def test_negative_eps_rejected(self):
         with pytest.raises(ConfigError):
             build_config(self.base(**{"tda.eps": -0.5}))

@@ -331,23 +331,24 @@ class TestScaler:
     def test_maps_train_range_to_unit_interval(self):
         ts = balanced_set(30, seed=2)
         scaler = TimeAmountScaler.fit(ts)
-        out = scaler.apply(ts)
-        times = [t.time for t in out.rows]
-        amounts = [t.amount for t in out.rows]
+        out = [scaler.transform(t) for t in ts.rows]
+        times = [t.time for t in out]
+        amounts = [t.amount for t in out]
         assert min(times) == 0.0 and max(times) == 1.0
         assert min(amounts) == 0.0 and max(amounts) == 1.0
 
     def test_features_untouched(self):
         ts = balanced_set(5, seed=2)
-        out = TimeAmountScaler.fit(ts).apply(ts)
-        for before, after in zip(ts.rows, out.rows):
+        scaler = TimeAmountScaler.fit(ts)
+        for before in ts.rows:
+            after = scaler.transform(before)
             assert before.v == after.v
             assert before.label == after.label
 
     def test_constant_column_maps_to_zero(self):
         rows = [make_row(0, time=5.0), make_row(1, time=5.0)]
-        out = TimeAmountScaler.fit(TransactionSet(rows)).apply(TransactionSet(rows))
-        assert all(t.time == 0.0 for t in out.rows)
+        scaler = TimeAmountScaler.fit(TransactionSet(rows))
+        assert all(scaler.transform(t).time == 0.0 for t in rows)
 
     def test_empty_set_rejected(self):
         with pytest.raises(DatasetError):

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,11 +13,9 @@ from qgfraud.tda import (
     TdaError,
     TransactionGraph,
     build_graph,
-    build_point_cloud,
     cover_and_cluster,
     cover_intervals,
     dbscan,
-    project_1d,
     read_graph_corpus,
     transaction_graph,
     write_graph_corpus,
@@ -33,47 +32,38 @@ def make_transaction(v=None, time=0.5, amount=0.2, label=0, seed=None):
     return Transaction(time=time, v=tuple(v), amount=amount, label=label)
 
 
-class TestPointCloud:
-    def test_constant_features(self):
-        cloud = build_point_cloud(make_transaction(time=0.5, amount=0.2))
-        assert cloud.points.shape == (28, 3)
-        assert np.array_equal(cloud.points, np.tile([0.5, 0.0, 0.2], (28, 1)))
-
-    def test_feature_placement(self):
-        v = [0.0] * 28
-        v[0] = 3.0
-        cloud = build_point_cloud(make_transaction(v=v, time=0.1, amount=0.9))
-        assert tuple(cloud.points[0]) == (0.1, 3.0, 0.9)
-
-    def test_cardinality(self):
-        cloud = build_point_cloud(make_transaction(seed=1))
-        assert cloud.points.shape[0] == 28
-
-
 class TestProjection:
     def test_zero_point(self):
-        cloud = build_point_cloud(make_transaction(time=0.0, amount=0.0))
-        assert project_1d(cloud)[0] == 0.0
+        g = transaction_graph(make_transaction(time=0.7, amount=123.0))
+        assert g.n_nodes == 1 and g.edges == () and not g.nodes.any()
 
     def test_unit_point(self):
+        # feature 4 projects to w_V = 1/sqrt(3), the other 27 to 0
         v = [0.0] * 28
         v[4] = 1.0
-        cloud = build_point_cloud(make_transaction(v=v, time=1.0, amount=1.0))
-        assert project_1d(cloud)[4] == pytest.approx(np.sqrt(3.0), abs=1e-15)
+        t = make_transaction(v=v, time=1.0, amount=1.0)
+        gap = 1.0 / np.sqrt(3.0)
+        joined = transaction_graph(t, CoverSpec(1, 0.0), DbscanSpec(eps=gap, min_pts=2))
+        split = transaction_graph(t, CoverSpec(1, 0.0), DbscanSpec(eps=np.nextafter(gap, 0.0), min_pts=2))
+        assert joined.n_nodes == 1 and split.n_nodes == 2
 
     def test_locality(self):
         v = [0.1] * 28
-        a = project_1d(build_point_cloud(make_transaction(v=v)))
-        v2 = list(v)
-        v2[4] = 7.0
-        b = project_1d(build_point_cloud(make_transaction(v=v2)))
-        diff = np.flatnonzero(a != b)
-        assert list(diff) == [4]
+        assert transaction_graph(make_transaction(v=v)).n_nodes == 1
+        v[4] = 7.0
+        g = transaction_graph(make_transaction(v=v))
+        members = sorted(tuple(np.flatnonzero(node).tolist()) for node in g.nodes)
+        assert members == [tuple(j for j in range(28) if j != 4), (4,)]
 
     def test_custom_direction(self):
-        cloud = build_point_cloud(make_transaction(time=2.0, amount=5.0))
-        f = project_1d(cloud, direction=(1.0, 0.0, 0.0))
-        assert np.allclose(f, 2.0)
+        # only the V weight of the direction moves points apart
+        t = make_transaction(seed=6, time=2.0, amount=5.0)
+        want = transaction_graph(t, direction=(0.0, 0.6, 0.0))
+        for direction in [(0.8, 0.6, 0.0), (0.0, 0.6, 0.8), (-0.48, 0.6, 0.64)]:
+            g = transaction_graph(t, direction=direction)
+            assert g.nodes.tobytes() == want.nodes.tobytes() and g.edges == want.edges
+        with pytest.raises(TdaError, match="3 components"):
+            transaction_graph(t, direction=(0.6, 0.8))
 
 
 class TestDbscan:
@@ -248,18 +238,15 @@ class TestGraphInvariants:
                 amount=float(rng.uniform(0, 1)),
                 label=int(rng.integers(0, 2)),
             )
-            f = project_1d(build_point_cloud(t))
-            clusters = cover_and_cluster(f, CoverSpec(), DbscanSpec())
-            assert set().union(*clusters) == set(range(28))
-            g = build_graph(clusters, t)
+            g = transaction_graph(t)
             assert 1 <= g.n_nodes <= 28
             a = adjacency(g)
             assert np.array_equal(a, a.T) and np.all(np.diag(a) == 0)
-            # deduplicated nonzero coordinates of all nodes cover the features
-            covered = set()
-            for members in clusters:
-                covered.update(members)
-            assert covered == set(range(28))
+            # the nonzero coordinates of all nodes cover the features, each
+            # keeping its own value
+            member = g.nodes != 0.0
+            assert member.any(axis=0).all()
+            assert np.array_equal(g.nodes[member], np.broadcast_to(v, g.nodes.shape)[member])
 
     def test_deterministic_construction(self):
         t = make_transaction(seed=9, label=1)
@@ -280,20 +267,25 @@ PIPELINE_SETTINGS = [
 ]
 
 
+def pipeline_inputs():
+    """300 seeded transactions, every odd one with its V features rounded."""
+    rng = make_rng(31)
+    for i in range(300):
+        v = rng.normal(size=28) * float(rng.uniform(0.3, 3.0))
+        if i % 2:
+            v = np.round(v, 1)  # duplicate values and tied gaps
+        yield i, Transaction(
+            time=float(rng.uniform(0, 1)),
+            v=tuple(float(x) for x in v),
+            amount=float(rng.uniform(0, 1)),
+            label=int(rng.integers(0, 2)),
+        )
+
+
 class TestPipelineOracle:
     def test_matches_oracle_graph(self):
-        rng = make_rng(31)
         over_28 = 0
-        for i in range(300):
-            v = rng.normal(size=28) * float(rng.uniform(0.3, 3.0))
-            if i % 2:
-                v = np.round(v, 1)  # duplicate values and tied gaps
-            t = Transaction(
-                time=float(rng.uniform(0, 1)),
-                v=tuple(float(x) for x in v),
-                amount=float(rng.uniform(0, 1)),
-                label=int(rng.integers(0, 2)),
-            )
+        for i, t in pipeline_inputs():
             for cover, db in PIPELINE_SETTINGS:
                 g = transaction_graph(t, cover, db)
                 nodes, edges = oracle_transaction_graph(t, cover, db)
@@ -301,6 +293,15 @@ class TestPipelineOracle:
                 assert list(g.edges) == edges, (i, cover, db)
                 over_28 += g.n_nodes > 28
         assert over_28 > 0  # overlapping covers do give graphs above 28 nodes
+
+    def test_ignores_time_and_amount(self):
+        # time and amount shift every projection alike, so zeroing them
+        # changes no graph, tied gaps included
+        for i, t in pipeline_inputs():
+            still = replace(t, time=0.0, amount=0.0)
+            for cover, db in PIPELINE_SETTINGS:
+                g, want = transaction_graph(t, cover, db), transaction_graph(still, cover, db)
+                assert g.nodes.tobytes() == want.nodes.tobytes() and g.edges == want.edges, (i, cover, db)
 
 
 class TestGraphValidation:
