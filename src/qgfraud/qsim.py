@@ -21,18 +21,18 @@ from the spec alone by a cost model (no option selects it):
 
 * As a matrix product state (Vidal, arXiv:quant-ph/0301063) when the
   entanglement is short-range, as for chain and ring entanglers at 16 qubits.
-  After the first layer each wire is a bond-1 site. A CNOT is applied
-  exactly, with no SVD, as a bond-2 MPO: the projector P_b on the control,
-  X^b on the target and the identity carrying b on the wires between, so it
-  doubles the bond of each cut it spans. Rotations are 2x2 matrices on one
-  site. The last entangler is never applied: as in the closed form, <Z_k>
-  after it is the Z-string over row k of the parity mask before it, read
-  from left environments stacked over rows and readouts. A q16/l2 chain has
-  bond 2 and a ring bond 4, and a row costs O(q^2 chi^4) instead of 2^q
-  amplitudes. Every gate acts on single sites, so a wire's site tensor
-  depends only on that wire's input and angles; its gradient is its left
-  environment times the readout weights times its right environment,
-  pulled back through that wire's own gates.
+  A CNOT is applied exactly, with no SVD, as a bond-2 MPO that doubles the
+  bond of each cut it spans, and every gate acts on single sites, so wire
+  j's site is linear in its two first-layer amplitudes. Sites are stacked at
+  the largest bond B (2 for a q16/l2 chain, 4 for a ring) as (B, 2, B)
+  tensors padded with exact zeros; each call folds the layers' rotations
+  into the cached entangler maps, one (2 B^2, 2) map per wire. The last
+  entangler is never applied: as in the closed form, <Z_k> after it is the
+  Z-string over row k of the parity mask before it, read by carrying
+  environments (Schollwoeck, arXiv:1008.3477) stacked over rows and readouts
+  through each site's I and Z transfer matrices, one matmul per site. The
+  gradient runs the same scan from the right and contracts every site's
+  cotangent at once.
 * Otherwise on the statevector, simulated a layer at a time over (rows, 2^q)
   arrays. The first layer acts on the encoded product state, so its
   rotations are applied to each wire's two amplitudes before the product is
@@ -47,8 +47,9 @@ from the spec alone by a cost model (no option selects it):
 Rows go through in chunks of ``CHUNK_AMPLITUDES`` amplitudes (at least one
 row), so a state stays cache-sized and a call's memory is a fixed multiple of
 that budget, or of one row beyond 16 qubits, whatever the batch size. The MPS
-path chunks by the amplitudes a row of its tensors and environments holds,
-and is taken only when one row fits in the budget. Every per-row result is
+path chunks by what a row of its sites, transfer matrices and environments
+holds (``_mps_forward_amplitudes``, ``_mps_row_amplitudes``), and is taken
+only when a gradient row fits in the budget. Every per-row result is
 computed the same way whatever the chunk holds, so readouts and input
 gradients do not depend on the chunking.
 
@@ -65,6 +66,7 @@ the MPS path.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -393,7 +395,7 @@ def _one_layer_grad(xs: np.ndarray, spec: CircuitSpec, w: np.ndarray, upstream: 
 # matrix product states for deep circuits
 
 CLOSED_FORM, MPS, STATEVECTOR = "closed form", "mps", "statevector"
-SITE_COST = 1 << 12  # amplitude updates per row that one MPS site's numpy calls cost
+SITE_COST = 1 << 11  # amplitude updates per row that one MPS site's numpy calls cost
 
 
 @functools.lru_cache(maxsize=64)
@@ -408,37 +410,38 @@ def _mps_bonds(spec: CircuitSpec) -> tuple[int, ...]:
     return tuple(bonds)
 
 
+def _mps_forward_amplitudes(spec: CircuitSpec) -> int:
+    """Amplitudes a row holds in an MPS forward: sites (q D, D = 2 B^2 at the largest
+    bond B), transfer matrices (q D^2 / 2), environments of every cut ((q + 1) q D / 2)."""
+    q, size = spec.q, 2 * max(_mps_bonds(spec)) ** 2
+    return q * size * (2 + size + q + 1) // 2
+
+
 @functools.lru_cache(maxsize=64)
 def _mps_row_amplitudes(spec: CircuitSpec) -> int:
-    """Amplitudes one row holds on the MPS path: the site tensors after every
-    layer, the left environments of every cut, and the largest site's
-    transfer matrix and readout temporaries."""
-    bonds = _mps_bonds(spec)
-    pairs = list(zip(bonds, bonds[1:]))
-    sites = sum(2 * left * right for left, right in pairs)
-    temps = max(2 * (left * right) ** 2 + 2 * spec.q * (left * left + right * right) for left, right in pairs)
-    return spec.layers * sites + spec.q * sum(b * b for b in bonds) + temps
+    """Amplitudes a gradient row holds, the most on the MPS path: the forward's, the
+    right environments, the cotangents (q D) and their contraction's 5 q^2 D / 2."""
+    q, size = spec.q, 2 * max(_mps_bonds(spec)) ** 2
+    return _mps_forward_amplitudes(spec) + q * size * (q + 1 + 2 + 5 * q) // 2
 
 
 def circuit_path(spec: CircuitSpec) -> str:
     """How ``run_vqc_batch`` and ``param_shift_grad_batch`` evaluate the circuit.
 
     One layer has a closed form. Deeper circuits run as a matrix product state
-    when a row of it fits in ``CHUNK_AMPLITUDES`` and its work is the smaller,
-    counted per row in amplitude updates: the statevector does about 2q per
-    amplitude and layer (rotation matmuls, gather, readout), so
-    2 q layers 2^q in all; the MPS carries q readouts through each site of
-    bonds (l, r) by its (l^2, 2 r^2) transfer matrix, q l^2 r^2, plus
-    ``SITE_COST`` for the site's numpy calls. The constants come from timings
-    on a 2-core x86 host, where the two paths break even at q = 10 to 12 for
-    chain and ring entanglers at two and three layers.
+    when a gradient row fits in ``CHUNK_AMPLITUDES`` and its work is the
+    smaller, per row in amplitude updates: 2 q layers 2^q on the statevector
+    (about 2q per amplitude and layer); on the MPS, at any depth, q sites of
+    ``SITE_COST`` for their numpy calls plus about 4 q B^4 for carrying q
+    readouts through a (B^2, 2 B^2) transfer matrix. The constants come from
+    timings on a 2-core x86 host: the paths break even at q = 9 to 10 for a
+    chain at two layers, and q = 11 to 12 for a chain at three or a ring at two.
     """
     if spec.layers == 1:
         return CLOSED_FORM
     if spec.layers == 0 or _mps_row_amplitudes(spec) > CHUNK_AMPLITUDES:
         return STATEVECTOR
-    bonds = _mps_bonds(spec)
-    work = sum(SITE_COST + spec.q * (left * right) ** 2 for left, right in zip(bonds, bonds[1:]))
+    work = spec.q * (SITE_COST + 4 * spec.q * max(_mps_bonds(spec)) ** 4)
     return MPS if work < 2 * spec.q * spec.layers << spec.q else STATEVECTOR
 
 
@@ -461,159 +464,158 @@ def _cnot_site(a: np.ndarray, j: int, c: int, t: int) -> np.ndarray:
     return out.reshape(n, l * (1 + left), 2, r * (1 + right))
 
 
-def _cnot_site_adjoint(g: np.ndarray, j: int, c: int, t: int) -> np.ndarray:
-    """The adjoint of ``_cnot_site``: pulls a cotangent back to the site before the CNOT."""
-    left, right = int(j > min(c, t)), int(j < max(c, t))
-    n, l2, _, r2 = g.shape
-    g = g.reshape(n, l2 // (1 + left), 1 + left, 2, r2 // (1 + right), 1 + right)
-    out = np.zeros((n, l2 // (1 + left), 2, r2 // (1 + right)), dtype=complex)
-    for b in (0, 1):
-        part = g[:, :, b * left, :, :, b * right]
-        if j == c:
-            out[:, :, b] += part[:, :, b]
-        else:
-            out += part[:, :, ::-1] if j == t and b else part
-    return out
-
-
-def _mps_layers(spec: CircuitSpec, wires: np.ndarray, first: np.ndarray) -> list:
-    """Site tensors, one (n, l, 2, r) array per wire, just after each layer's rotations.
-
-    Every gate acts on single sites: a rotation on its wire's physical index,
-    a CNOT through ``_cnot_site`` on each wire it spans. So a wire's tensors
-    depend on that wire's input and angles alone. The last entangler is left
-    to the readout.
-    """
-    layers = [[first[:, j, None, :, None] for j in range(spec.q)]]
-    for u in wires[1:]:
-        sites = list(layers[-1])
+@functools.lru_cache(maxsize=64)
+def _entangler_maps(spec: CircuitSpec) -> np.ndarray:
+    """(q, D, D): the entangler as a map on each wire's (B, 2, B) site, D = 2 B^2
+    at the largest bond B, pushed through ``_cnot_site`` as a basis. No cut
+    passes B before the last entangler, so indices past B (zero) are cut."""
+    bond = max(_mps_bonds(spec))
+    size = 2 * bond * bond
+    maps = np.empty((spec.q, size, size), dtype=complex)
+    for j in range(spec.q):
+        site = np.eye(size, dtype=complex).reshape(size, bond, 2, bond)
         for c, t in spec.entangler:
-            for j in range(min(c, t), max(c, t) + 1):
-                sites[j] = _cnot_site(sites[j], j, c, t)
-        layers.append([u[j] @ a for j, a in enumerate(sites)])
-    return layers
+            if min(c, t) <= j <= max(c, t):
+                site = _cnot_site(site, j, c, t)[:, :bond, :, :bond]
+        maps[j] = site.reshape(size, size).T
+    maps.setflags(write=False)
+    return maps
 
 
 @functools.lru_cache(maxsize=64)
-def _z_signs(spec: CircuitSpec) -> np.ndarray:
-    """(q, q, 2): [k, j, s] is -1 where readout k's Z-string holds wire j and j's bit s is 1.
-
-    After the last entangler <Z_k> is that Z-string (see ``_parity_mask``) before it.
-    """
-    signs = np.where(_parity_mask(spec)[..., None] & (np.arange(2) == 1), -1.0, 1.0)
-    signs.setflags(write=False)
-    return signs
-
-
-def _transfer(a: np.ndarray) -> np.ndarray:
-    """(n, l*l, 2*r*r) transfer matrices of the (n, l, 2, r) site ``a``:
-    [n, (x, y), (s, x', y')] = conj(a[n, x, s, x']) a[n, y, s, y']."""
-    n, l, _, r = a.shape
-    return (a.conj()[:, :, None, :, :, None] * a[:, None, :, :, None, :]).reshape(n, l * l, 2 * r * r)
-
-
-def _env_step(env: np.ndarray, a: np.ndarray, signs: np.ndarray) -> np.ndarray:
-    """Carry (n, k, l, l) environments across the (n, l, 2, r) site ``a``,
-    each readout k with its (k, 2) Z signs there: (n, k, r, r).
-
-    One matmul per row through the site's transfer matrix; the bonds are a few
-    wide, where that beats a stacked matmul per row and readout. With the site
-    transposed to (n, r, 2, l), the same step carries right environments
-    leftwards.
-    """
-    n, k, l, _ = env.shape
-    r = a.shape[-1]
-    both = (env.reshape(n, k, l * l) @ _transfer(a)).reshape(n, k, 2, r, r)
-    return both[:, :, 0] * signs[:, 0, None, None] + both[:, :, 1] * signs[:, 1, None, None]
+def _mps_indices(spec: CircuitSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Flat gather indices at the largest bond B: (2, q, k, B^2) picks readout k's
+    environment past site j from its I and Z candidates, (k, 2, B^2) from the left
+    and (k, B^2, 2) from the right, with Z where ``_parity_mask`` [k, j]; (2, 2 B^4)
+    picks the s = 0 and s = 1 terms of transfer entries from a site's outer products."""
+    b = max(_mps_bonds(spec))
+    z = _parity_mask(spec).T[:, :, None]
+    k, xy = np.arange(spec.q)[:, None], np.arange(b * b)
+    select = np.stack([(2 * k + z) * b * b + xy, 2 * (k * b * b + xy) + z])
+    x, y, _, x2, y2 = np.indices((b, b, 2, b, b)).reshape(5, -1)
+    terms = np.stack([((s * b + x) * b + x2) * b * b + y * b + y2 for s in (0, 1)])
+    for a in (select, terms):
+        a.setflags(write=False)
+    return select, terms
 
 
-def _left_envs(sites: list, signs: np.ndarray) -> list:
-    """(n, q, l, l) per cut: the sites left of it contracted with their
-    conjugates through each readout's Z-string, one per readout k."""
-    env = np.ones((sites[0].shape[0], signs.shape[0], 1, 1), dtype=complex)
-    envs = [env]
-    for j, a in enumerate(sites):
-        env = _env_step(env, a, signs[:, j])
-        envs.append(env)
-    return envs
+def _rotate_sites(u: np.ndarray, maps: np.ndarray) -> np.ndarray:
+    """Apply each wire's (2, 2) rotation u[j] to the physical index of maps[j], (q, D, m)."""
+    q, size, m = maps.shape
+    bond = math.isqrt(size // 2)
+    sites = maps.reshape(q, bond, 1, 2, bond * m)
+    return (u[:, None, :, :, None] * sites).sum(axis=3).reshape(q, size, m)
 
 
-def _site_cotangent(left: np.ndarray, a: np.ndarray, right: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """df/d conj(a) for f = sum_k weights[k, s] <Z-string_k>, from the
-    (n, k, l, l) left and (n, k, r, r) right environments of the (n, l, 2, r)
-    site ``a``; ``weights`` is (n, k, 2), over the readouts and the site's bit."""
-    n, k, l, _ = left.shape
-    r = a.shape[-1]
-    # m[n, s, (x, x'), (y, y')] = sum_k weights[n, k, s] left[n, k, x, y] right[n, k, x', y']
-    weighted = (weights.transpose(0, 2, 1)[..., None] * left.reshape(n, 1, k, l * l)).swapaxes(-1, -2)
-    m = (weighted.reshape(n, 2 * l * l, k) @ right.reshape(n, k, r * r)).reshape(n, 2, l, l, r, r)
-    m = m.transpose(0, 1, 2, 4, 3, 5).reshape(n, 2, l * r, l * r)
-    g = m @ a.transpose(0, 2, 1, 3).reshape(n, 2, l * r, 1)
-    return g.reshape(n, 2, l, r).transpose(0, 2, 1, 3)
+class _Mps:
+    """One call's circuit on the MPS path: wire j's site after layer l is
+    ``maps[l][j] @ f_j``, f_j its two first-layer amplitudes."""
+
+    def __init__(self, spec: CircuitSpec, w: np.ndarray) -> None:
+        self.spec = spec
+        self.wires = _wire_rotations(spec, w)
+        self.entangler = _entangler_maps(spec)
+        self.bond = math.isqrt(self.entangler.shape[-1] // 2)
+        m = np.zeros((spec.q, 2 * self.bond**2, 2), dtype=complex)
+        m[:, [0, self.bond], [0, 1]] = 1.0  # f_j at (0, s, 0): bond 1 padded to B
+        self.maps = [m]
+        for u in self.wires[1:]:
+            self.maps.append(_rotate_sites(u, self.entangler @ self.maps[-1]))
+
+    def sites(self, first: np.ndarray) -> np.ndarray:
+        # (n, q, 2) first-layer amplitudes -> (n, q, D) last sites, written out elementwise
+        m = self.maps[-1]
+        return m[:, :, 0] * first[:, :, 0, None] + m[:, :, 1] * first[:, :, 1, None]
+
+    def transfers(self, sites: np.ndarray) -> np.ndarray:
+        """(n, q, B^2, 2, B^2) I and Z transfer matrices: [n, j, (x, y), p, (x', y')]
+        sums conj(a[x, s, x']) a[y, s, y'] over s, with sign (-1)^s for Z."""
+        n, q, size = sites.shape
+        a = sites.reshape(n, q, self.bond, 2, self.bond).transpose(0, 1, 3, 2, 4).reshape(n, q, 2, -1)
+        outer = (a.conj()[..., :, None] * a[..., None, :]).reshape(n * q, size * size // 2)
+        terms = _mps_indices(self.spec)[1]
+        out = outer[:, terms[1]].reshape(n, q, size // 2, 2, size // 2)
+        out[:, :, :, 1] *= -1.0
+        out += outer[:, terms[0]].reshape(out.shape)
+        return out
+
+    def environments(self, transfers: np.ndarray, select: np.ndarray) -> np.ndarray:
+        """(q + 1, n, k, B^2): each readout's environment at every cut, carried through
+        (n, q, B^2, 2 B^2) transfers by one matmul and one gather (``select``) a site."""
+        n, q, b2 = transfers.shape[:3]
+        envs = np.zeros((q + 1, n, q, b2), dtype=complex)
+        envs[0, :, :, 0] = 1.0
+        for j in range(q):
+            both = envs[j] @ transfers[:, j]
+            both.reshape(n, -1).take(select[j], axis=1, out=envs[j + 1], mode="clip")
+        return envs
+
+    def grad_maps(self) -> np.ndarray:
+        """(q, D, layers * 8) N: layer l's overlaps are [a, b] = sum_{d, c}
+        conj(G[d]) N[d, l, a, b, c] f[c], G the last site's cotangent, where N
+        sums K_l[d, (x, a, y)] maps[l][(x, b, y), c], K_l layer l -> last site."""
+        q, b, size = self.spec.q, self.bond, self.entangler.shape[-1]
+        k = np.broadcast_to(np.eye(size, dtype=complex), (q, size, size))
+        parts = []
+        for layer in reversed(range(len(self.maps))):
+            ks = k.reshape(q, size, b, 2, b).transpose(0, 1, 3, 2, 4).reshape(q, 2 * size, b * b)
+            ms = self.maps[layer].reshape(q, b, 2, b, 2).transpose(0, 1, 3, 2, 4).reshape(q, b * b, 4)
+            parts.append((ks @ ms).reshape(q, size, 8))
+            if layer:
+                k = k @ _rotate_sites(self.wires[layer], self.entangler)
+        return np.stack(parts[::-1], axis=2).reshape(q, size, -1)
 
 
-def _mps_chunks(n: int, spec: CircuitSpec):
-    """Row slices of at most CHUNK_AMPLITUDES amplitudes of MPS work each (one row at least)."""
-    step = max(1, CHUNK_AMPLITUDES // _mps_row_amplitudes(spec))
+def _mps_chunks(n: int, row_amplitudes: int):
+    step = max(1, CHUNK_AMPLITUDES // row_amplitudes)  # rows of at most CHUNK_AMPLITUDES, one at least
     return [slice(start, min(start + step, n)) for start in range(0, n, step)]
 
 
 def _mps_z(xs: np.ndarray, spec: CircuitSpec, w: np.ndarray) -> np.ndarray:
-    # (n, q) inputs -> (n, q) readouts: the left environment past the last site
-    wires = _wire_rotations(spec, w)
+    circuit = _Mps(spec, w)  # readouts: the environments past the last site
     out = np.empty(xs.shape)
-    for rows in _mps_chunks(len(xs), spec):
-        sites = _mps_layers(spec, wires, _first_wires(xs[rows], wires))[-1]
-        out[rows] = _left_envs(sites, _z_signs(spec))[-1][:, :, 0, 0].real
+    for rows in _mps_chunks(len(xs), _mps_forward_amplitudes(spec)):
+        sites = circuit.sites(_first_wires(xs[rows], circuit.wires))
+        transfers = circuit.transfers(sites).reshape(len(sites), spec.q, -1, 2 * circuit.bond**2)
+        out[rows] = circuit.environments(transfers, _mps_indices(spec)[0][0])[-1, :, :, 0].real
     return out
-
-
-def _site_overlaps(g: np.ndarray, a: np.ndarray) -> np.ndarray:
-    # (n, 2, 2): [n, s, s'] sums conj(g) a over both bonds with g's bit s and a's s'
-    n = len(a)
-    return g.conj().swapaxes(1, 2).reshape(n, 2, -1) @ a.swapaxes(1, 2).reshape(n, 2, -1).swapaxes(1, 2)
 
 
 def _mps_grad(xs, spec: CircuitSpec, w, upstream):
     """``param_shift_grad_batch`` on the MPS path.
 
     f = sum_k upstream_k <Z-string_k> is a quadratic form in each wire's last
-    site tensor A_j; its cotangent G_j = df/d conj(A_j) is the left environment
-    times A_j times the right environment, each readout weighted by
-    upstream_k and its sign on wire j. Since A_j depends only on wire j's
-    input and angles, G_j is pulled back through that wire's own rotations
-    and CNOT site maps, and each rotation and the encoding read their
-    gradients from the overlaps of G_j with the stored site tensors, as
-    ``_wire_overlaps`` gives them on the statevector.
+    site A_j; G_j = df/d conj(A_j) is the left environment times A_j times the
+    right one, each readout weighted by upstream_k and its sign on wire j. The
+    overlaps ``_layer_grads`` reads come from G_j and f_j (``_Mps.grad_maps``).
     """
     q, layers = spec.q, spec.layers
-    wires = _wire_rotations(spec, w)
-    signs = _z_signs(spec)
-    grad_w = np.zeros(spec.n_params)
-    grad_x = np.empty_like(xs)
-    for rows in _mps_chunks(len(xs), spec):
-        first = _first_wires(xs[rows], wires)
-        tensors = _mps_layers(spec, wires, first)
-        sites = tensors[-1]
-        n = len(first)
-        envs = _left_envs(sites, signs)
-        weights = upstream[rows][:, :, None, None] * signs  # (n, k, q, 2)
-        right = np.ones((n, q, 1, 1), dtype=complex)
-        overlaps = np.empty((layers, n, 2, 2, q), dtype=complex)
-        for j in reversed(range(q)):
-            a = sites[j]
-            g = _site_cotangent(envs[j], a, right, weights[:, :, j])
-            right = _env_step(right, a.transpose(0, 3, 2, 1), signs[:, j])
-            for layer in range(layers - 1, 0, -1):
-                overlaps[layer, ..., j] = _site_overlaps(g, tensors[layer][j])
-                g = wires[layer, j].conj().T @ g
-                for c, t in reversed(spec.entangler):
-                    if min(c, t) <= j <= max(c, t):
-                        g = _cnot_site_adjoint(g, j, c, t)
-            overlaps[0, ..., j] = _site_overlaps(g, tensors[0][j])
-        chunk_w, grad_x[rows] = _layer_grads(overlaps, w, wires)
-        grad_w += chunk_w
-    return grad_w, grad_x
+    circuit = _Mps(spec, w)
+    b, size = circuit.bond, 2 * circuit.bond**2
+    reads = circuit.grad_maps()
+    select = _mps_indices(spec)[0]
+    signs = np.where(_parity_mask(spec).T[:, None, :] & (np.arange(2)[:, None] == 1), -1.0, 1.0)  # (j, s, k)
+    firsts = _first_wires(xs, circuit.wires)
+    overlaps = np.empty((layers, len(xs), 2, 2, q), dtype=complex)
+    for rows in _mps_chunks(len(xs), _mps_row_amplitudes(spec)):
+        first = firsts[rows]
+        sites, n = circuit.sites(first), len(first)
+        transfers = circuit.transfers(sites)
+        left = circuit.environments(transfers.reshape(n, q, b * b, size), select[0])[:q].transpose(1, 0, 2, 3)
+        # the same scan from the right, through each transfer matrix transposed
+        mirrored = transfers.reshape(n, q, size, b * b).swapaxes(-1, -2)[:, ::-1]
+        right = circuit.environments(mirrored, select[1, ::-1])[q - 1::-1]
+        # la[n, j, k, x, s, y'] = sum_y left[., x, y] a[., y, s, y'], weighted and laid
+        # out as ((x, s), (k, y')) against right as ((k, y'), x')
+        la = left.reshape(n, q, q * b, b) @ sites.reshape(n, q, b, 2 * b)
+        weights = (upstream[rows][:, None, None, :] * signs)[:, :, None, :, :, None]  # (n, j, 1, s, k, 1)
+        weighted = np.multiply(la.reshape(n, q, q, b, 2, b).transpose(0, 1, 3, 4, 2, 5), weights, order="C")
+        right = right.reshape(q, n, q, b, b).transpose(1, 0, 2, 4, 3).reshape(n, q, q * b, b)
+        cotangents = weighted.reshape(n, q, 2 * b, q * b) @ right
+        reads_at = (cotangents.reshape(n, q, 1, size).conj() @ reads).reshape(n, q, layers, 2, 2, 2)
+        at = reads_at[..., 0] * first[:, :, None, None, None, 0] + reads_at[..., 1] * first[:, :, None, None, None, 1]
+        overlaps[:, rows] = at.transpose(2, 0, 3, 4, 1)
+    return _layer_grads(overlaps, w, circuit.wires)
 
 
 def run_vqc_batch(xs, spec: CircuitSpec, w) -> np.ndarray:
@@ -656,11 +658,9 @@ def param_shift_grad_batch(xs, spec: CircuitSpec, w, upstream):
     dL/dz_j = sum_k upstream[n, k] prod_{i in row k, i != j} z_i, then the
     chain rule through z_j(x_j, a_j, b_j).
 
-    Deeper circuits on the MPS path contract each wire's site tensor with
-    its environments and pull that back through the wire's own gates (see
-    ``_mps_grad``). On the statevector they use the adjoint method (Jones &
-    Gacon, arXiv:2009.02823).
-    One forward run gives psi; lam = O psi carries the observable
+    Deeper circuits on the MPS path contract each wire's site with its
+    environments (see ``_mps_grad``). On the statevector they use the adjoint
+    method (Jones & Gacon, arXiv:2009.02823). One forward run gives psi; lam = O psi carries the observable
     O = sum_k upstream[n, k] Z_k, which is diagonal. A reverse sweep then
     undoes each layer on both states, and a gate exp(-i t P / 2) contributes
     Im<lam|P psi>, read where both sit just after it. Every wire of a layer

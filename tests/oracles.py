@@ -6,11 +6,9 @@ code paths: dense 2^q x 2^q circuit matrices, a gate-by-gate circuit on a
 for DBSCAN, pair-counting AUC, direct cluster-intersection edges, the
 transaction graph assembled from those, a row-by-row CSV reader with
 ``float()`` on every cell, and a GraphSAGE layer that aggregates, draws its
-dropout masks and scatters its gradient one node at a time. The exceptions
-are the parameter-shift gradient, which reruns the package's forward
-simulator (itself checked against the dense oracle) at shifted angles, and
-the graph oracle's projection and cover intervals, which are the package's
-own.
+dropout masks and scatters its gradient one node at a time. The exception
+is the parameter-shift gradient, which reruns the package's forward
+simulator (itself checked against the dense oracle) at shifted angles.
 """
 
 from __future__ import annotations
@@ -22,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from qgfraud import qsim, tda
+from qgfraud import qsim
 from qgfraud.dataset import HEADER, N_FEATURES, DatasetError, Transaction
 from qgfraud.sage import SageLayerParams
 
@@ -218,6 +216,18 @@ def intersection_edges(clusters) -> set:
     }
 
 
+def cover_intervals(lo: float, hi: float, n: int, overlap: float) -> list:
+    """n intervals of one length over [lo, hi], each starting ``overlap`` of
+    that length before the previous one ends; the last one ends at hi
+    exactly, so rounding cannot leave the maximum out. [lo, hi] alone when
+    every value is equal."""
+    if hi <= lo:
+        return [(lo, hi)]
+    length = (hi - lo) / (n - (n - 1) * overlap)
+    starts = [lo + i * (length * (1.0 - overlap)) for i in range(n)]
+    return [(a, a + length) for a in starts[:-1]] + [(starts[-1], hi)]
+
+
 def oracle_transaction_graph(t, cover, db, direction=None):
     """(nodes, edges) of one transaction's graph, by membership tests per interval.
 
@@ -232,7 +242,7 @@ def oracle_transaction_graph(t, cover, db, direction=None):
     w_v = 1.0 / math.sqrt(3.0) if direction is None else float(direction[1])
     f = [x * w_v for x in t.v]
     clusters = []
-    for a, b in tda.cover_intervals(min(f), max(f), cover):
+    for a, b in cover_intervals(min(f), max(f), cover.n_intervals, cover.overlap_frac):
         inside = [j for j in range(len(f)) if a <= f[j] <= b]
         labels = brute_dbscan([f[j] for j in inside], db.eps, db.min_pts)
         for c in range(max(labels, default=-1) + 1):

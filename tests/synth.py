@@ -36,13 +36,11 @@ def write_synthetic_csv(path, n_clean: int = 20000, n_fraud: int = 492, seed: in
     amounts = np.round(rng.lognormal(mean=3.0, sigma=1.2, size=n), 2)
     amounts[labels == 1] = np.round(rng.lognormal(3.4, 1.4, size=int(labels.sum())), 2)
 
+    # shortest round-trip reprs, one join per row; tolist() hands out Python floats
     with open(path, "w") as fh:
         fh.write(",".join(HEADER) + "\n")
-        for i in range(n):
-            cells = [repr(float(times[i]))]
-            cells += [repr(float(x)) for x in v[i]]
-            cells += [repr(float(amounts[i])), str(int(labels[i]))]
-            fh.write(",".join(cells) + "\n")
+        for t, row, amount, label in zip(times.tolist(), v, amounts.tolist(), labels.tolist()):
+            fh.write(f"{t!r}," + ",".join(map(repr, row.tolist())) + f",{amount!r},{label}\n")
 
 
 def save_transactions(ts: TransactionSet, path) -> None:

@@ -269,6 +269,18 @@ class TestPredict:
         singles = [qgnn.forward(g, params, spec) for g in graphs]
         np.testing.assert_allclose(batch, singles, atol=0)
 
+    @pytest.mark.parametrize("q, layers", [(6, 1), (6, 2), (16, 2)])
+    def test_batch_matches_forward_bit_for_bit(self, q, layers, monkeypatch):
+        # the closed form, the statevector and the MPS path; chunks of three
+        # graphs put every graph beside others, and a chunk may end mid-list
+        spec = qsim.CircuitSpec.chain(q, layers)
+        params = qgnn.init_params(spec, make_rng(q + layers))
+        graphs = random_graphs(8, seed=q * layers, max_nodes=6)
+        singles = [qgnn.forward(g, params, spec) for g in graphs]
+        np.testing.assert_array_equal(qgnn.predict(graphs, params, spec), singles)
+        monkeypatch.setattr(qgnn, "PREDICT_GRAPHS", 3)
+        np.testing.assert_array_equal(qgnn.predict(graphs, params, spec), singles)
+
 
 class TestParameterCount:
     def test_default_model_size(self):

@@ -513,6 +513,13 @@ class TestMatrixProductState:
                              qsim._mps_grad(xs, spec, w, upstream)):
             np.testing.assert_array_equal(got, want)
 
+    def test_small_circuits_stay_on_the_statevector(self):
+        # q6 circuits are simulated bit for bit as before the MPS path existed
+        for q in range(1, 9):
+            for layers in (2, 3):
+                for factory in (qsim.CircuitSpec.chain, qsim.CircuitSpec.ring):
+                    assert qsim.circuit_path(factory(q, layers)) == qsim.STATEVECTOR
+
     def test_peak_memory_is_a_multiple_of_the_chunk_budget(self, rng, monkeypatch):
         spec = qsim.CircuitSpec.chain(16, 2)
         w = rng.uniform(0, 2 * np.pi, spec.n_params)

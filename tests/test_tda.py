@@ -20,6 +20,7 @@ from qgfraud.tda import (
     transaction_graph,
     write_graph_corpus,
 )
+from tests import oracles
 from tests.oracles import brute_dbscan, intersection_edges, oracle_transaction_graph
 
 
@@ -128,6 +129,15 @@ class TestCover:
         for (a0, b0), (a1, b1) in zip(ivals, ivals[1:]):
             # consecutive intervals overlap by half an interval length
             assert (b0 - a1) == pytest.approx(0.5 * (b0 - a0), rel=1e-9)
+
+    def test_matches_oracle_endpoints(self):
+        cases = np.random.default_rng(8)
+        for _ in range(500):
+            lo, hi = np.sort(cases.normal(scale=3.0, size=2))
+            n, overlap = int(cases.integers(1, 9)), float(cases.uniform(0.0, 0.9))
+            got = cover_intervals(float(lo), float(hi), CoverSpec(n, overlap))
+            assert got == oracles.cover_intervals(float(lo), float(hi), n, overlap)
+            assert got[-1][1] == hi
 
     def test_all_equal_projections_single_cluster(self):
         f = np.zeros(28)
