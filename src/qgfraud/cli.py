@@ -9,6 +9,7 @@ error, 2 runtime failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -18,9 +19,9 @@ from pathlib import Path
 import numpy as np
 
 from . import dataset, metrics, qgnn, qsim, sage, tda
-from .config import ConfigError, RunConfig, load_config
+from .config import ENTANGLERS, ConfigError, RunConfig, load_config
 from .persist import load_arrays, save_arrays, sha256_files, staged_output, write_manifest
-from .svg import write_line_chart
+from .svg import line_chart
 from .training import write_history
 
 OUTPUT_ROOT_ENV = "QGFRAUD_OUTPUT_ROOT"
@@ -38,24 +39,8 @@ def _output_root(cfg: RunConfig) -> Path:
     return out if out.is_absolute() else base / out
 
 
-def _overrides(args) -> dict:
-    pairs = {
-        "dataset": getattr(args, "dataset", None),
-        "seed": getattr(args, "seed", None),
-        "output_dir": getattr(args, "output_dir", None),
-        "training.epochs": getattr(args, "epochs", None),
-        "training.batch_size": getattr(args, "batch_size", None),
-        "training.learning_rate": getattr(args, "learning_rate", None),
-        "model.qgnn.qubits": getattr(args, "qubits", None),
-        "model.qgnn.layers": getattr(args, "layers", None),
-        "model.qgnn.entangler": getattr(args, "entangler", None),
-        "model.sage.dropout": getattr(args, "dropout", None),
-    }
-    return {k: v for k, v in pairs.items() if v is not None}
-
-
 def _load_cfg(args) -> RunConfig:
-    return load_config(args.config, _overrides(args))
+    return load_config(args.config, args.overrides)
 
 
 def _graphs_dir(cfg: RunConfig, args) -> Path:
@@ -296,7 +281,7 @@ def _check_checkpoint(meta: dict, cfg: RunConfig, corpus_hash: str) -> None:
             )
 
 
-def _evaluate(cfg: RunConfig, checkpoint: Path, graphs_dir: Path, out_dir: Path, split: str, svg: bool):
+def _evaluate(cfg: RunConfig, checkpoint: Path, graphs_dir: Path, out_dir: Path, split: str):
     t0 = time.perf_counter()
     arrays, meta = load_arrays(checkpoint)
     corpus = _read_corpus(graphs_dir, ("val", split))
@@ -308,13 +293,6 @@ def _evaluate(cfg: RunConfig, checkpoint: Path, graphs_dir: Path, out_dir: Path,
         metrics.write_report(report, tmp / "report.txt")
         metrics.write_curve_csv(tmp / "roc.csv", report.roc_points, "fpr", "tpr")
         metrics.write_curve_csv(tmp / "pr.csv", report.pr_points, "recall", "precision")
-        if svg:
-            write_line_chart(
-                tmp / "roc.svg", [("ROC", list(report.roc_points))], "ROC curve", "FPR", "TPR"
-            )
-            write_line_chart(
-                tmp / "pr.svg", [("PR", list(report.pr_points))], "PR curve", "recall", "precision"
-            )
         write_manifest(
             tmp,
             {
@@ -347,7 +325,7 @@ def cmd_evaluate(args) -> int:
         _output_root(cfg) / f"train_{args.model}" / "checkpoint.txt"
     )
     out_dir = _output_root(cfg) / f"eval_{args.model}_{args.split}"
-    report, threshold_source = _evaluate(cfg, checkpoint, graphs_dir, out_dir, args.split, args.svg)
+    report, threshold_source = _evaluate(cfg, checkpoint, graphs_dir, out_dir, args.split)
     print(
         f"{args.model} on {args.split}: accuracy {report.accuracy:.1f}%, "
         f"precision {report.precision:.1f}%, recall {report.recall:.1f}%, "
@@ -427,41 +405,44 @@ def cmd_grid(args) -> int:
 # ---------------------------------------------------------------------------
 # plot
 
-def _read_two_column_csv(path):
-    rows = []
+def _read_numeric_csv(path) -> list:
+    """The rows of a CSV that train or evaluate wrote; anything else is a ConfigError."""
+    if not Path(path).is_file():
+        raise ConfigError(f"plot input not found: {path}")
     with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        for line in fh:
-            cells = line.strip().split(",")
-            if len(cells) >= 2:
-                rows.append(tuple(float(c) for c in cells[: len(header)]))
-    return header, rows
+        width = len(fh.readline().split(","))
+        rows = [line.split(",") for line in fh if line.strip()]
+    if not rows or any(len(row) != width for row in rows):
+        raise ConfigError(f"{path}: expected a header and data rows of {width} cells")
+    try:
+        return [tuple(map(float, row)) for row in rows]
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def cmd_plot(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    wrote = []
+    charts = {}  # every chart is rendered before any file is written
     if args.history:
-        header, rows = _read_two_column_csv(args.history)
+        rows = _read_numeric_csv(args.history)
         series = [
             ("train", [(r[0], r[1]) for r in rows]),
             ("validation", [(r[0], r[2]) for r in rows if len(r) > 2 and not np.isnan(r[2])]),
         ]
         series = [(name, pts) for name, pts in series if pts]
-        write_line_chart(out / "loss.svg", series, "Training and validation loss", "epoch", "loss")
-        wrote.append("loss.svg")
+        charts["loss.svg"] = line_chart(series, "Training and validation loss", "epoch", "loss")
     if args.roc:
-        _, rows = _read_two_column_csv(args.roc)
-        write_line_chart(out / "roc.svg", [("ROC", rows)], "ROC curve", "FPR", "TPR")
-        wrote.append("roc.svg")
+        rows = _read_numeric_csv(args.roc)
+        charts["roc.svg"] = line_chart([("ROC", rows)], "ROC curve", "FPR", "TPR")
     if args.pr:
-        _, rows = _read_two_column_csv(args.pr)
-        write_line_chart(out / "pr.svg", [("PR", rows)], "PR curve", "recall", "precision")
-        wrote.append("pr.svg")
-    if not wrote:
+        rows = _read_numeric_csv(args.pr)
+        charts["pr.svg"] = line_chart([("PR", rows)], "PR curve", "recall", "precision")
+    if not charts:
         raise ConfigError("plot needs at least one of --history/--roc/--pr")
-    print(f"wrote {', '.join(wrote)} to {out}")
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, svg in charts.items():
+        (out / name).write_text(svg)
+    print(f"wrote {', '.join(charts)} to {out}")
     return 0
 
 
@@ -474,18 +455,30 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+class _Override(argparse.Action):
+    """Collects a flag's value into ``args.overrides`` under its ``dest``, a config key."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        namespace.overrides = {**namespace.overrides, self.dest: values}
+
+
 def _add_common(p) -> None:
-    p.add_argument("--config", help="JSON config file; defaults apply when omitted")
-    p.add_argument("--dataset", help="override dataset CSV path")
-    p.add_argument("--seed", type=int, help="override run seed")
-    p.add_argument("--output-dir", dest="output_dir", help="override output directory")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--learning-rate", dest="learning_rate", type=float)
-    p.add_argument("--qubits", type=int)
-    p.add_argument("--layers", type=int)
-    p.add_argument("--entangler", choices=("chain", "ring"))
-    p.add_argument("--dropout", type=float)
+    p.add_argument(
+        "--config", help="JSON config file; defaults apply when omitted, and each flag below "
+        "overrides the config key it names"
+    )
+    p.set_defaults(overrides={})
+    override = functools.partial(p.add_argument, action=_Override, default=argparse.SUPPRESS)
+    override("--dataset", dest="dataset")
+    override("--seed", dest="seed", type=int)
+    override("--output-dir", dest="output_dir")
+    override("--epochs", dest="training.epochs", type=int)
+    override("--batch-size", dest="training.batch_size", type=int)
+    override("--learning-rate", dest="training.learning_rate", type=float)
+    override("--qubits", dest="model.qgnn.qubits", type=int)
+    override("--layers", dest="model.qgnn.layers", type=int)
+    override("--entangler", dest="model.qgnn.entangler", choices=ENTANGLERS)
+    override("--dropout", dest="model.sage.dropout", type=float)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -508,7 +501,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", help="default: <output>/train_<model>/checkpoint.txt")
     p.add_argument("--graphs", help="corpus directory (default: <output>/graphs)")
     p.add_argument("--split", choices=("train", "val", "test"), default="test")
-    p.add_argument("--svg", action="store_true", help="also render SVG curves")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("grid", help="train/evaluate the qubit-layer grid with a shared seed")

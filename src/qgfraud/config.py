@@ -1,9 +1,13 @@
 """Run configuration: a single JSON file, strictly validated, fully echoed.
 
-Unknown keys are rejected everywhere so a typo cannot silently fall back to a
-default. CLI flags override file values; the resolved configuration is
-written into every run manifest, and the corpus-affecting subset (dataset,
-seed, split, tda) is hashed so checkpoints and corpora can be cross-checked.
+``DEFAULTS`` is the schema. It names every key, and each value must have the
+type of its default: an int (not a bool), a finite number (stored as a
+float), a string, or a list of those. The one null allowed is an entry of
+``model.sage.fan_outs``, meaning "all neighbours". Unknown keys are rejected
+everywhere so a typo cannot silently fall back to a default. CLI flags
+override file values. The checked dict is the run's record: it is written
+into every run manifest, and its corpus-affecting subset (dataset, seed,
+split, tda) is hashed so checkpoints and corpora can be cross-checked.
 """
 
 from __future__ import annotations
@@ -11,6 +15,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -53,15 +58,16 @@ DEFAULTS: dict = {
     },
 }
 
+NULLABLE_LISTS = ("model.sage.fan_outs",)  # a null fan-out aggregates every neighbour
 ENTANGLERS = ("chain", "ring")
 
 
 @dataclass(frozen=True)
 class QgnnModelConfig:
-    qubits: int = 6
-    layers: int = 1
-    entangler: str = "chain"
-    encode_activation: str = "none"
+    qubits: int
+    layers: int
+    entangler: str
+    encode_activation: str
 
     def __post_init__(self) -> None:
         if not 1 <= self.qubits <= MAX_QUBITS:
@@ -76,17 +82,17 @@ class QgnnModelConfig:
 
 @dataclass(frozen=True)
 class SageModelConfig:
-    widths: tuple = (128, 128)
-    fan_outs: tuple = (2, 32)
-    dropout: float = 0.1
+    widths: tuple
+    fan_outs: tuple
+    dropout: float
 
     def __post_init__(self) -> None:
-        if len(self.widths) != 2 or any(int(w) < 1 for w in self.widths):
+        if len(self.widths) != 2 or any(w < 1 for w in self.widths):
             raise ConfigError(f"model.sage.widths must be two positive ints, got {self.widths}")
         if len(self.fan_outs) != 2:
             raise ConfigError(f"model.sage.fan_outs must have two entries, got {self.fan_outs}")
         for f in self.fan_outs:
-            if f is not None and int(f) < 1:
+            if f is not None and f < 1:
                 raise ConfigError(f"model.sage.fan_outs entries must be null or >= 1, got {f}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"model.sage.dropout must lie in [0, 1), got {self.dropout}")
@@ -94,6 +100,7 @@ class SageModelConfig:
 
 @dataclass(frozen=True)
 class RunConfig:
+    record: dict  # the checked config, projection normalised; read it through to_dict
     dataset: str
     seed: int
     output_dir: str
@@ -106,60 +113,18 @@ class RunConfig:
     training: TrainConfig  # carries the run seed
 
     def to_dict(self) -> dict:
-        return {
-            "dataset": self.dataset,
-            "seed": self.seed,
-            "output_dir": self.output_dir,
-            "split": {
-                "train": self.split.train_frac,
-                "val": self.split.val_frac,
-                "test": self.split.test_frac,
-            },
-            "tda": {
-                "projection": list(self.projection),
-                "n_intervals": self.cover.n_intervals,
-                "overlap": self.cover.overlap_frac,
-                "eps": self.dbscan.eps,
-                "min_pts": self.dbscan.min_pts,
-            },
-            "model": {
-                "qgnn": {
-                    "qubits": self.qgnn.qubits,
-                    "layers": self.qgnn.layers,
-                    "entangler": self.qgnn.entangler,
-                    "encode_activation": self.qgnn.encode_activation,
-                },
-                "sage": {
-                    "widths": list(self.sage.widths),
-                    "fan_outs": list(self.sage.fan_outs),
-                    "dropout": self.sage.dropout,
-                },
-            },
-            "training": {
-                "epochs": self.training.epochs,
-                "batch_size": self.training.batch_size,
-                "learning_rate": self.training.learning_rate,
-                "beta1": self.training.beta1,
-                "beta2": self.training.beta2,
-                "eps": self.training.eps,
-            },
-        }
+        return copy.deepcopy(self.record)
 
     def corpus_config_hash(self) -> str:
         """Hash of the fields that determine corpus content."""
-        d = self.to_dict()
-        sub = {"dataset": d["dataset"], "seed": d["seed"], "split": d["split"], "tda": d["tda"]}
+        sub = {key: self.record[key] for key in ("dataset", "seed", "split", "tda")}
         return hashlib.sha256(json.dumps(sub, sort_keys=True).encode()).hexdigest()
 
 
-def _check_keys(section: dict, allowed, where: str) -> None:
-    unknown = set(section) - set(allowed)
+def _merge(base: dict, override: dict, where: str = "config") -> dict:
+    unknown = set(override) - set(base)
     if unknown:
         raise ConfigError(f"unknown key(s) in {where}: {', '.join(sorted(unknown))}")
-
-
-def _merge(base: dict, override: dict, where: str = "config") -> dict:
-    _check_keys(override, base.keys(), where)
     out = dict(base)
     for key, value in override.items():
         if isinstance(base[key], dict):
@@ -171,83 +136,68 @@ def _merge(base: dict, override: dict, where: str = "config") -> dict:
     return out
 
 
-def _as_int(value, where: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{where} must be an integer, got {value!r}")
-    return value
-
-
-def _as_number(value, where: str) -> float:
+def _checked(value, default, where: str = ""):
+    """``value`` checked against, and coerced to, the type of ``default``."""
+    if isinstance(default, dict):
+        return {
+            key: _checked(value[key], sub, f"{where}.{key}" if where else key) for key, sub in default.items()
+        }
+    if isinstance(default, list):
+        if not isinstance(value, list):
+            raise ConfigError(f"{where} must be a list, got {value!r}")
+        return [
+            None if v is None and where in NULLABLE_LISTS else _checked(v, default[0], where) for v in value
+        ]
+    if isinstance(default, str):
+        if not isinstance(value, str):
+            raise ConfigError(f"{where} must be a string, got {value!r}")
+        return value
+    if isinstance(default, int):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ConfigError(f"{where} must be an integer, got {value!r}")
+        return value
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ConfigError(f"{where} must be finite, got {value!r}")
     return float(value)
 
 
 def build_config(data: dict) -> RunConfig:
     """Validate a merged config dict and freeze it into a RunConfig."""
-    raw_proj = data["tda"]["projection"]
-    if not isinstance(raw_proj, (list, tuple)) or len(raw_proj) != 3:
-        raise ConfigError(f"tda.projection must be a 3-vector, got {raw_proj!r}")
-    proj = np.array([_as_number(x, "tda.projection") for x in raw_proj])
+    record = _checked(data, DEFAULTS)
+    split, tda, model = record["split"], record["tda"], record["model"]
+    if len(tda["projection"]) != 3:
+        raise ConfigError(f"tda.projection must be a 3-vector, got {data['tda']['projection']!r}")
+    proj = np.array(tda["projection"])
     norm = float(np.linalg.norm(proj))
     if norm == 0.0:
         raise ConfigError("tda.projection must be non-zero")
     proj = proj / norm
     if proj[1] == 0.0:  # time and amount alone put every point in one place
-        raise ConfigError(f"tda.projection must give V a non-zero weight, got {raw_proj!r}")
+        raise ConfigError(
+            f"tda.projection must give V a non-zero weight, got {data['tda']['projection']!r}"
+        )
+    tda["projection"] = proj.tolist()
 
     try:
-        split = SplitSpec(
-            _as_number(data["split"]["train"], "split.train"),
-            _as_number(data["split"]["val"], "split.val"),
-            _as_number(data["split"]["test"], "split.test"),
-        )
-        cover = CoverSpec(
-            _as_int(data["tda"]["n_intervals"], "tda.n_intervals"),
-            _as_number(data["tda"]["overlap"], "tda.overlap"),
-        )
-        db = DbscanSpec(
-            _as_number(data["tda"]["eps"], "tda.eps"),
-            _as_int(data["tda"]["min_pts"], "tda.min_pts"),
-        )
-        qgnn_cfg = QgnnModelConfig(
-            _as_int(data["model"]["qgnn"]["qubits"], "model.qgnn.qubits"),
-            _as_int(data["model"]["qgnn"]["layers"], "model.qgnn.layers"),
-            str(data["model"]["qgnn"]["entangler"]),
-            str(data["model"]["qgnn"]["encode_activation"]),
-        )
-        sage_cfg = SageModelConfig(
-            tuple(_as_int(w, "model.sage.widths") for w in data["model"]["sage"]["widths"]),
-            tuple(
-                None if f is None else _as_int(f, "model.sage.fan_outs")
-                for f in data["model"]["sage"]["fan_outs"]
+        return RunConfig(
+            record=record,
+            dataset=record["dataset"],
+            seed=record["seed"],
+            output_dir=record["output_dir"],
+            split=SplitSpec(split["train"], split["val"], split["test"]),
+            projection=tuple(tda["projection"]),
+            cover=CoverSpec(tda["n_intervals"], tda["overlap"]),
+            dbscan=DbscanSpec(tda["eps"], tda["min_pts"]),
+            qgnn=QgnnModelConfig(**model["qgnn"]),
+            sage=SageModelConfig(
+                tuple(model["sage"]["widths"]), tuple(model["sage"]["fan_outs"]), model["sage"]["dropout"]
             ),
-            _as_number(data["model"]["sage"]["dropout"], "model.sage.dropout"),
-        )
-        training = TrainConfig(
-            epochs=_as_int(data["training"]["epochs"], "training.epochs"),
-            batch_size=_as_int(data["training"]["batch_size"], "training.batch_size"),
-            learning_rate=_as_number(data["training"]["learning_rate"], "training.learning_rate"),
-            beta1=_as_number(data["training"]["beta1"], "training.beta1"),
-            beta2=_as_number(data["training"]["beta2"], "training.beta2"),
-            eps=_as_number(data["training"]["eps"], "training.eps"),
-            seed=_as_int(data["seed"], "seed"),
+            training=TrainConfig(**record["training"], seed=record["seed"]),
         )
     except (DatasetError, TdaError, TrainingError) as exc:
         raise ConfigError(str(exc)) from None
-
-    return RunConfig(
-        dataset=str(data["dataset"]),
-        seed=_as_int(data["seed"], "seed"),
-        output_dir=str(data["output_dir"]),
-        split=split,
-        projection=tuple(float(x) for x in proj),
-        cover=cover,
-        dbscan=db,
-        qgnn=qgnn_cfg,
-        sage=sage_cfg,
-        training=training,
-    )
 
 
 def load_config(path=None, overrides: dict | None = None) -> RunConfig:
@@ -267,13 +217,11 @@ def load_config(path=None, overrides: dict | None = None) -> RunConfig:
     for dotted, value in (overrides or {}).items():
         if value is None:
             continue
-        node = data
-        parts = dotted.split(".")
-        for part in parts[:-1]:
-            if part not in node or not isinstance(node[part], dict):
-                raise ConfigError(f"unknown override {dotted!r}")
-            node = node[part]
-        if parts[-1] not in node:
-            raise ConfigError(f"unknown override {dotted!r}")
-        node[parts[-1]] = value
+        nested = value
+        for part in reversed(dotted.split(".")):
+            nested = {part: nested}
+        try:
+            data = _merge(data, nested)
+        except ConfigError:
+            raise ConfigError(f"unknown override {dotted!r}") from None
     return build_config(data)

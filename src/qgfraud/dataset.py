@@ -238,8 +238,9 @@ def split_indices(labels, spec: SplitSpec, seed: int):
     val_alloc = _largest_remainder(sizes, n_val, n)
     test_alloc = _largest_remainder(sizes, n_test, n)
 
-    # Degenerate covers can overdraw a tiny class; push the excess test rows
-    # to the lowest class with spare capacity so totals stay exact.
+    # Val and test round their quotas up independently, so together they can
+    # overdraw a tiny class; push the excess test rows to the lowest class
+    # with spare capacity so totals stay exact.
     spill = 0
     for i, size in enumerate(sizes):
         over = val_alloc[i] + test_alloc[i] - size

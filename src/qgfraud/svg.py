@@ -70,7 +70,3 @@ def line_chart(series, title: str, x_label: str, y_label: str) -> str:
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
-
-def write_line_chart(path, series, title: str, x_label: str, y_label: str) -> None:
-    with open(path, "w") as fh:
-        fh.write(line_chart(series, title, x_label, y_label))

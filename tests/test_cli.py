@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from qgfraud import cli, qgnn, qsim, sage, tda
+from qgfraud.config import load_config
 from qgfraud.persist import load_arrays
 from qgfraud.rng import make_rng
 from tests.synth import write_synthetic_csv
@@ -132,6 +133,17 @@ class TestBuildGraphs:
         assert [p.name for p in files] == ["graphs_test.jsonl", "graphs_train.jsonl", "graphs_val.jsonl"]
         digest = hashlib.sha256(b"".join(p.read_bytes() for p in files)).hexdigest()
         assert digest == "05bb1d9e9bdf64deaaa40333555c46b9e42ec14b9552bd5daf3e6de19b24956f"
+
+    @pytest.mark.parametrize("extra, key", [
+        ({"model": {"sage": {"widths": 3}}}, "model.sage.widths"),
+        ({"output_dir": None}, "output_dir"),
+    ])
+    def test_malformed_value_is_validation_error(self, tiny_csv, tmp_path, monkeypatch, capsys, extra, key):
+        monkeypatch.chdir(tmp_path)
+        cfg = write_cfg(tmp_path, tiny_csv, tmp_path / "run", **extra)
+        assert run(["build-graphs", "--config", str(cfg)]) == 1
+        assert f"error: {key} must be a" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
     def test_unknown_key_rejected(self, tiny_csv, tmp_path):
         cfg_path = tmp_path / "bad.json"
@@ -271,14 +283,13 @@ def empty_val_run(tmp_path_factory):
 class TestEvaluate:
     def test_report_schema(self, built_run):
         cfg, out = built_run
-        assert run(["evaluate", "--config", str(cfg), "--model", "qgnn", "--svg"]) == 0
+        assert run(["evaluate", "--config", str(cfg), "--model", "qgnn"]) == 0
         d = out / "eval_qgnn_test"
         report = (d / "report.txt").read_text()
         for key in ("threshold", "accuracy_pct", "precision_pct", "recall_pct", "f1",
                     "auc_roc", "auc_pr"):
             assert f"{key}:" in report
         assert (d / "roc.csv").exists() and (d / "pr.csv").exists()
-        assert (d / "roc.svg").exists() and (d / "pr.svg").exists()
 
     def test_sage_checkpoint_evaluates(self, built_run):
         cfg, out = built_run
@@ -445,12 +456,58 @@ class TestPlot:
     def test_plot_without_inputs_fails_validation(self, tmp_path):
         assert run(["plot", "--out", str(tmp_path)]) == 1
 
+    @pytest.mark.parametrize("flag, name, text, message", [
+        ("--roc", "roc.csv", "fpr,tpr\n", "expected a header and data rows of 2 cells"),
+        ("--history", "history.csv", "epoch,train_loss,val_loss\n", "expected a header and data rows of 3 cells"),
+        ("--pr", "pr.csv", "recall,precision\n0.5,x\n", "could not convert string to float: 'x"),
+        ("--roc", "roc.csv", "fpr,tpr\n0.0,0.0\n0.5\n", "expected a header and data rows of 2 cells"),
+        ("--roc", "absent.csv", None, "plot input not found"),
+    ])
+    def test_invalid_input_writes_nothing(self, built_run, tmp_path, capsys, flag, name, text, message):
+        _, out = built_run
+        path = tmp_path / name
+        if text is not None:
+            path.write_text(text)
+        plots = tmp_path / "plots"
+        argv = ["plot", "--history", str(out / "train_qgnn" / "history.csv"), flag, str(path),
+                "--out", str(plots)]
+        capsys.readouterr()
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert str(path) in err and message in err
+        assert not plots.exists()
+
 
 class TestUsageErrors:
     def test_unknown_flag_is_validation_error(self):
         with pytest.raises(SystemExit) as exc:
             cli.build_parser().parse_args(["train", "--nope"])
         assert exc.value.code == 1
+
+    def test_evaluate_has_no_svg_flag(self):
+        # plot renders the charts from the roc.csv and pr.csv evaluate writes
+        with pytest.raises(SystemExit) as exc:
+            cli.build_parser().parse_args(["evaluate", "--model", "qgnn", "--svg"])
+        assert exc.value.code == 1
+
+    def test_override_flags_set_their_config_keys(self):
+        parser = cli.build_parser()
+        args = parser.parse_args([
+            "train", "--model", "sage", "--dataset", "d.csv", "--seed", "3", "--output-dir", "o",
+            "--epochs", "2", "--batch-size", "4", "--learning-rate", "0.5", "--qubits", "5",
+            "--layers", "2", "--entangler", "ring", "--dropout", "0.25",
+        ])
+        assert args.overrides == {
+            "dataset": "d.csv", "seed": 3, "output_dir": "o", "training.epochs": 2,
+            "training.batch_size": 4, "training.learning_rate": 0.5, "model.qgnn.qubits": 5,
+            "model.qgnn.layers": 2, "model.qgnn.entangler": "ring", "model.sage.dropout": 0.25,
+        }
+        assert args.model == "sage"
+        cfg = load_config(None, args.overrides)
+        assert (cfg.training.epochs, cfg.qgnn.layers, cfg.sage.dropout) == (2, 2, 0.25)
+        # a later parse starts from no overrides
+        assert parser.parse_args(["grid"]).overrides == {}
+        assert parser.parse_args(["grid", "--seed", "4"]).overrides == {"seed": 4}
 
     def test_missing_model_flag(self):
         with pytest.raises(SystemExit) as exc:

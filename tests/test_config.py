@@ -1,3 +1,4 @@
+import copy
 import json
 
 import numpy as np
@@ -18,6 +19,45 @@ class TestDefaults:
     def test_projection_is_normalised(self):
         cfg = load_config()
         assert np.linalg.norm(cfg.projection) == pytest.approx(1.0, abs=1e-12)
+
+    def test_resolved_defaults_are_pinned(self):
+        # checkpoints carry the corpus hash, so a change here orphans every
+        # corpus and checkpoint built before it
+        cfg = load_config()
+        expected = copy.deepcopy(DEFAULTS)
+        diagonal = np.ones(3)
+        expected["tda"]["projection"] = (diagonal / np.linalg.norm(diagonal)).tolist()
+        assert cfg.to_dict() == expected
+        assert cfg.corpus_config_hash() == "4fdabaa38bd1d633c45e6d0d26aeb1db6dad070d9660e7db0a195244afb2473c"
+
+    def test_to_dict_is_a_fresh_copy(self):
+        cfg = load_config()
+        record = cfg.to_dict()
+        record.pop("dataset")
+        record["tda"]["projection"][0] = 9.0
+        assert cfg.to_dict()["dataset"] == DEFAULTS["dataset"]
+        assert cfg.corpus_config_hash() == load_config().corpus_config_hash()
+
+    def test_numbers_are_stored_as_floats(self):
+        cfg = load_config(None, {"training.learning_rate": 1, "model.sage.dropout": 0})
+        assert cfg.to_dict()["training"]["learning_rate"] == 1.0
+        assert type(cfg.to_dict()["training"]["learning_rate"]) is float
+        assert type(cfg.training.learning_rate) is float and type(cfg.sage.dropout) is float
+        assert load_config(None, {"tda.eps": 1}).corpus_config_hash() == load_config(
+            None, {"tda.eps": 1.0}
+        ).corpus_config_hash()
+
+    def test_typed_specs_mirror_the_record(self):
+        cfg = load_config(None, {"seed": 3, "model.qgnn.entangler": "ring"})
+        record = cfg.to_dict()
+        assert (cfg.dataset, cfg.seed, cfg.output_dir) == (record["dataset"], 3, record["output_dir"])
+        assert cfg.training.seed == 3
+        assert cfg.split.test_frac == record["split"]["test"]
+        assert (cfg.cover.n_intervals, cfg.cover.overlap_frac) == (4, 0.5)
+        assert (cfg.dbscan.eps, cfg.dbscan.min_pts) == (0.1, 2)
+        assert cfg.qgnn.entangler == "ring"
+        assert cfg.sage.fan_outs == (2, 32)
+        assert cfg.projection == tuple(record["tda"]["projection"])
 
 
 class TestFileAndOverrides:
@@ -64,8 +104,6 @@ class TestFileAndOverrides:
 
 class TestValidation:
     def base(self, **patch):
-        import copy
-
         data = copy.deepcopy(DEFAULTS)
         for dotted, value in patch.items():
             node = data
@@ -110,6 +148,32 @@ class TestValidation:
     def test_null_fan_out_means_all(self):
         cfg = build_config(self.base(**{"model.sage.fan_outs": [None, 32]}))
         assert cfg.sage.fan_outs == (None, 32)
+
+    # one invalid value per type of default, and the error each one gives
+    @pytest.mark.parametrize("key, value, message", [
+        ("seed", True, "seed must be an integer, got True"),
+        ("tda.min_pts", 1.5, "tda.min_pts must be an integer, got 1.5"),
+        ("training.learning_rate", "0.1", "training.learning_rate must be a number, got '0.1'"),
+        ("training.beta1", False, "training.beta1 must be a number, got False"),
+        ("output_dir", None, "output_dir must be a string, got None"),
+        ("dataset", ["a.csv"], "dataset must be a string, got ['a.csv']"),
+        ("model.qgnn.entangler", 5, "model.qgnn.entangler must be a string, got 5"),
+        ("model.sage.widths", 3, "model.sage.widths must be a list, got 3"),
+        ("model.sage.fan_outs", 3, "model.sage.fan_outs must be a list, got 3"),
+        ("tda.projection", "1,1,1", "tda.projection must be a list, got '1,1,1'"),
+        ("model.sage.widths", [128, None], "model.sage.widths must be an integer, got None"),
+        ("model.sage.fan_outs", [2, 2.0], "model.sage.fan_outs must be an integer, got 2.0"),
+        ("tda.projection", [1, None, 1], "tda.projection must be a number, got None"),
+        ("tda.projection", [1, float("nan"), 1], "tda.projection must be finite, got nan"),
+        ("training.eps", float("inf"), "training.eps must be finite, got inf"),
+        ("tda.projection", [1, 1], "tda.projection must be a 3-vector, got [1, 1]"),
+        ("model.sage.widths", [128], "model.sage.widths must be two positive ints, got (128,)"),
+        ("tda.n_intervals", 0, "n_intervals must be >= 1, got 0"),
+    ])
+    def test_invalid_value_message(self, key, value, message):
+        with pytest.raises(ConfigError) as err:
+            build_config(self.base(**{key: value}))
+        assert str(err.value) == message
 
 
 class TestCorpusHash:
