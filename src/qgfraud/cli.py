@@ -20,17 +20,13 @@ import numpy as np
 
 from . import dataset, metrics, qgnn, qsim, sage, tda
 from .config import ENTANGLERS, ConfigError, RunConfig, load_config
-from .persist import load_arrays, save_arrays, sha256_files, staged_output, write_manifest
+from .persist import PersistError, load_arrays, save_arrays, sha256_files, staged_output, write_manifest
 from .svg import line_chart
 from .training import write_history
 
 OUTPUT_ROOT_ENV = "QGFRAUD_OUTPUT_ROOT"
 GRID_CONFIGS = ((6, 1), (16, 1), (6, 2), (16, 2))
 CORPUS_FILES = {name: f"graphs_{name}.jsonl" for name in ("train", "val", "test")}
-
-
-class CliError(RuntimeError):
-    pass
 
 
 def _output_root(cfg: RunConfig) -> Path:
@@ -54,14 +50,14 @@ def _read_corpus(graphs_dir: Path, splits=tuple(CORPUS_FILES)) -> dict:
     paths = {name: graphs_dir / fname for name, fname in CORPUS_FILES.items()}
     for path in paths.values():
         if not path.exists():
-            raise CliError(f"graph corpus not found: {path} (run build-graphs first)")
+            raise ConfigError(f"graph corpus not found: {path} (run build-graphs first)")
     return {name: tda.read_graph_corpus(paths[name]) for name in dict.fromkeys(splits)}
 
 
 def _corpus_meta(graphs_dir: Path) -> dict:
     path = graphs_dir / "manifest.json"
     if not path.exists():
-        raise CliError(f"corpus manifest not found: {path}")
+        raise ConfigError(f"corpus manifest not found: {path}")
     return json.loads(path.read_text())
 
 
@@ -523,7 +519,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, dataset.DatasetError, tda.TdaError) as exc:
+    except (ConfigError, PersistError, dataset.DatasetError, tda.TdaError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:

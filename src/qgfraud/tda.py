@@ -11,11 +11,12 @@ which keep their feature values, so the node vectors of a graph jointly cover
 all 28 features. Overlapping intervals can put a point in several clusters, so
 a graph can have more than 28 nodes.
 
-The projections are sorted once per transaction. Each interval's points are
-then a slice of the sorted values, and DBSCAN on a line is a scan of that
-slice (see ``dbscan``): no pairwise distance matrix, no breadth-first search.
-Edges come from one boolean cluster-by-feature membership matrix M: clusters
-k and l share a point iff (M M^T)[k, l] is nonzero.
+The projections are sorted once per transaction, and one two-pointer pass
+finds each point's eps-window. Each interval's points are then a slice of the
+sorted values, and on a line every DBSCAN cluster is a range of sorted
+positions, so an interval's clusters come from one pass over its slice (see
+``dbscan``): no pairwise distance matrix, no breadth-first search. Edges come
+from each feature's list of the nodes holding it.
 """
 
 from __future__ import annotations
@@ -23,6 +24,9 @@ from __future__ import annotations
 import json
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import accumulate, chain, combinations, repeat
+from math import isfinite
+from operator import itemgetter
 
 import numpy as np
 
@@ -98,57 +102,58 @@ def _sorted_values(values, what: str) -> tuple[list[float], list[int]]:
     v = np.asarray(values, dtype=float)
     if v.ndim != 1 or v.size == 0:
         raise TdaError(f"{what} expects a non-empty 1-D value list")
-    if not np.isfinite(v).all():
+    vals = v.tolist()
+    if not all(map(isfinite, vals)):
         raise TdaError(f"{what} expects finite values")
-    order = np.argsort(v, kind="stable")
-    return v[order].tolist(), order.tolist()
+    order = sorted(range(len(vals)), key=vals.__getitem__)
+    return [vals[i] for i in order], order
 
 
-def _scan_clusters(s: list[float], idx: list[int], spec: DbscanSpec) -> list[list[int]]:
-    """DBSCAN clusters of the sorted values ``s`` as lists of their indices ``idx``,
-    in cluster-number order; see ``dbscan`` for the rules."""
-    eps = spec.eps
-    n = len(s)
-    core = []
+def _cluster_ranges(s: list[float], idx: list[int], spec: DbscanSpec, slices) -> list[list[int]]:
+    """DBSCAN clusters of each slice [lo, hi) of the sorted values ``s``.
+
+    A cluster is ``[a, b, first]``: it holds ``idx[a:b]``, and ``first`` is
+    its lowest-index core. Slices come in the given order, each one's
+    clusters left to right; see ``dbscan`` for the rules. A point's count in
+    a slice is its eps-window clipped to the slice.
+    """
+    eps, min_pts, n = spec.eps, spec.min_pts, len(s)
+    start, stop = [], []  # each point's eps-window: sorted positions [start, stop)
     lo = hi = 0
     for x in s:
         while abs(x - s[lo]) > eps:
             lo += 1
-        while hi + 1 < n and abs(s[hi + 1] - x) <= eps:
+        while hi < n and abs(s[hi] - x) <= eps:
             hi += 1
-        core.append(hi - lo + 1 >= spec.min_pts)
-
-    runs: list[list[int]] = []  # members of each run of cores, left to right
-    run_of = [-1] * n
-    prev = -1
-    for i in range(n):
-        if core[i]:
-            if prev < 0 or abs(s[i] - s[prev]) > eps:
-                runs.append([])
-            runs[-1].append(idx[i])
-            run_of[i] = len(runs) - 1
-            prev = i
-    first = [min(r) for r in runs]
-
-    left = [-1] * n  # run of the nearest core left of point i, if within eps
-    near = -1
-    for i in range(n):
-        if core[i]:
-            near = i
-        elif near >= 0 and abs(s[i] - s[near]) <= eps:
-            left[i] = run_of[near]
-    near = -1
-    for i in range(n - 1, -1, -1):
-        if core[i]:
-            near = i
-            continue
-        r = left[i]
-        if near >= 0 and abs(s[near] - s[i]) <= eps:
-            if r < 0 or first[run_of[near]] < first[r]:
-                r = run_of[near]
-        if r >= 0:
-            runs[r].append(idx[i])
-    return [runs[r] for r in sorted(range(len(runs)), key=first.__getitem__)]
+        start.append(lo)
+        stop.append(hi)
+    ranges: list[list[int]] = []
+    for lo, hi in slices:
+        k = len(ranges)
+        reach = lo  # end of the eps-window of the last core seen
+        for i in range(lo, hi):
+            a, b = start[i], stop[i]
+            a = a if a > lo else lo
+            b = b if b < hi else hi
+            if b - a < min_pts:
+                continue
+            if i < reach:
+                run = ranges[-1]
+                run[1] = b
+                if idx[i] < run[2]:
+                    run[2] = idx[i]
+            else:
+                ranges.append([a, b, idx[i]])
+            reach = stop[i]
+        # neighbouring runs can share only non-cores; they join the run
+        # whose lowest-index core is lower
+        for left, right in zip(ranges[k:], ranges[k + 1 :]):
+            if left[1] > right[0]:
+                if left[2] < right[2]:
+                    right[0] = left[1]
+                else:
+                    left[1] = right[0]
+    return ranges
 
 
 def dbscan(values, spec: DbscanSpec) -> np.ndarray:
@@ -160,18 +165,20 @@ def dbscan(values, spec: DbscanSpec) -> np.ndarray:
     point; a border point keeps the label of the first cluster that reaches
     it, i.e. the lowest-numbered cluster with a core within ``eps``.
 
-    On a line this needs one stable sort and a scan, with no pairwise
-    distance matrix. Each point's eps-window is found with two pointers,
-    comparing ``abs(a - b) <= eps`` exactly as the definition does. A cluster
-    is a run of consecutive core points (in sorted order) whose gaps are
-    within ``eps``. All cores within ``eps`` on one side of a border point
-    belong to one cluster, so the point takes the lower-numbered cluster of
-    its nearest core on each side that lies within ``eps``.
+    On a line every cluster is a range of sorted positions, so this needs one
+    stable sort and one pass, with no pairwise distance matrix. Two pointers
+    find each point's eps-window, comparing ``abs(a - b) <= eps`` exactly as
+    the definition does, and a point is core iff its window holds
+    ``min_pts`` points. Consecutive cores join one run while each lies in
+    the window of the one before; the run's cluster spans from the window
+    start of its first core to the window end of its last. Two neighbouring
+    spans can overlap only on non-cores, which go to the lower-numbered run.
     """
     s, idx = _sorted_values(values, "dbscan")
     labels = np.full(len(s), -1, dtype=int)
-    for c, members in enumerate(_scan_clusters(s, idx, spec)):
-        labels[members] = c
+    ranges = sorted(_cluster_ranges(s, idx, spec, [(0, len(s))]), key=itemgetter(2))
+    for c, (a, b, _) in enumerate(ranges):
+        labels[idx[a:b]] = c
     return labels
 
 
@@ -194,46 +201,48 @@ def cover_and_cluster(f, cover: CoverSpec, db: DbscanSpec) -> list[tuple[int, ..
     """Cluster projected values inside each cover interval.
 
     Every non-noise DBSCAN cluster of every interval becomes one output
-    cluster (a tuple of point indices); overlapping intervals may yield
-    clusters sharing points. Points that end up in no cluster at all are kept
-    as singletons so no feature is dropped.
+    cluster (a tuple of point indices in ascending projection order), in
+    interval order and left to right within an interval; overlapping
+    intervals may yield clusters sharing points. Points that end up in no
+    cluster at all follow as singletons so no feature is dropped.
     """
     s, idx = _sorted_values(f, "cover_and_cluster")
-    clusters: list[tuple[int, ...]] = []
-    for a, b in cover_intervals(s[0], s[-1], cover):
-        # an interval's points are a contiguous slice of the sorted values,
-        # in the order a stable sort of those points alone would give
-        lo, hi = bisect_left(s, a), bisect_right(s, b)
-        if lo < hi:
-            clusters.extend(tuple(sorted(m)) for m in _scan_clusters(s[lo:hi], idx[lo:hi], db))
-    clustered = set().union(*clusters) if clusters else set()
-    for j in range(len(s)):
-        if j not in clustered:
-            clusters.append((j,))
+    # an interval's points are a contiguous slice of the sorted values, in
+    # the order a stable sort of those points alone would give
+    slices = [(bisect_left(s, a), bisect_right(s, b)) for a, b in cover_intervals(s[0], s[-1], cover)]
+    ranges = _cluster_ranges(s, idx, db, slices)
+    count = [0] * (len(s) + 1)  # clusters holding each sorted position, as differences
+    for a, b, _ in ranges:
+        count[a] += 1
+        count[b] -= 1
+    clusters = [tuple(idx[a:b]) for a, b, _ in ranges]
+    clusters += [(j,) for j, held in zip(idx, accumulate(count)) if not held]
     return clusters
 
 
 def build_graph(clusters, t: Transaction) -> TransactionGraph:
     """One node per cluster, an edge wherever two clusters share a point.
 
-    Nodes are ordered by their sorted member tuples, so equal inputs always
+    Nodes are ordered by their sorted member lists, so equal inputs always
     produce the identical graph.
     """
     if not clusters:
         raise TdaError("build_graph needs at least one cluster")
-    canon = sorted(tuple(sorted(set(map(int, c)))) for c in clusters)
-    for members in canon:
-        if not members:
-            raise TdaError("clusters must be non-empty")
-        if members[0] < 0 or members[-1] >= N_FEATURES:
-            raise TdaError(f"cluster indices out of range: {members}")
-    member = np.zeros((len(canon), N_FEATURES), dtype=bool)
-    member[[k for k, m in enumerate(canon) for _ in m], [j for m in canon for j in m]] = True
-    nodes = np.where(member, np.asarray(t.v, dtype=float), 0.0)
-    # clusters k < l share a point iff (member @ member.T)[k, l]
-    rows, cols = np.nonzero(member @ member.T)
-    edges = tuple((k, l) for k, l in zip(rows.tolist(), cols.tolist()) if k < l)
-    return TransactionGraph(nodes=nodes, edges=edges, label=t.label)
+    canon = sorted(map(sorted, map(set, clusters)))  # sorted lists order as tuples do
+    if not canon[0]:  # an empty cluster sorts first
+        raise TdaError("clusters must be non-empty")
+    cols = list(chain.from_iterable(canon))
+    if canon[0][0] < 0 or max(cols) >= N_FEATURES:
+        raise TdaError(f"cluster indices out of range: {min(cols)}..{max(cols)}")
+    owners: list[list[int]] = [[] for _ in range(N_FEATURES)]  # nodes holding each feature
+    for k, members in enumerate(canon):
+        for j in members:
+            owners[j].append(k)
+    nodes = np.zeros((len(canon), N_FEATURES))
+    flat = [k * N_FEATURES + j for k, members in enumerate(canon) for j in members]
+    np.put(nodes, flat, itemgetter(*cols)(t.v))
+    edges = sorted(set(chain.from_iterable(map(combinations, owners, repeat(2)))))
+    return TransactionGraph(nodes=nodes, edges=tuple(edges), label=t.label)
 
 
 def transaction_graph(

@@ -134,6 +134,18 @@ class TestBuildGraphs:
         digest = hashlib.sha256(b"".join(p.read_bytes() for p in files)).hexdigest()
         assert digest == "05bb1d9e9bdf64deaaa40333555c46b9e42ec14b9552bd5daf3e6de19b24956f"
 
+    def test_tuned_cover_corpus_is_pinned(self, tmp_path):
+        # six narrow intervals and a sparse DBSCAN: many noise singletons and
+        # clusters cut at interval edges, pinned beyond the default config
+        csv = tmp_path / "small.csv"
+        write_synthetic_csv(csv, n_clean=1500, n_fraud=80, seed=23)
+        out = tmp_path / "run"
+        cfg = write_cfg(tmp_path, csv, out, tda={"n_intervals": 6, "overlap": 0.3, "eps": 0.05, "min_pts": 3})
+        assert run(["build-graphs", "--config", str(cfg)]) == 0
+        files = sorted((out / "graphs").glob("graphs_*.jsonl"))
+        digest = hashlib.sha256(b"".join(p.read_bytes() for p in files)).hexdigest()
+        assert digest == "c3461b0413e40695dcf80eb026f96a90d1e1497b2bef69b6f01d1c3632e1dd2a"
+
     @pytest.mark.parametrize("extra, key", [
         ({"model": {"sage": {"widths": 3}}}, "model.sage.widths"),
         ({"output_dir": None}, "output_dir"),
@@ -262,9 +274,10 @@ class TestTrain:
         assert (a / "train_qgnn" / "history.csv").read_bytes() == (b / "train_qgnn" / "history.csv").read_bytes()
         assert (a / "train_qgnn" / "checkpoint.txt").read_bytes() == (b / "train_qgnn" / "checkpoint.txt").read_bytes()
 
-    def test_missing_corpus_is_runtime_error(self, tiny_csv, tmp_path):
+    def test_missing_corpus_is_validation_error(self, tiny_csv, tmp_path, capsys):
         cfg = write_cfg(tmp_path, tiny_csv, tmp_path / "none")
-        assert run(["train", "--config", str(cfg), "--model", "qgnn"]) == 2
+        assert run(["train", "--config", str(cfg), "--model", "qgnn"]) == 1
+        assert f"graph corpus not found: {tmp_path / 'none' / 'graphs'}" in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")
@@ -336,7 +349,17 @@ class TestEvaluate:
                 (graphs / f.name).write_bytes(f.read_bytes())
         argv = ["train", "--config", str(cfg), "--model", "sage", "--graphs", str(graphs),
                 "--output-dir", str(tmp_path / "run")]
-        assert run(argv) == 2
+        assert run(argv) == 1
+        assert not (tmp_path / "run").exists()
+
+    def test_missing_checkpoint_is_validation_error(self, built_run, tmp_path, capsys):
+        cfg, out = built_run
+        missing = tmp_path / "absent" / "checkpoint.txt"
+        argv = ["evaluate", "--config", str(cfg), "--model", "qgnn", "--checkpoint", str(missing),
+                "--output-dir", str(tmp_path / "run")]
+        assert run(argv) == 1
+        assert f"checkpoint not found: {missing}" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     def test_qubit_mismatch_is_explicit_error(self, built_run):
         cfg, _ = built_run

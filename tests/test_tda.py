@@ -118,6 +118,40 @@ class TestDbscan:
             DbscanSpec(min_pts=0)
 
 
+class TestRunBoundary:
+    """Two runs of cores on a line, with one non-core point between them."""
+
+    LEFT = [-0.9, -0.8, -0.7, 0.0]  # cores; 0.0 lies eps below the border point
+    RIGHT = [2.0, 2.7, 2.8, 2.9]  # cores; 2.0 lies eps above it
+    SPEC = DbscanSpec(eps=1.0, min_pts=4)  # the border point at 1.0 sees 3 points
+
+    @pytest.mark.parametrize("left_first", [True, False])
+    def test_border_joins_the_run_with_the_lower_index(self, left_first):
+        first, second = (self.LEFT, self.RIGHT) if left_first else (self.RIGHT, self.LEFT)
+        values = first + [1.0] + second
+        assert brute_dbscan(values, self.SPEC.eps, self.SPEC.min_pts) == [0] * 5 + [1] * 4
+        assert list(dbscan(values, self.SPEC)) == [0] * 5 + [1] * 4
+        clusters = cover_and_cluster(np.array(values), CoverSpec(1, 0.0), self.SPEC)
+        assert sorted(map(sorted, clusters)) == [[0, 1, 2, 3, 4], [5, 6, 7, 8]]
+
+    def test_min_pts_one_makes_every_point_core(self):
+        values = [0.0, 5.0, 0.5, 10.0, 5.5]
+        db = DbscanSpec(eps=0.5, min_pts=1)
+        assert list(dbscan(values, db)) == [0, 1, 0, 2, 1]
+        clusters = cover_and_cluster(np.array(values), CoverSpec(1, 0.0), db)
+        assert sorted(map(sorted, clusters)) == [[0, 2], [1, 4], [3]]
+
+    def test_min_pts_above_an_interval_count_leaves_singletons(self):
+        # every eps-window holds all 28 points, but each of the four disjoint
+        # intervals holds only 7, so inside the cover every point is noise
+        v = np.linspace(0.1, 2.8, 28)
+        db = DbscanSpec(eps=10.0, min_pts=8)
+        assert list(dbscan(v, db)) == [0] * 28
+        assert sorted(cover_and_cluster(v, CoverSpec(4, 0.0), db)) == [(j,) for j in range(28)]
+        g = transaction_graph(make_transaction(v=v.tolist()), CoverSpec(4, 0.0), db)
+        assert g.edges == () and np.array_equal(g.nodes, np.diag(v))
+
+
 class TestCover:
     def test_degenerate_range(self):
         assert cover_intervals(1.0, 1.0, CoverSpec(4, 0.5)) == [(1.0, 1.0)]
@@ -371,3 +405,36 @@ class TestCorpusIO:
         path.write_text("".join(json.dumps(r) + "\n" for r in (good, poisoned)))
         with pytest.raises(TdaError, match="line 2: non-finite value"):
             read_graph_corpus(path)
+
+
+def tie_heavy_v(rng) -> tuple:
+    """28 V values rounded to 0-2 decimals: exact ties, repeated values and -0.0."""
+    v = np.round(rng.normal(size=28) * float(rng.uniform(0.2, 3.0)), int(rng.integers(0, 3)))
+    return tuple(v.tolist())
+
+
+class TestTieHeavyOracle:
+    def test_graphs_match_oracle(self):
+        rng = make_rng(1414)
+        negative_zeros = 0
+        for case in range(2000):
+            t = make_transaction(v=tie_heavy_v(rng), label=case % 2)
+            cover = CoverSpec(int(rng.integers(1, 7)), float(rng.uniform(0.0, 0.9)))
+            db = DbscanSpec(float(rng.uniform(0.01, 1.0)), int(rng.integers(1, 6)))
+            g = transaction_graph(t, cover, db)
+            nodes, edges = oracle_transaction_graph(t, cover, db)
+            # tobytes tells 0.0 from -0.0
+            assert g.nodes.shape == nodes.shape and g.nodes.tobytes() == nodes.tobytes(), (case, t.v, cover, db)
+            assert list(g.edges) == edges, (case, t.v, cover, db)
+            negative_zeros += any(np.signbit(x) and x == 0.0 for x in t.v)
+        assert negative_zeros > 100
+
+    def test_dbscan_matches_brute_force(self):
+        rng = make_rng(1415)
+        for case in range(1500):
+            n = int(rng.integers(1, 29))
+            values = np.round(rng.normal(size=n) * float(rng.uniform(0.2, 3.0)), int(rng.integers(0, 3)))
+            eps = float(rng.uniform(0.01, 1.0))
+            min_pts = int(rng.integers(1, 7))
+            got = list(dbscan(values, DbscanSpec(eps=eps, min_pts=min_pts)))
+            assert got == brute_dbscan(values, eps, min_pts), (case, values.tolist(), eps, min_pts)
