@@ -25,14 +25,18 @@ from the spec alone by a cost model (no option selects it):
   bond of each cut it spans, and every gate acts on single sites, so wire
   j's site is linear in its two first-layer amplitudes. Sites are stacked at
   the largest bond B (2 for a q16/l2 chain, 4 for a ring) as (B, 2, B)
-  tensors padded with exact zeros; each call folds the layers' rotations
-  into the cached entangler maps, one (2 B^2, 2) map per wire. The last
+  tensors padded with exact zeros. The layers' rotations fold into the
+  cached entangler maps, one (2 B^2, 2) map per wire, once per parameter
+  vector: the last fold is kept, so a training batch's forward and gradient
+  share one, as does every row scored under one checkpoint. The last
   entangler is never applied: as in the closed form, <Z_k> after it is the
   Z-string over row k of the parity mask before it, read by carrying
   environments (Schollwoeck, arXiv:1008.3477) stacked over rows and readouts
-  through each site's I and Z transfer matrices, one matmul per site. The
-  gradient runs the same scan from the right and contracts every site's
-  cotangent at once.
+  through each site's I and Z transfer matrices, one matmul per site. An
+  environment is a Hermitian (B, B) matrix, carried as B^2 real coordinates,
+  so the transfer matrices and the scan are real. The gradient runs the
+  same scan from the right, turns both scans' environments back into
+  complex matrices and contracts every site's cotangent at once.
 * Otherwise on the statevector, simulated a layer at a time over (rows, 2^q)
   arrays. The first layer acts on the encoded product state, so its
   rotations are applied to each wire's two amplitudes before the product is
@@ -395,7 +399,7 @@ def _one_layer_grad(xs: np.ndarray, spec: CircuitSpec, w: np.ndarray, upstream: 
 # matrix product states for deep circuits
 
 CLOSED_FORM, MPS, STATEVECTOR = "closed form", "mps", "statevector"
-SITE_COST = 1 << 11  # amplitude updates per row that one MPS site's numpy calls cost
+SITE_COST = 900  # amplitude updates per row that one MPS site's numpy calls cost
 
 
 @functools.lru_cache(maxsize=64)
@@ -411,18 +415,24 @@ def _mps_bonds(spec: CircuitSpec) -> tuple[int, ...]:
 
 
 def _mps_forward_amplitudes(spec: CircuitSpec) -> int:
-    """Amplitudes a row holds in an MPS forward: sites (q D, D = 2 B^2 at the largest
-    bond B), transfer matrices (q D^2 / 2), environments of every cut ((q + 1) q D / 2)."""
+    """Amplitudes a row holds at most in an MPS forward, a real number counting as
+    half of one (D = 2 B^2 at the largest bond B). While its transfer matrices are
+    built: the sites and two copies (3 q D), their outer products and the real
+    terms drawn from them (3 q D^2 / 4). While it scans: the sites, the real
+    transfer matrices (q D^2 / 4) and the real environments of every cut
+    ((q + 1) q D / 4)."""
     q, size = spec.q, 2 * max(_mps_bonds(spec)) ** 2
-    return q * size * (2 + size + q + 1) // 2
+    return q * size * max(12 + 3 * size, 4 + size + q + 1) // 4
 
 
 @functools.lru_cache(maxsize=64)
 def _mps_row_amplitudes(spec: CircuitSpec) -> int:
-    """Amplitudes a gradient row holds, the most on the MPS path: the forward's, the
-    right environments, the cotangents (q D) and their contraction's 5 q^2 D / 2."""
+    """Amplitudes a gradient row holds at most, the most on the MPS path: the
+    forward's, or, once both scans are done, the sites and real transfer matrices,
+    the environments of both scans ((q + 1) q D / 2) and the complex matrices of
+    the cotangent contraction (3 q^2 D)."""
     q, size = spec.q, 2 * max(_mps_bonds(spec)) ** 2
-    return _mps_forward_amplitudes(spec) + q * size * (q + 1 + 2 + 5 * q) // 2
+    return max(_mps_forward_amplitudes(spec), q * size * (4 + size + 2 * (q + 1) + 12 * q) // 4)
 
 
 def circuit_path(spec: CircuitSpec) -> str:
@@ -432,16 +442,17 @@ def circuit_path(spec: CircuitSpec) -> str:
     when a gradient row fits in ``CHUNK_AMPLITUDES`` and its work is the
     smaller, per row in amplitude updates: 2 q layers 2^q on the statevector
     (about 2q per amplitude and layer); on the MPS, at any depth, q sites of
-    ``SITE_COST`` for their numpy calls plus about 4 q B^4 for carrying q
-    readouts through a (B^2, 2 B^2) transfer matrix. The constants come from
-    timings on a 2-core x86 host: the paths break even at q = 9 to 10 for a
-    chain at two layers, and q = 11 to 12 for a chain at three or a ring at two.
+    ``SITE_COST`` for their numpy calls plus 2 q B^4 real multiply-adds for
+    carrying q readouts through a real (B^2, 2 B^2) transfer matrix. The
+    constants come from timings on a 2-core x86 host: the paths break even at
+    q = 8 to 9 for a chain at two layers, q = 9 to 10 for a chain at three and
+    q = 10 to 11 for a ring at two.
     """
     if spec.layers == 1:
         return CLOSED_FORM
     if spec.layers == 0 or _mps_row_amplitudes(spec) > CHUNK_AMPLITUDES:
         return STATEVECTOR
-    work = spec.q * (SITE_COST + 4 * spec.q * max(_mps_bonds(spec)) ** 4)
+    work = spec.q * (SITE_COST + 2 * spec.q * max(_mps_bonds(spec)) ** 4)
     return MPS if work < 2 * spec.q * spec.layers << spec.q else STATEVECTOR
 
 
@@ -483,20 +494,61 @@ def _entangler_maps(spec: CircuitSpec) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=64)
-def _mps_indices(spec: CircuitSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Flat gather indices at the largest bond B: (2, q, k, B^2) picks readout k's
-    environment past site j from its I and Z candidates, (k, 2, B^2) from the left
-    and (k, B^2, 2) from the right, with Z where ``_parity_mask`` [k, j]; (2, 2 B^4)
-    picks the s = 0 and s = 1 terms of transfer entries from a site's outer products."""
+def _mps_select(spec: CircuitSpec) -> np.ndarray:
+    """(2, q, k, B^2) flat gather indices at the largest bond B: [0, j] picks readout
+    k's environment past site j from its I and Z candidates laid out (k, 2, B^2) from
+    the left, and [1, j] from (k, B^2, 2) from the right, with Z where ``_parity_mask``
+    [k, j]."""
     b = max(_mps_bonds(spec))
     z = _parity_mask(spec).T[:, :, None]
     k, xy = np.arange(spec.q)[:, None], np.arange(b * b)
     select = np.stack([(2 * k + z) * b * b + xy, 2 * (k * b * b + xy) + z])
-    x, y, _, x2, y2 = np.indices((b, b, 2, b, b)).reshape(5, -1)
-    terms = np.stack([((s * b + x) * b + x2) * b * b + y * b + y2 for s in (0, 1)])
-    for a in (select, terms):
-        a.setflags(write=False)
-    return select, terms
+    select.setflags(write=False)
+    return select
+
+
+def _transfers(sites: np.ndarray, bond: int) -> np.ndarray:
+    """(n, q, B^2, 2, B^2) real I and Z transfer matrices of (n, q, D) sites.
+
+    An environment E of a cut is a Hermitian (B, B) matrix, and site a carries
+    it to sum_s (-1)^(s p) a_s^H E a_s (p = 1 for Z). It is stored as B^2 reals
+    e_xy = Re E_xy + Im E_xy (``_hermitian`` inverts this), in which that step is
+    e' = e @ R[:, p] with R[(x, y), p] = Re T[(x, y), p] + Im T[(y, x), p], T the
+    complex transfer matrix: [(x, y), p, (x', y')] sums (-1)^(s p) conj(a[x, s, x'])
+    a[y, s, y'] over s. R is read straight from the real and imaginary parts of
+    the outer products, the site index innermost so that every pass runs over
+    all n q sites at once.
+    """
+    n, q, _ = sites.shape
+    b = bond
+    a = np.ascontiguousarray(sites.reshape(n * q, b, 2, b).transpose(2, 1, 3, 0))  # (s, x, x', site)
+    outer = a.conj()[:, :, None, :, None] * a[:, None, :, None, :]  # (s, x, y, x', y', site)
+    terms = np.add(outer.real, outer.imag.swapaxes(1, 2))
+    del outer  # freed before the output is allocated (see _mps_forward_amplitudes)
+    out = np.empty((n * q, b, b, 2, b, b))
+    by_site = out.transpose(1, 2, 3, 4, 5, 0)
+    np.add(terms[0], terms[1], out=by_site[:, :, 0])
+    np.subtract(terms[0], terms[1], out=by_site[:, :, 1])
+    return out.reshape(n, q, b * b, 2, b * b)
+
+
+@functools.lru_cache(maxsize=None)
+def _hermitian_map(bond: int) -> np.ndarray:
+    """(B^2, 2 B^2) real matrix taking real coordinates (see ``_transfers``) to the
+    interleaved real and imaginary parts of E_xy = ((1 + i) e_xy + (1 - i) e_yx) / 2."""
+    same = np.eye(bond * bond).reshape(-1, bond, bond)  # [(x, y), x', y']: (x', y') = (x, y)
+    swapped = same.swapaxes(1, 2)  # (x', y') = (y, x)
+    out = np.stack([same + swapped, same - swapped], axis=-1).reshape(bond * bond, -1) / 2
+    out.setflags(write=False)
+    return out
+
+
+def _hermitian(coords: np.ndarray, bond: int) -> np.ndarray:
+    """(..., B^2) real coordinates -> (..., B, B) Hermitian matrices, by one real
+    matmul: each entry adds at most two exact halves, so it rounds once, and a
+    row's result does not depend on how many rows share the call."""
+    flat = coords.reshape(-1, bond * bond) @ _hermitian_map(bond)
+    return flat.view(complex).reshape(coords.shape[:-1] + (bond, bond))
 
 
 def _rotate_sites(u: np.ndarray, maps: np.ndarray) -> np.ndarray:
@@ -508,8 +560,11 @@ def _rotate_sites(u: np.ndarray, maps: np.ndarray) -> np.ndarray:
 
 
 class _Mps:
-    """One call's circuit on the MPS path: wire j's site after layer l is
-    ``maps[l][j] @ f_j``, f_j its two first-layer amplitudes."""
+    """The circuit on the MPS path for one parameter vector: wire j's site
+    after layer l is ``maps[l][j] @ f_j``, f_j its two first-layer amplitudes.
+
+    Built by ``_folded``, which keeps the last one, so its arrays are read-only.
+    """
 
     def __init__(self, spec: CircuitSpec, w: np.ndarray) -> None:
         self.spec = spec
@@ -518,38 +573,31 @@ class _Mps:
         self.bond = math.isqrt(self.entangler.shape[-1] // 2)
         m = np.zeros((spec.q, 2 * self.bond**2, 2), dtype=complex)
         m[:, [0, self.bond], [0, 1]] = 1.0  # f_j at (0, s, 0): bond 1 padded to B
-        self.maps = [m]
+        maps = [m]
         for u in self.wires[1:]:
-            self.maps.append(_rotate_sites(u, self.entangler @ self.maps[-1]))
+            maps.append(_rotate_sites(u, self.entangler @ maps[-1]))
+        self.maps = tuple(maps)
+        for a in (self.wires, *self.maps):
+            a.setflags(write=False)
 
     def sites(self, first: np.ndarray) -> np.ndarray:
         # (n, q, 2) first-layer amplitudes -> (n, q, D) last sites, written out elementwise
         m = self.maps[-1]
         return m[:, :, 0] * first[:, :, 0, None] + m[:, :, 1] * first[:, :, 1, None]
 
-    def transfers(self, sites: np.ndarray) -> np.ndarray:
-        """(n, q, B^2, 2, B^2) I and Z transfer matrices: [n, j, (x, y), p, (x', y')]
-        sums conj(a[x, s, x']) a[y, s, y'] over s, with sign (-1)^s for Z."""
-        n, q, size = sites.shape
-        a = sites.reshape(n, q, self.bond, 2, self.bond).transpose(0, 1, 3, 2, 4).reshape(n, q, 2, -1)
-        outer = (a.conj()[..., :, None] * a[..., None, :]).reshape(n * q, size * size // 2)
-        terms = _mps_indices(self.spec)[1]
-        out = outer[:, terms[1]].reshape(n, q, size // 2, 2, size // 2)
-        out[:, :, :, 1] *= -1.0
-        out += outer[:, terms[0]].reshape(out.shape)
-        return out
-
     def environments(self, transfers: np.ndarray, select: np.ndarray) -> np.ndarray:
-        """(q + 1, n, k, B^2): each readout's environment at every cut, carried through
-        (n, q, B^2, 2 B^2) transfers by one matmul and one gather (``select``) a site."""
+        """(q + 1, n, k, B^2): each readout's environment at every cut in real
+        coordinates, carried through (n, q, B^2, 2 B^2) real transfers (see
+        ``_transfers``) by one matmul and one gather (``select``) a site."""
         n, q, b2 = transfers.shape[:3]
-        envs = np.zeros((q + 1, n, q, b2), dtype=complex)
+        envs = np.zeros((q + 1, n, q, b2))
         envs[0, :, :, 0] = 1.0
         for j in range(q):
             both = envs[j] @ transfers[:, j]
             both.reshape(n, -1).take(select[j], axis=1, out=envs[j + 1], mode="clip")
         return envs
 
+    @functools.cached_property
     def grad_maps(self) -> np.ndarray:
         """(q, D, layers * 8) N: layer l's overlaps are [a, b] = sum_{d, c}
         conj(G[d]) N[d, l, a, b, c] f[c], G the last site's cotangent, where N
@@ -563,7 +611,17 @@ class _Mps:
             parts.append((ks @ ms).reshape(q, size, 8))
             if layer:
                 k = k @ _rotate_sites(self.wires[layer], self.entangler)
-        return np.stack(parts[::-1], axis=2).reshape(q, size, -1)
+        out = np.stack(parts[::-1], axis=2).reshape(q, size, -1)
+        out.setflags(write=False)
+        return out
+
+
+@functools.lru_cache(maxsize=1)
+def _folded(spec: CircuitSpec, angles: bytes) -> _Mps:
+    """``_Mps`` of the float64 angles in ``angles``, kept until the next angles
+    arrive: a training batch's forward and gradient share one fold, and so does
+    every row scored under one checkpoint."""
+    return _Mps(spec, np.frombuffer(angles))
 
 
 def _mps_chunks(n: int, row_amplitudes: int):
@@ -572,12 +630,12 @@ def _mps_chunks(n: int, row_amplitudes: int):
 
 
 def _mps_z(xs: np.ndarray, spec: CircuitSpec, w: np.ndarray) -> np.ndarray:
-    circuit = _Mps(spec, w)  # readouts: the environments past the last site
+    circuit = _folded(spec, w.tobytes())  # readouts: the environments past the last site
     out = np.empty(xs.shape)
     for rows in _mps_chunks(len(xs), _mps_forward_amplitudes(spec)):
         sites = circuit.sites(_first_wires(xs[rows], circuit.wires))
-        transfers = circuit.transfers(sites).reshape(len(sites), spec.q, -1, 2 * circuit.bond**2)
-        out[rows] = circuit.environments(transfers, _mps_indices(spec)[0][0])[-1, :, :, 0].real
+        transfers = _transfers(sites, circuit.bond).reshape(len(sites), spec.q, -1, 2 * circuit.bond**2)
+        out[rows] = circuit.environments(transfers, _mps_select(spec)[0])[-1, :, :, 0]
     return out
 
 
@@ -590,27 +648,28 @@ def _mps_grad(xs, spec: CircuitSpec, w, upstream):
     overlaps ``_layer_grads`` reads come from G_j and f_j (``_Mps.grad_maps``).
     """
     q, layers = spec.q, spec.layers
-    circuit = _Mps(spec, w)
+    circuit = _folded(spec, w.tobytes())
     b, size = circuit.bond, 2 * circuit.bond**2
-    reads = circuit.grad_maps()
-    select = _mps_indices(spec)[0]
+    reads = circuit.grad_maps
+    select = _mps_select(spec)
     signs = np.where(_parity_mask(spec).T[:, None, :] & (np.arange(2)[:, None] == 1), -1.0, 1.0)  # (j, s, k)
     firsts = _first_wires(xs, circuit.wires)
     overlaps = np.empty((layers, len(xs), 2, 2, q), dtype=complex)
     for rows in _mps_chunks(len(xs), _mps_row_amplitudes(spec)):
         first = firsts[rows]
         sites, n = circuit.sites(first), len(first)
-        transfers = circuit.transfers(sites)
-        left = circuit.environments(transfers.reshape(n, q, b * b, size), select[0])[:q].transpose(1, 0, 2, 3)
-        # the same scan from the right, through each transfer matrix transposed
+        transfers = _transfers(sites, b)
+        left = circuit.environments(transfers.reshape(n, q, b * b, size), select[0])[:q]
+        # the same scan from the right, through each transfer matrix transposed,
+        # carries the conjugate of each right environment
         mirrored = transfers.reshape(n, q, size, b * b).swapaxes(-1, -2)[:, ::-1]
         right = circuit.environments(mirrored, select[1, ::-1])[q - 1::-1]
         # la[n, j, k, x, s, y'] = sum_y left[., x, y] a[., y, s, y'], weighted and laid
-        # out as ((x, s), (k, y')) against right as ((k, y'), x')
-        la = left.reshape(n, q, q * b, b) @ sites.reshape(n, q, b, 2 * b)
+        # out as ((x, s), (k, y')) against the conjugate right environment as ((k, y'), x')
+        la = _hermitian(left.transpose(1, 0, 2, 3), b).reshape(n, q, q * b, b) @ sites.reshape(n, q, b, 2 * b)
         weights = (upstream[rows][:, None, None, :] * signs)[:, :, None, :, :, None]  # (n, j, 1, s, k, 1)
         weighted = np.multiply(la.reshape(n, q, q, b, 2, b).transpose(0, 1, 3, 4, 2, 5), weights, order="C")
-        right = right.reshape(q, n, q, b, b).transpose(1, 0, 2, 4, 3).reshape(n, q, q * b, b)
+        right = _hermitian(right.transpose(1, 0, 2, 3), b).reshape(n, q, q * b, b)
         cotangents = weighted.reshape(n, q, 2 * b, q * b) @ right
         reads_at = (cotangents.reshape(n, q, 1, size).conj() @ reads).reshape(n, q, layers, 2, 2, 2)
         at = reads_at[..., 0] * first[:, :, None, None, None, 0] + reads_at[..., 1] * first[:, :, None, None, None, 1]

@@ -2,13 +2,15 @@
 
 Everything here is deliberately brute-force and kept free of the production
 code paths: dense 2^q x 2^q circuit matrices, a gate-by-gate circuit on a
-(2,) * q tensor, central finite differences, pairwise density reachability
-for DBSCAN, pair-counting AUC, direct cluster-intersection edges, the
-transaction graph assembled from those, a row-by-row CSV reader with
-``float()`` on every cell, and a GraphSAGE layer that aggregates, draws its
-dropout masks and scatters its gradient one node at a time. The exception
-is the parameter-shift gradient, which reruns the package's forward
-simulator (itself checked against the dense oracle) at shifted angles.
+(2,) * q tensor, an MPS environment carried across one site by a loop over
+its physical index, central finite differences, pairwise density
+reachability for DBSCAN, pair-counting AUC, direct cluster-intersection
+edges, the transaction graph assembled from those, a row-by-row CSV reader
+with ``float()`` on every cell, and a GraphSAGE layer that aggregates, draws
+its dropout masks and scatters its gradient one node at a time. The
+exception is the parameter-shift gradient, which reruns the package's
+forward simulator (itself checked against the dense oracle) at shifted
+angles.
 """
 
 from __future__ import annotations
@@ -101,6 +103,17 @@ def tensor_state(x, spec, w) -> np.ndarray:
         for c, t in spec.entangler:
             state = np.where(control_is_one[c], np.flip(state, axis=t), state)
     return state.reshape(-1)
+
+
+def transfer_step(env, site, signs) -> np.ndarray:
+    """One site's step of an MPS environment, a plain loop over the physical index:
+    E' = sum_s signs[s] A_s^H E A_s, with A_s = site[:, s, :] of a (B, 2, B) site.
+    signs (1, 1) carry the identity across the site and (1, -1) carry Z."""
+    out = np.zeros(env.shape, dtype=complex)
+    for s, sign in enumerate(signs):
+        a = site[:, s, :]
+        out += sign * (a.conj().T @ env @ a)
+    return out
 
 
 def param_shift_grad_batch(xs, spec, w, upstream):

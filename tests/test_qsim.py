@@ -437,9 +437,80 @@ def tensor_z(xs, spec, w):
     return np.array([qsim._z_expectations(oracles.tensor_state(x, spec, w), spec.q) for x in xs])
 
 
+def hermitian_coordinates(env):
+    """The real coordinates of Hermitian matrices, e_xy = Re E_xy + Im E_xy."""
+    return (env.real + env.imag).reshape(env.shape[:-2] + (-1,))
+
+
+class TestRealEnvironments:
+    """MPS environments are Hermitian and carried as B^2 real coordinates."""
+
+    @pytest.mark.parametrize("bond", [1, 2, 4, 8])
+    def test_coordinates_round_trip_exactly(self, rng, bond):
+        # small integers: every sum and halving below is exact, so the
+        # identity itself is checked bit for bit, both ways round
+        env = rng.integers(-8, 9, (5, bond, bond)) + 1j * rng.integers(-8, 9, (5, bond, bond))
+        env = env + env.conj().swapaxes(-1, -2)
+        np.testing.assert_array_equal(qsim._hermitian(hermitian_coordinates(env), bond), env)
+        coords = rng.integers(-8, 9, (5, bond * bond)).astype(float)
+        np.testing.assert_array_equal(hermitian_coordinates(qsim._hermitian(coords, bond)), coords)
+
+    @pytest.mark.parametrize("bond", [1, 2, 4, 8])
+    def test_real_step_matches_oracle(self, rng, bond):
+        # (n, q) = (3, 2) random sites, scaled so that entries stay near 1
+        size = 2 * bond * bond
+        sites = (rng.normal(size=(3, 2, size)) + 1j * rng.normal(size=(3, 2, size))) / np.sqrt(2 * bond)
+        transfers = qsim._transfers(sites, bond)
+        env = rng.normal(size=(bond, bond)) + 1j * rng.normal(size=(bond, bond))
+        env = (env + env.conj().T) / bond
+        coords = hermitian_coordinates(env)
+        for n in range(3):
+            for j in range(2):
+                site = sites[n, j].reshape(bond, 2, bond)
+                for p, signs in enumerate([(1, 1), (1, -1)]):
+                    got = qsim._hermitian(coords @ transfers[n, j, :, p], bond)
+                    np.testing.assert_allclose(got, oracles.transfer_step(env, site, signs), rtol=0, atol=1e-14)
+
+
+class TestFold:
+    """``_folded`` keeps the last parameter vector's circuit for the next call."""
+
+    spec = qsim.CircuitSpec.chain(10, 2)
+
+    def test_in_place_change_gives_the_fresh_result(self, rng):
+        xs = rng.uniform(-3, 3, (3, 10))
+        w = rng.uniform(0, 2 * np.pi, self.spec.n_params)
+        before = qsim.run_vqc_batch(xs, self.spec, w)
+        w[3] += 0.5
+        after = qsim.run_vqc_batch(xs, self.spec, w)
+        assert not np.allclose(after, before)
+        np.testing.assert_allclose(after, tensor_z(xs, self.spec, w), rtol=0, atol=1e-12)
+
+    def test_cached_arrays_are_read_only(self, rng):
+        w = rng.uniform(0, 2 * np.pi, self.spec.n_params)
+        assert qsim.circuit_path(self.spec) == qsim.MPS
+        circuit = qsim._folded(self.spec, w.tobytes())
+        for a in (circuit.wires, circuit.entangler, *circuit.maps, circuit.grad_maps):
+            assert not a.flags.writeable
+        assert qsim._folded(self.spec, w.copy().tobytes()) is circuit
+
+    def test_warm_and_cold_calls_give_the_same_bits(self, rng):
+        xs = rng.uniform(-3, 3, (5, 10))
+        upstream = rng.normal(size=xs.shape)
+        w = rng.uniform(0, 2 * np.pi, self.spec.n_params)
+        calls = (lambda: (qsim.run_vqc_batch(xs, self.spec, w),),
+                 lambda: qsim.param_shift_grad_batch(xs, self.spec, w, upstream))
+        for call in calls:
+            qsim._folded.cache_clear()
+            cold = call()
+            for a, b in zip(cold, call()):
+                np.testing.assert_array_equal(a, b)
+
+
 class TestMatrixProductState:
-    """The MPS kernels, called directly: ``circuit_path`` sends q <= 12 to the
-    simulator, so these are the only tests of the MPS path there."""
+    """The MPS kernels, called directly: ``circuit_path`` sends chains and rings
+    of up to 8 qubits to the simulator, so these are the only tests of the MPS
+    path there."""
 
     def test_readouts_match_tensor_state(self, rng):
         randoms = 0
@@ -454,11 +525,29 @@ class TestMatrixProductState:
         assert randoms > 50
 
     def test_readouts_match_tensor_state_at_16_qubits(self, rng):
-        xs = rng.uniform(-3, 3, (2, 16))
+        # through the public entry point, with the fold cached and not
+        xs = rng.uniform(-3, 3, (4, 16))
+        for factory in (qsim.CircuitSpec.chain, qsim.CircuitSpec.ring):
+            spec = factory(16, 2)
+            assert qsim.circuit_path(spec) == qsim.MPS
+            w = rng.uniform(0, 2 * np.pi, spec.n_params)
+            want = tensor_z(xs, spec, w)
+            qsim._folded.cache_clear()
+            np.testing.assert_allclose(qsim.run_vqc_batch(xs, spec, w), want, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(qsim.run_vqc_batch(xs, spec, w), want, rtol=0, atol=1e-12)
+
+    def test_gradient_matches_param_shift_at_16_qubits(self, rng):
+        xs = rng.uniform(-3, 3, (4, 16))
+        upstream = rng.normal(size=xs.shape)
         for factory in (qsim.CircuitSpec.chain, qsim.CircuitSpec.ring):
             spec = factory(16, 2)
             w = rng.uniform(0, 2 * np.pi, spec.n_params)
-            np.testing.assert_allclose(qsim._mps_z(xs, spec, w), tensor_z(xs, spec, w), rtol=0, atol=1e-12)
+            ref_w, ref_x = oracles.param_shift_grad_batch(xs, spec, w, upstream)
+            qsim._folded.cache_clear()
+            for _ in ("cold", "warm"):
+                grad_w, grad_x = qsim.param_shift_grad_batch(xs, spec, w, upstream)
+                np.testing.assert_allclose(grad_w, ref_w, rtol=0, atol=1e-10)
+                np.testing.assert_allclose(grad_x, ref_x, rtol=0, atol=1e-10)
 
     def test_gradient_matches_param_shift(self, rng):
         for q in range(1, 9):
