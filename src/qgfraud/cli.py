@@ -257,7 +257,10 @@ def _score_at_val_threshold(arrays, meta, cfg: RunConfig, corpus: dict, split: s
     return metrics.evaluate(scored(split), threshold), source
 
 
-def _check_checkpoint(meta: dict, cfg: RunConfig, corpus_hash: str) -> None:
+def _check_checkpoint(meta: dict, cfg: RunConfig, corpus_hash: str, checkpoint: Path, model: str) -> None:
+    if meta.get("kind") != model:
+        found = f"a {meta['kind']} checkpoint" if "kind" in meta else "a checkpoint with no 'meta kind' line"
+        raise ConfigError(f"{checkpoint}: --model {model} was given {found}")
     if meta.get("corpus_config_hash") != corpus_hash:
         raise ConfigError(
             "checkpoint was trained on a different corpus "
@@ -277,12 +280,12 @@ def _check_checkpoint(meta: dict, cfg: RunConfig, corpus_hash: str) -> None:
             )
 
 
-def _evaluate(cfg: RunConfig, checkpoint: Path, graphs_dir: Path, out_dir: Path, split: str):
+def _evaluate(cfg: RunConfig, checkpoint: Path, graphs_dir: Path, out_dir: Path, split: str, model: str):
     t0 = time.perf_counter()
     arrays, meta = load_arrays(checkpoint)
     corpus = _read_corpus(graphs_dir, ("val", split))
     corpus_hash = _corpus_meta(graphs_dir)["corpus_config_hash"]
-    _check_checkpoint(meta, cfg, corpus_hash)
+    _check_checkpoint(meta, cfg, corpus_hash, checkpoint, model)
     report, threshold_source = _score_at_val_threshold(arrays, meta, cfg, corpus, split)
 
     with staged_output(out_dir) as tmp:
@@ -293,7 +296,7 @@ def _evaluate(cfg: RunConfig, checkpoint: Path, graphs_dir: Path, out_dir: Path,
             tmp,
             {
                 "command": "evaluate",
-                "model": meta["kind"],
+                "model": model,
                 "config": cfg.to_dict(),
                 "checkpoint": str(checkpoint),
                 "split": split,
@@ -321,7 +324,7 @@ def cmd_evaluate(args) -> int:
         _output_root(cfg) / f"train_{args.model}" / "checkpoint.txt"
     )
     out_dir = _output_root(cfg) / f"eval_{args.model}_{args.split}"
-    report, threshold_source = _evaluate(cfg, checkpoint, graphs_dir, out_dir, args.split)
+    report, threshold_source = _evaluate(cfg, checkpoint, graphs_dir, out_dir, args.split, args.model)
     print(
         f"{args.model} on {args.split}: accuracy {report.accuracy:.1f}%, "
         f"precision {report.precision:.1f}%, recall {report.recall:.1f}%, "

@@ -43,7 +43,8 @@ def save_arrays(path, arrays: dict, meta: dict) -> None:
 
 
 def load_arrays(path):
-    """Returns (arrays, meta) as written by ``save_arrays``."""
+    """Returns (arrays, meta) as written by ``save_arrays``; anything else is a
+    ``PersistError`` that names the file and line."""
     p = Path(path)
     if not p.exists():
         raise PersistError(f"checkpoint not found: {p}")
@@ -53,24 +54,27 @@ def load_arrays(path):
         first = fh.readline().rstrip("\n")
         if first != MAGIC:
             raise PersistError(f"{p}: not a named-array file (header {first!r})")
-        line = fh.readline()
-        while line:
-            line = line.rstrip("\n")
-            if line.startswith("meta "):
-                _, key, value = line.split(" ", 2)
-                meta[key] = value
-            elif line.startswith("array "):
-                _, name, shape_s = line.split(" ", 2)
-                shape = () if shape_s == "-" else tuple(int(d) for d in shape_s.split(","))
-                values = fh.readline().split()
-                arr = np.array([float(v) for v in values], dtype=float)
-                expected = int(np.prod(shape)) if shape else 1
-                if arr.size != expected:
-                    raise PersistError(f"{p}: array {name} has {arr.size} values, expected {expected}")
-                arrays[name] = arr.reshape(shape)
-            elif line:
-                raise PersistError(f"{p}: unrecognised line {line!r}")
-            line = fh.readline()
+        lines = enumerate((line.rstrip("\n") for line in fh), start=2)
+        for lineno, line in lines:
+            try:
+                head, *fields = line.split(" ", 2)
+                if head in ("meta", "array") and len(fields) < 2:
+                    raise ValueError(f"{head} line needs a name and a value")
+                if head == "meta":
+                    meta[fields[0]] = fields[1]
+                elif head == "array":
+                    name, shape_s = fields
+                    shape = () if shape_s == "-" else tuple(int(d) for d in shape_s.split(","))
+                    lineno, values = next(lines, (lineno + 1, ""))
+                    arr = np.array([float(v) for v in values.split()], dtype=float)
+                    expected = int(np.prod(shape)) if shape else 1
+                    if arr.size != expected:
+                        raise ValueError(f"array {name} has {arr.size} values, expected {expected}")
+                    arrays[name] = arr.reshape(shape)
+                elif line:
+                    raise ValueError(f"unrecognised line {line!r}")
+            except ValueError as exc:
+                raise PersistError(f"{p}: line {lineno}: {exc}") from None
     return arrays, meta
 
 

@@ -8,16 +8,22 @@ Conventions, fixed once and used everywhere:
 * Angle encoding prepares the product state with per-qubit amplitudes
   ``(cos x_i, i sin x_i)``, i.e. ``RX(-2 x_i)`` applied to |0>.
 
+A circuit runs on one of three exact paths, which ``circuit_path`` picks from
+the spec alone by a cost model (no option selects it). Each path is one class,
+``_OneLayer``, ``_Mps`` or ``_Statevector``, built once per parameter vector
+with two methods, ``z(xs)`` and ``grad(xs, upstream)``. ``_folded`` is the
+only place that picks the path, and it keeps the last fold: a training
+batch's forward and gradient share one, as does every row scored under one
+checkpoint.
+
 One-layer circuits never build a state. Their rotations leave a product
 state whose wire j has <Z> = z_j = cos 2x_j cos a_j cos b_j + sin 2x_j sin b_j
 (a_j, b_j the RY and RX angles), and the CNOTs that follow only permute basis
 states: output bit k is the GF(2) parity of the input bits in row k of a
 (q, q) mask. So <Z_k> = prod of z_j over that row, read and differentiated
-in O(q^2) per input. ``run_vqc_batch`` and ``param_shift_grad_batch``
-take that path whenever ``spec.layers == 1``.
+in O(q^2) per input.
 
-Deeper circuits take one of two exact paths, which ``circuit_path`` picks
-from the spec alone by a cost model (no option selects it):
+Deeper circuits take one of two paths:
 
 * As a matrix product state (Vidal, arXiv:quant-ph/0301063) when the
   entanglement is short-range, as for chain and ring entanglers at 16 qubits.
@@ -25,10 +31,8 @@ from the spec alone by a cost model (no option selects it):
   bond of each cut it spans, and every gate acts on single sites, so wire
   j's site is linear in its two first-layer amplitudes. Sites are stacked at
   the largest bond B (2 for a q16/l2 chain, 4 for a ring) as (B, 2, B)
-  tensors padded with exact zeros. The layers' rotations fold into the
-  cached entangler maps, one (2 B^2, 2) map per wire, once per parameter
-  vector: the last fold is kept, so a training batch's forward and gradient
-  share one, as does every row scored under one checkpoint. The last
+  tensors padded with exact zeros. The fold puts the layers' rotations into
+  the cached entangler maps, one (2 B^2, 2) map per wire. The last
   entangler is never applied: as in the closed form, <Z_k> after it is the
   Z-string over row k of the parity mask before it, read by carrying
   environments (Schollwoeck, arXiv:1008.3477) stacked over rows and readouts
@@ -42,11 +46,11 @@ from the spec alone by a cost model (no option selects it):
   rotations are applied to each wire's two amplitudes before the product is
   formed. A layer's RY and RX on a wire fuse to one 2x2 matrix, and the
   wires are rotated in groups of up to ``GROUP_WIRES``: one matmul per group
-  with the Kronecker product of the group's matrices. A layer's CNOT network
-  permutes basis states, so it is one gather, ``np.take(state, perm,
-  axis=1)``; ``perm`` is cached per spec and built from the index bits of
-  ``arange(2**q)``, one CNOT at a time. <Z_k> is read by halving the
-  probabilities once per wire.
+  with the Kronecker product of the group's matrices, built once per fold. A
+  layer's CNOT network permutes basis states, so it is one gather,
+  ``np.take(state, perm, axis=1)``; ``perm`` is cached per spec and built
+  from the index bits of ``arange(2**q)``, one CNOT at a time. <Z_k> is read
+  by halving the probabilities once per wire.
 
 Rows go through in chunks of ``CHUNK_AMPLITUDES`` amplitudes (at least one
 row), so a state stays cache-sized and a call's memory is a fixed multiple of
@@ -57,19 +61,17 @@ only when a gradient row fits in the budget. Every per-row result is
 computed the same way whatever the chunk holds, so readouts and input
 gradients do not depend on the chunking.
 
-On the statevector, gradients come from the adjoint method: one forward run
-plus one reverse sweep with the inverse permutation and the conjugate group
-matrices, about three forward passes in all, where the parameter-shift rule
-needs 2 (2qL + q) runs. Parameter shift survives only as the test oracle in
-``tests/oracles.py``; the simulator is the reference the closed form is
-tested against, and ``tests/oracles.tensor_state``, which applies one gate
-at a time to a (2,) * q tensor, is the reference for the layer kernels and
-the MPS path.
+On the statevector, gradients come from the adjoint method (``_Statevector.grad``).
+Parameter shift survives only as the test oracle in ``tests/oracles.py``; the
+simulator is the reference the closed form is tested against, and
+``tests/oracles.tensor_state``, which applies one gate at a time to a
+(2,) * q tensor, is the reference for the layer kernels and the MPS path.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -126,6 +128,17 @@ class CircuitSpec:
         return 2 * self.q * self.layers
 
 
+def _read_only(*arrays: np.ndarray) -> None:
+    for a in arrays:
+        a.setflags(write=False)  # cached arrays serve every caller
+
+
+def _chunks(n: int, row_amplitudes: int) -> list:
+    """Row slices of at most CHUNK_AMPLITUDES amplitudes each, one row at least."""
+    step = max(1, CHUNK_AMPLITUDES // row_amplitudes)
+    return [slice(start, min(start + step, n)) for start in range(0, n, step)]
+
+
 def _product_state(wires: np.ndarray, out: np.ndarray) -> np.ndarray:
     # wires: (n, q, 2) per-wire amplitudes -> their product state in out, (n, 2**q).
     # Built in place from the last wire up: the tail of each row holds the
@@ -138,11 +151,6 @@ def _product_state(wires: np.ndarray, out: np.ndarray) -> np.ndarray:
         np.multiply(tail, wires[:, k, 0, None], out=out[:, size - 2 * m:size - m])
         np.multiply(tail, wires[:, k, 1, None], out=tail)
     return out
-
-
-def _encoding_wires(x: np.ndarray) -> np.ndarray:
-    # (..., q) angles -> (..., q, 2) per-wire amplitudes (cos x, i sin x)
-    return np.stack([np.cos(x).astype(complex), 1j * np.sin(x)], axis=-1)
 
 
 def _z_expectations(amps: np.ndarray, q: int) -> np.ndarray:
@@ -163,16 +171,6 @@ def _z_expectations(amps: np.ndarray, q: int) -> np.ndarray:
 # layer kernels over (rows, 2**q) chunks
 
 
-def _chunks(n: int, q: int, buffers: int):
-    """Row slices of at most CHUNK_AMPLITUDES amplitudes each (one row at least),
-    each with that many rows of ``buffers`` work arrays, which every chunk reuses."""
-    step = max(1, min(n, CHUNK_AMPLITUDES >> q))
-    work = np.empty((buffers, step, 2**q), dtype=complex)
-    for start in range(0, n, step):
-        rows = slice(start, min(start + step, n))
-        yield rows, work[:, : rows.stop - start]
-
-
 def _wire_groups(q: int):
     """(first wire, wire count) of each rotation group, in wire order."""
     return [(k0, min(GROUP_WIRES, q - k0)) for k0 in range(0, q, GROUP_WIRES)]
@@ -191,8 +189,7 @@ def _entangler_perms(spec: CircuitSpec) -> tuple[np.ndarray, np.ndarray]:
     for c, t in spec.entangler:
         perm = perm[idx ^ (((idx >> (q - 1 - c)) & 1) << (q - 1 - t))]
     inverse = np.argsort(perm)
-    for a in (perm, inverse):
-        a.setflags(write=False)  # cached arrays serve every caller
+    _read_only(perm, inverse)
     return perm, inverse
 
 
@@ -208,7 +205,7 @@ def _marginal_index(c: int) -> np.ndarray:
         high, low = (rest >> pos) << (pos + 1), rest & ((1 << pos) - 1)
         idx[:, 0, j], idx[:, 1, j] = high | low, high | (1 << pos) | low
     flat = (idx[:, :, None] << c) | idx[:, None, :]
-    flat.setflags(write=False)
+    _read_only(flat)
     return flat
 
 
@@ -279,7 +276,7 @@ def _wire_rotations(spec: CircuitSpec, w: np.ndarray) -> np.ndarray:
 
 def _first_wires(xs: np.ndarray, wires: np.ndarray) -> np.ndarray:
     """(n, q, 2): each wire after encoding and the first layer's rotations."""
-    enc = _encoding_wires(xs)
+    enc = np.stack([np.cos(xs).astype(complex), 1j * np.sin(xs)], axis=-1)  # (cos x, i sin x)
     if not len(wires):
         return enc
     u = wires[0]  # u @ wire for every row and wire, written out elementwise
@@ -293,6 +290,16 @@ def _encoding_generators(wires: np.ndarray) -> np.ndarray:
     return np.moveaxis(u @ _PAULI_X @ u.conj().swapaxes(-1, -2), 0, -1)
 
 
+def _rotation_grads(overlaps: np.ndarray, w_layer: np.ndarray) -> np.ndarray:
+    # (2, 2, q) wire overlaps read just after a layer's rotations -> its 2q
+    # angle gradients. RX is each wire's last rotation, so its generator there
+    # is X; RY sits under it and is seen as RX Y RX^dag = cos(t) Y + sin(t) Z.
+    (r00, r01), (r10, r11) = overlaps
+    theta_x = w_layer[len(r00):]
+    grad_y = np.cos(theta_x) * (r10 - r01).real + np.sin(theta_x) * (r00 - r11).imag
+    return np.concatenate([grad_y, (r01 + r10).imag])
+
+
 def _layer_grads(overlaps: np.ndarray, w: np.ndarray, wires: np.ndarray):
     """Gradients from wire overlaps (see ``_wire_overlaps``) read just after
     each layer's rotations: (layers, n, 2, 2, q) -> (grad_w totalled over the
@@ -303,14 +310,34 @@ def _layer_grads(overlaps: np.ndarray, w: np.ndarray, wires: np.ndarray):
     return grad_w.reshape(-1), -2.0 * enc.sum(axis=1).imag
 
 
-class _Layers:
-    """One call's circuit in the form the layer kernels use."""
+def _z_weights(upstream: np.ndarray) -> np.ndarray:
+    # (n, q) cotangents -> (n, 2**q) diagonal of sum_k upstream[:, k] Z_k
+    diag = np.zeros((upstream.shape[0], 1))
+    for k in range(upstream.shape[1]):
+        u = upstream[:, k, None]
+        diag = np.stack([diag + u, diag - u], axis=-1).reshape(upstream.shape[0], -1)
+    return diag
+
+
+class _Statevector:
+    """The circuit on the statevector for one parameter vector: each layer's
+    rotation groups as Kronecker products (``krons``), their conjugates for the
+    reverse sweep (``undo``) and the entangler's cached permutations."""
 
     def __init__(self, spec: CircuitSpec, w: np.ndarray) -> None:
-        self.q, self.layers = spec.q, spec.layers
+        self.q, self.layers, self.w = spec.q, spec.layers, w
         self.wires = _wire_rotations(spec, w)
         self.krons = [[_kron(mats[k0:k0 + c]) for k0, c in _wire_groups(spec.q)] for mats in self.wires[1:]]
+        self.undo = [[m.conj().T for m in krons] for krons in self.krons]
         self.perm, self.inverse = _entangler_perms(spec)
+        _read_only(self.wires, *itertools.chain(*self.krons, *self.undo))
+
+    def chunked(self, n: int, buffers: int) -> list:
+        """(rows, work) for each of ``_chunks`` of n rows: work holds that many rows
+        of ``buffers`` arrays, allocated once for the first, longest chunk."""
+        chunks = _chunks(n, 2**self.q)
+        work = np.empty((buffers, chunks[0].stop if chunks else 0, 2**self.q), dtype=complex)
+        return [(rows, work[:, : rows.stop - rows.start]) for rows in chunks]
 
     def rotated(self, first: np.ndarray, amps: np.ndarray, spare: np.ndarray):
         """The state after the last layer's rotations, before its entangler.
@@ -329,31 +356,56 @@ class _Layers:
         amps, spare = self.rotated(_first_wires(xs, self.wires), work[0], work[1])
         return _permute(amps, self.perm, spare) if self.layers else amps
 
+    def z(self, xs: np.ndarray) -> np.ndarray:
+        out = np.empty(xs.shape)
+        for rows, work in self.chunked(len(xs), 2):
+            out[rows] = _z_expectations(self.state(xs[rows], work), self.q)
+        return out
 
-def _run(x: np.ndarray, spec: CircuitSpec, w: np.ndarray) -> np.ndarray:
-    """The full (..., 2**q) output state, for tests and oracles."""
-    xs = np.asarray(x, dtype=float).reshape(-1, spec.q)
-    circuit = _Layers(spec, np.asarray(w, dtype=float))
-    out = np.empty((len(xs), 2**spec.q), dtype=complex)
-    for rows, work in _chunks(len(xs), spec.q, 2):
-        out[rows] = circuit.state(xs[rows], work)
-    return out.reshape(np.shape(x)[:-1] + (-1,))
+    def grad(self, xs: np.ndarray, upstream: np.ndarray):
+        """The adjoint method (Jones & Gacon, arXiv:2009.02823).
+
+        One forward run gives psi; lam = O psi carries the observable
+        O = sum_k upstream[n, k] Z_k, which is diagonal. A reverse sweep then
+        undoes each layer on both states, and a gate exp(-i t P / 2) contributes
+        Im<lam|P psi>, read where both sit just after it. Every wire of a layer
+        is read at one point, just after the layer's rotations, from the wire
+        overlaps of ``_wire_overlaps``. Below the first layer psi is the product
+        state again, so it is rebuilt rather than undone, and the encoding
+        gradient is read there too, with the generator X carried through the
+        first layer's rotation of that wire.
+        """
+        q, layers = self.q, self.layers
+        grad_w = np.zeros(self.w.size)
+        grad_x = np.empty_like(xs)
+        for rows, work in self.chunked(len(xs), 3):
+            first = _first_wires(xs[rows], self.wires)
+            psi, spare = self.rotated(first, work[0], work[1])
+            weights = _z_weights(upstream[rows])
+            lam = np.multiply(np.take(weights, self.inverse, axis=1) if layers else weights, psi, out=work[2])
+            overlaps = np.empty((max(layers, 1), len(first), 2, 2, q), dtype=complex)
+            for layer in range(layers - 1, 0, -1):
+                overlaps[layer] = _wire_overlaps(lam, psi, q, spare)
+                _rotate(lam, self.undo[layer - 1], q, spare)
+                lam, spare = _permute(lam, self.inverse, spare), lam
+                if layer > 1:
+                    _rotate(psi, self.undo[layer - 1], q, spare)
+                    psi, spare = _permute(psi, self.inverse, spare), psi
+            overlaps[0] = _wire_overlaps(lam, _product_state(first, spare), q, psi)
+            chunk_w, grad_x[rows] = _layer_grads(overlaps, self.w, self.wires)
+            grad_w += chunk_w
+        return grad_w, grad_x
 
 
-def _simulated_z(xs: np.ndarray, spec: CircuitSpec, w: np.ndarray) -> np.ndarray:
-    # (n, q) inputs -> (n, q) readouts, one chunk of states at a time
-    circuit = _Layers(spec, w)
-    out = np.empty(xs.shape)
-    for rows, work in _chunks(len(xs), spec.q, 2):
-        out[rows] = _z_expectations(circuit.state(xs[rows], work), spec.q)
-    return out
-
-
-def _check_shapes(x: np.ndarray, spec: CircuitSpec, w: np.ndarray) -> None:
-    if x.shape[-1] != spec.q:
-        raise QsimError(f"input length {x.shape[-1]} does not match q={spec.q}")
+def _check_shapes(xs: np.ndarray, spec: CircuitSpec, w: np.ndarray, upstream=None) -> None:
+    if xs.ndim > 2:
+        raise QsimError(f"inputs must be (n, {spec.q}) rows or one ({spec.q},) row, got shape {xs.shape}")
+    if xs.shape[-1] != spec.q:
+        raise QsimError(f"input length {xs.shape[-1]} does not match q={spec.q}")
     if w.shape != (spec.n_params,):
         raise QsimError(f"expected {spec.n_params} circuit angles, got {w.shape}")
+    if upstream is not None and upstream.shape != xs.shape:
+        raise QsimError(f"upstream shape {upstream.shape} does not match inputs {xs.shape}")
 
 
 # ---------------------------------------------------------------------------
@@ -365,34 +417,45 @@ def _parity_mask(spec: CircuitSpec) -> np.ndarray:
     mask = np.eye(spec.q, dtype=bool)
     for c, t in spec.entangler:
         mask[t] ^= mask[c]
-    mask.setflags(write=False)  # one cached array serves every caller
+    _read_only(mask)
     return mask
 
 
-def _one_layer_z(x: np.ndarray, spec: CircuitSpec, w: np.ndarray) -> np.ndarray:
-    q = spec.q
-    z = np.cos(2.0 * x) * (np.cos(w[:q]) * np.cos(w[q:])) + np.sin(2.0 * x) * np.sin(w[q:])
-    return np.where(_parity_mask(spec), z[..., None, :], 1.0).prod(axis=-1)
+class _OneLayer:
+    """The closed form for one parameter vector: the parity mask, and the sin
+    and cos of each wire's RY angle a_j and RX angle b_j."""
 
+    def __init__(self, spec: CircuitSpec, w: np.ndarray) -> None:
+        q = spec.q
+        self.mask = _parity_mask(spec)
+        self.sin_a, self.cos_a, self.sin_b, self.cos_b = np.sin(w[:q]), np.cos(w[:q]), np.sin(w[q:]), np.cos(w[q:])
+        self.cos_ab = self.cos_a * self.cos_b
+        _read_only(self.sin_a, self.cos_a, self.sin_b, self.cos_b, self.cos_ab)
 
-def _one_layer_grad(xs: np.ndarray, spec: CircuitSpec, w: np.ndarray, upstream: np.ndarray):
-    q = spec.q
-    mask = _parity_mask(spec)
-    sin2x, cos2x = np.sin(2.0 * xs), np.cos(2.0 * xs)
-    sin_a, cos_a, sin_b, cos_b = np.sin(w[:q]), np.cos(w[:q]), np.sin(w[q:]), np.cos(w[q:])
-    z = cos2x * (cos_a * cos_b) + sin2x * sin_b
-    # factors[n, k, j] is z_j where readout k depends on wire j, else 1; the
-    # leave-one-out products come from prefix and suffix products, never from
-    # dividing by z_j, which can be exactly 0
-    factors = np.where(mask, z[:, None, :], 1.0)
-    ones = np.ones(factors.shape[:-1] + (1,))
-    before = np.cumprod(np.concatenate([ones, factors[..., :-1]], axis=-1), axis=-1)
-    after = np.cumprod(np.concatenate([ones, factors[..., :0:-1]], axis=-1), axis=-1)[..., ::-1]
-    dz = np.einsum("nk,nkj->nj", upstream, before * after * mask)
-    cos_sum, sin_sum = (dz * cos2x).sum(axis=0), (dz * sin2x).sum(axis=0)
-    grad_w = np.concatenate([-cos_sum * sin_a * cos_b, sin_sum * cos_b - cos_sum * cos_a * sin_b])
-    grad_x = dz * (2.0 * cos2x * sin_b - 2.0 * sin2x * (cos_a * cos_b))
-    return grad_w, grad_x
+    def wire_z(self, xs: np.ndarray):
+        """(sin 2x, cos 2x, z): each wire's <Z> z_j before the entangler, all (n, q)."""
+        sin2x, cos2x = np.sin(2.0 * xs), np.cos(2.0 * xs)
+        return sin2x, cos2x, cos2x * self.cos_ab + sin2x * self.sin_b
+
+    def z(self, xs: np.ndarray) -> np.ndarray:
+        return np.where(self.mask, self.wire_z(xs)[2][:, None, :], 1.0).prod(axis=-1)
+
+    def grad(self, xs: np.ndarray, upstream: np.ndarray):
+        """dL/dz_j = sum_k upstream[n, k] prod_{i in row k, i != j} z_i, then the
+        chain rule through z_j(x_j, a_j, b_j)."""
+        sin2x, cos2x, z = self.wire_z(xs)
+        # factors[n, k, j] is z_j where readout k depends on wire j, else 1; the
+        # leave-one-out products come from prefix and suffix products, never from
+        # dividing by z_j, which can be exactly 0
+        factors = np.where(self.mask, z[:, None, :], 1.0)
+        ones = np.ones(factors.shape[:-1] + (1,))
+        before = np.cumprod(np.concatenate([ones, factors[..., :-1]], axis=-1), axis=-1)
+        after = np.cumprod(np.concatenate([ones, factors[..., :0:-1]], axis=-1), axis=-1)[..., ::-1]
+        dz = np.einsum("nk,nkj->nj", upstream, before * after * self.mask)
+        cos_sum, sin_sum = (dz * cos2x).sum(axis=0), (dz * sin2x).sum(axis=0)
+        grad_w = np.concatenate([-cos_sum * self.sin_a * self.cos_b,
+                                 sin_sum * self.cos_b - cos_sum * self.cos_a * self.sin_b])
+        return grad_w, dz * (2.0 * cos2x * self.sin_b - 2.0 * sin2x * self.cos_ab)
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +488,6 @@ def _mps_forward_amplitudes(spec: CircuitSpec) -> int:
     return q * size * max(12 + 3 * size, 4 + size + q + 1) // 4
 
 
-@functools.lru_cache(maxsize=64)
 def _mps_row_amplitudes(spec: CircuitSpec) -> int:
     """Amplitudes a gradient row holds at most, the most on the MPS path: the
     forward's, or, once both scans are done, the sites and real transfer matrices,
@@ -489,11 +551,10 @@ def _entangler_maps(spec: CircuitSpec) -> np.ndarray:
             if min(c, t) <= j <= max(c, t):
                 site = _cnot_site(site, j, c, t)[:, :bond, :, :bond]
         maps[j] = site.reshape(size, size).T
-    maps.setflags(write=False)
+    _read_only(maps)
     return maps
 
 
-@functools.lru_cache(maxsize=64)
 def _mps_select(spec: CircuitSpec) -> np.ndarray:
     """(2, q, k, B^2) flat gather indices at the largest bond B: [0, j] picks readout
     k's environment past site j from its I and Z candidates laid out (k, 2, B^2) from
@@ -503,7 +564,7 @@ def _mps_select(spec: CircuitSpec) -> np.ndarray:
     z = _parity_mask(spec).T[:, :, None]
     k, xy = np.arange(spec.q)[:, None], np.arange(b * b)
     select = np.stack([(2 * k + z) * b * b + xy, 2 * (k * b * b + xy) + z])
-    select.setflags(write=False)
+    _read_only(select)
     return select
 
 
@@ -539,7 +600,7 @@ def _hermitian_map(bond: int) -> np.ndarray:
     same = np.eye(bond * bond).reshape(-1, bond, bond)  # [(x, y), x', y']: (x', y') = (x, y)
     swapped = same.swapaxes(1, 2)  # (x', y') = (y, x)
     out = np.stack([same + swapped, same - swapped], axis=-1).reshape(bond * bond, -1) / 2
-    out.setflags(write=False)
+    _read_only(out)
     return out
 
 
@@ -562,23 +623,24 @@ def _rotate_sites(u: np.ndarray, maps: np.ndarray) -> np.ndarray:
 class _Mps:
     """The circuit on the MPS path for one parameter vector: wire j's site
     after layer l is ``maps[l][j] @ f_j``, f_j its two first-layer amplitudes.
-
-    Built by ``_folded``, which keeps the last one, so its arrays are read-only.
-    """
+    The fold also keeps the spec's gather indices, Z signs and row sizes."""
 
     def __init__(self, spec: CircuitSpec, w: np.ndarray) -> None:
-        self.spec = spec
+        self.spec, self.w = spec, w
         self.wires = _wire_rotations(spec, w)
         self.entangler = _entangler_maps(spec)
         self.bond = math.isqrt(self.entangler.shape[-1] // 2)
+        self.select = _mps_select(spec)
+        # (j, s, k): -1 where readout k's Z-string acts on wire j and s is 1
+        self.signs = np.where(_parity_mask(spec).T[:, None, :] & (np.arange(2)[:, None] == 1), -1.0, 1.0)
+        self.forward_amplitudes, self.row_amplitudes = _mps_forward_amplitudes(spec), _mps_row_amplitudes(spec)
         m = np.zeros((spec.q, 2 * self.bond**2, 2), dtype=complex)
         m[:, [0, self.bond], [0, 1]] = 1.0  # f_j at (0, s, 0): bond 1 padded to B
         maps = [m]
         for u in self.wires[1:]:
             maps.append(_rotate_sites(u, self.entangler @ maps[-1]))
         self.maps = tuple(maps)
-        for a in (self.wires, *self.maps):
-            a.setflags(write=False)
+        _read_only(self.wires, self.signs, *self.maps)
 
     def sites(self, first: np.ndarray) -> np.ndarray:
         # (n, q, 2) first-layer amplitudes -> (n, q, D) last sites, written out elementwise
@@ -612,69 +674,58 @@ class _Mps:
             if layer:
                 k = k @ _rotate_sites(self.wires[layer], self.entangler)
         out = np.stack(parts[::-1], axis=2).reshape(q, size, -1)
-        out.setflags(write=False)
+        _read_only(out)
         return out
+
+    def z(self, xs: np.ndarray) -> np.ndarray:
+        """Readouts: each readout's environment past the last site."""
+        q, b = self.spec.q, self.bond
+        out = np.empty(xs.shape)
+        for rows in _chunks(len(xs), self.forward_amplitudes):
+            sites = self.sites(_first_wires(xs[rows], self.wires))
+            transfers = _transfers(sites, b).reshape(len(sites), q, -1, 2 * b**2)
+            out[rows] = self.environments(transfers, self.select[0])[-1, :, :, 0]
+        return out
+
+    def grad(self, xs: np.ndarray, upstream: np.ndarray):
+        """f = sum_k upstream_k <Z-string_k> is a quadratic form in each wire's last
+        site A_j; G_j = df/d conj(A_j) is the left environment times A_j times the
+        right one, each readout weighted by upstream_k and its sign on wire j. The
+        overlaps ``_layer_grads`` reads come from G_j and f_j (``grad_maps``)."""
+        q, layers = self.spec.q, self.spec.layers
+        b, size = self.bond, 2 * self.bond**2
+        reads = self.grad_maps
+        firsts = _first_wires(xs, self.wires)
+        overlaps = np.empty((layers, len(xs), 2, 2, q), dtype=complex)
+        for rows in _chunks(len(xs), self.row_amplitudes):
+            first = firsts[rows]
+            sites, n = self.sites(first), len(first)
+            transfers = _transfers(sites, b)
+            left = self.environments(transfers.reshape(n, q, b * b, size), self.select[0])[:q]
+            # the same scan from the right, through each transfer matrix transposed,
+            # carries the conjugate of each right environment
+            mirrored = transfers.reshape(n, q, size, b * b).swapaxes(-1, -2)[:, ::-1]
+            right = self.environments(mirrored, self.select[1, ::-1])[q - 1::-1]
+            # la[n, j, k, x, s, y'] = sum_y left[., x, y] a[., y, s, y'], weighted and laid
+            # out as ((x, s), (k, y')) against the conjugate right environment as ((k, y'), x')
+            la = _hermitian(left.transpose(1, 0, 2, 3), b).reshape(n, q, q * b, b) @ sites.reshape(n, q, b, 2 * b)
+            weights = (upstream[rows][:, None, None, :] * self.signs)[:, :, None, :, :, None]  # (n, j, 1, s, k, 1)
+            weighted = np.multiply(la.reshape(n, q, q, b, 2, b).transpose(0, 1, 3, 4, 2, 5), weights, order="C")
+            right = _hermitian(right.transpose(1, 0, 2, 3), b).reshape(n, q, q * b, b)
+            cotangents = weighted.reshape(n, q, 2 * b, q * b) @ right
+            reads_at = (cotangents.reshape(n, q, 1, size).conj() @ reads).reshape(n, q, layers, 2, 2, 2)
+            at = reads_at[..., 0] * first[:, :, None, None, None, 0] + reads_at[..., 1] * first[:, :, None, None, None, 1]
+            overlaps[:, rows] = at.transpose(2, 0, 3, 4, 1)
+        return _layer_grads(overlaps, self.w, self.wires)
 
 
 @functools.lru_cache(maxsize=1)
-def _folded(spec: CircuitSpec, angles: bytes) -> _Mps:
-    """``_Mps`` of the float64 angles in ``angles``, kept until the next angles
-    arrive: a training batch's forward and gradient share one fold, and so does
-    every row scored under one checkpoint."""
-    return _Mps(spec, np.frombuffer(angles))
-
-
-def _mps_chunks(n: int, row_amplitudes: int):
-    step = max(1, CHUNK_AMPLITUDES // row_amplitudes)  # rows of at most CHUNK_AMPLITUDES, one at least
-    return [slice(start, min(start + step, n)) for start in range(0, n, step)]
-
-
-def _mps_z(xs: np.ndarray, spec: CircuitSpec, w: np.ndarray) -> np.ndarray:
-    circuit = _folded(spec, w.tobytes())  # readouts: the environments past the last site
-    out = np.empty(xs.shape)
-    for rows in _mps_chunks(len(xs), _mps_forward_amplitudes(spec)):
-        sites = circuit.sites(_first_wires(xs[rows], circuit.wires))
-        transfers = _transfers(sites, circuit.bond).reshape(len(sites), spec.q, -1, 2 * circuit.bond**2)
-        out[rows] = circuit.environments(transfers, _mps_select(spec)[0])[-1, :, :, 0]
-    return out
-
-
-def _mps_grad(xs, spec: CircuitSpec, w, upstream):
-    """``param_shift_grad_batch`` on the MPS path.
-
-    f = sum_k upstream_k <Z-string_k> is a quadratic form in each wire's last
-    site A_j; G_j = df/d conj(A_j) is the left environment times A_j times the
-    right one, each readout weighted by upstream_k and its sign on wire j. The
-    overlaps ``_layer_grads`` reads come from G_j and f_j (``_Mps.grad_maps``).
-    """
-    q, layers = spec.q, spec.layers
-    circuit = _folded(spec, w.tobytes())
-    b, size = circuit.bond, 2 * circuit.bond**2
-    reads = circuit.grad_maps
-    select = _mps_select(spec)
-    signs = np.where(_parity_mask(spec).T[:, None, :] & (np.arange(2)[:, None] == 1), -1.0, 1.0)  # (j, s, k)
-    firsts = _first_wires(xs, circuit.wires)
-    overlaps = np.empty((layers, len(xs), 2, 2, q), dtype=complex)
-    for rows in _mps_chunks(len(xs), _mps_row_amplitudes(spec)):
-        first = firsts[rows]
-        sites, n = circuit.sites(first), len(first)
-        transfers = _transfers(sites, b)
-        left = circuit.environments(transfers.reshape(n, q, b * b, size), select[0])[:q]
-        # the same scan from the right, through each transfer matrix transposed,
-        # carries the conjugate of each right environment
-        mirrored = transfers.reshape(n, q, size, b * b).swapaxes(-1, -2)[:, ::-1]
-        right = circuit.environments(mirrored, select[1, ::-1])[q - 1::-1]
-        # la[n, j, k, x, s, y'] = sum_y left[., x, y] a[., y, s, y'], weighted and laid
-        # out as ((x, s), (k, y')) against the conjugate right environment as ((k, y'), x')
-        la = _hermitian(left.transpose(1, 0, 2, 3), b).reshape(n, q, q * b, b) @ sites.reshape(n, q, b, 2 * b)
-        weights = (upstream[rows][:, None, None, :] * signs)[:, :, None, :, :, None]  # (n, j, 1, s, k, 1)
-        weighted = np.multiply(la.reshape(n, q, q, b, 2, b).transpose(0, 1, 3, 4, 2, 5), weights, order="C")
-        right = _hermitian(right.transpose(1, 0, 2, 3), b).reshape(n, q, q * b, b)
-        cotangents = weighted.reshape(n, q, 2 * b, q * b) @ right
-        reads_at = (cotangents.reshape(n, q, 1, size).conj() @ reads).reshape(n, q, layers, 2, 2, 2)
-        at = reads_at[..., 0] * first[:, :, None, None, None, 0] + reads_at[..., 1] * first[:, :, None, None, None, 1]
-        overlaps[:, rows] = at.transpose(2, 0, 3, 4, 1)
-    return _layer_grads(overlaps, w, circuit.wires)
+def _folded(spec: CircuitSpec, angles: bytes):
+    """The circuit of the float64 angles in ``angles`` on the path ``circuit_path``
+    picks, kept until the next angles arrive: a training batch's forward and
+    gradient share one fold, and so does every row scored under one checkpoint."""
+    fold = {CLOSED_FORM: _OneLayer, MPS: _Mps, STATEVECTOR: _Statevector}[circuit_path(spec)]
+    return fold(spec, np.frombuffer(angles))
 
 
 def run_vqc_batch(xs, spec: CircuitSpec, w) -> np.ndarray:
@@ -685,53 +736,17 @@ def run_vqc_batch(xs, spec: CircuitSpec, w) -> np.ndarray:
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     w = np.asarray(w, dtype=float)
     _check_shapes(xs, spec, w)
-    path = circuit_path(spec)
-    if path == CLOSED_FORM:
-        return _one_layer_z(xs, spec, w)
-    return _mps_z(xs, spec, w) if path == MPS else _simulated_z(xs, spec, w)
-
-
-def _z_weights(upstream: np.ndarray) -> np.ndarray:
-    # (n, q) cotangents -> (n, 2**q) diagonal of sum_k upstream[:, k] Z_k
-    diag = np.zeros((upstream.shape[0], 1))
-    for k in range(upstream.shape[1]):
-        u = upstream[:, k, None]
-        diag = np.stack([diag + u, diag - u], axis=-1).reshape(upstream.shape[0], -1)
-    return diag
-
-
-def _rotation_grads(overlaps: np.ndarray, w_layer: np.ndarray) -> np.ndarray:
-    # (2, 2, q) wire overlaps read just after a layer's rotations -> its 2q
-    # angle gradients. RX is each wire's last rotation, so its generator there
-    # is X; RY sits under it and is seen as RX Y RX^dag = cos(t) Y + sin(t) Z.
-    (r00, r01), (r10, r11) = overlaps
-    theta_x = w_layer[len(r00):]
-    grad_y = np.cos(theta_x) * (r10 - r01).real + np.sin(theta_x) * (r00 - r11).imag
-    return np.concatenate([grad_y, (r01 + r10).imag])
+    return _folded(spec, w.tobytes()).z(xs)
 
 
 def param_shift_grad_batch(xs, spec: CircuitSpec, w, upstream):
     """Exact circuit gradients contracted with an upstream (n, q) cotangent.
 
-    One-layer circuits use the closed form (see the module docstring):
-    dL/dz_j = sum_k upstream[n, k] prod_{i in row k, i != j} z_i, then the
-    chain rule through z_j(x_j, a_j, b_j).
-
-    Deeper circuits on the MPS path contract each wire's site with its
-    environments (see ``_mps_grad``). On the statevector they use the adjoint
-    method (Jones & Gacon, arXiv:2009.02823). One forward run gives psi; lam = O psi carries the observable
-    O = sum_k upstream[n, k] Z_k, which is diagonal. A reverse sweep then
-    undoes each layer on both states, and a gate exp(-i t P / 2) contributes
-    Im<lam|P psi>, read where both sit just after it. Every wire of a layer
-    is read at one point, just after the layer's rotations, from the wire
-    overlaps of ``_wire_overlaps``. Below the first layer psi is the product
-    state again, so it is rebuilt rather than undone, and the encoding
-    gradient is read there too, with the generator X carried through the
-    first layer's rotation of that wire. The cost is about three forward
-    passes, where the parameter-shift rule needs 2 (2qL + q);
-    ``tests/oracles.py`` keeps that rule as the reference the tests compare
-    against. The function keeps its parameter-shift name because callers and
-    the benchmark's tracer look it up by that name.
+    The folded circuit's ``grad`` computes them on its path (``_OneLayer``,
+    ``_Mps`` or ``_Statevector``). None uses the parameter-shift rule, which
+    needs 2 (2qL + q) circuit runs and is kept in ``tests/oracles.py`` as the
+    reference; the name stays because callers and the benchmark's tracer look
+    the function up by it.
 
     Returns (grad_w totalled over the batch, grad_x per row). Rows run in
     chunks (see ``CHUNK_AMPLITUDES``); grad_w adds the chunks' totals in row
@@ -740,34 +755,5 @@ def param_shift_grad_batch(xs, spec: CircuitSpec, w, upstream):
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     w = np.asarray(w, dtype=float)
     upstream = np.atleast_2d(np.asarray(upstream, dtype=float))
-    _check_shapes(xs, spec, w)
-    if upstream.shape != xs.shape:
-        raise QsimError(f"upstream shape {upstream.shape} does not match inputs {xs.shape}")
-    path = circuit_path(spec)
-    if path == CLOSED_FORM:
-        return _one_layer_grad(xs, spec, w, upstream)
-    if path == MPS:
-        return _mps_grad(xs, spec, w, upstream)
-
-    q, layers = spec.q, spec.layers
-    circuit = _Layers(spec, w)
-    undo = [[m.conj().T for m in krons] for krons in circuit.krons]
-    grad_w = np.zeros(spec.n_params)
-    grad_x = np.empty_like(xs)
-    for rows, work in _chunks(len(xs), q, 3):
-        first = _first_wires(xs[rows], circuit.wires)
-        psi, spare = circuit.rotated(first, work[0], work[1])
-        weights = _z_weights(upstream[rows])
-        lam = np.multiply(np.take(weights, circuit.inverse, axis=1) if layers else weights, psi, out=work[2])
-        overlaps = np.empty((max(layers, 1), len(first), 2, 2, q), dtype=complex)
-        for layer in range(layers - 1, 0, -1):
-            overlaps[layer] = _wire_overlaps(lam, psi, q, spare)
-            _rotate(lam, undo[layer - 1], q, spare)
-            lam, spare = _permute(lam, circuit.inverse, spare), lam
-            if layer > 1:
-                _rotate(psi, undo[layer - 1], q, spare)
-                psi, spare = _permute(psi, circuit.inverse, spare), psi
-        overlaps[0] = _wire_overlaps(lam, _product_state(first, spare), q, psi)
-        chunk_w, grad_x[rows] = _layer_grads(overlaps, w, circuit.wires)
-        grad_w += chunk_w
-    return grad_w, grad_x
+    _check_shapes(xs, spec, w, upstream)
+    return _folded(spec, w.tobytes()).grad(xs, upstream)

@@ -279,7 +279,9 @@ def _reject_constant(token: str):
 
 
 def read_graph_corpus(path) -> list[TransactionGraph]:
-    """The graphs ``write_graph_corpus`` wrote; a NaN or infinite value is a ``TdaError``."""
+    """The graphs ``write_graph_corpus`` wrote. Anything else, such as a NaN or
+    infinite value, a line that is not JSON or a record without a field, is a
+    ``TdaError`` that names the file and line."""
     graphs = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -288,13 +290,15 @@ def read_graph_corpus(path) -> list[TransactionGraph]:
                 continue
             try:
                 rec = json.loads(line, parse_constant=_reject_constant)
-            except TdaError as exc:
-                raise TdaError(f"{path}: line {lineno}: {exc}") from None
-            graphs.append(
-                TransactionGraph(
-                    nodes=np.array(rec["nodes"], dtype=float),
-                    edges=tuple((int(a), int(b)) for a, b in rec["edges"]),
-                    label=int(rec["label"]),
+                graphs.append(
+                    TransactionGraph(
+                        nodes=np.array(rec["nodes"], dtype=float),
+                        edges=tuple((int(a), int(b)) for a, b in rec["edges"]),
+                        label=int(rec["label"]),
+                    )
                 )
-            )
+            except KeyError as exc:
+                raise TdaError(f"{path}: line {lineno}: record has no {exc} field") from None
+            except (TypeError, ValueError) as exc:  # TdaError and JSONDecodeError among them
+                raise TdaError(f"{path}: line {lineno}: {exc}") from None
     return graphs

@@ -116,6 +116,17 @@ def transfer_step(env, site, signs) -> np.ndarray:
     return out
 
 
+def simulator_state(xs, spec, w) -> np.ndarray:
+    """The statevector simulator's (n, 2**q) output states of (n, q) rows, a
+    chunk at a time: the full state that ``qsim.run_vqc_batch`` reads <Z> from."""
+    xs = np.asarray(xs, dtype=float)
+    circuit = qsim._Statevector(spec, np.asarray(w, dtype=float))
+    out = np.empty((len(xs), 2**spec.q), dtype=complex)
+    for rows, work in circuit.chunked(len(xs), 2):
+        out[rows] = circuit.state(xs[rows], work)
+    return out
+
+
 def param_shift_grad_batch(xs, spec, w, upstream):
     """Exact circuit gradients by the parameter-shift rule (arXiv:1811.11184).
 
@@ -127,17 +138,15 @@ def param_shift_grad_batch(xs, spec, w, upstream):
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     w = np.asarray(w, dtype=float)
     upstream = np.atleast_2d(np.asarray(upstream, dtype=float))
-    qsim._check_shapes(xs, spec, w)
-    if upstream.shape != xs.shape:
-        raise qsim.QsimError(f"upstream shape {upstream.shape} does not match inputs {xs.shape}")
+    qsim._check_shapes(xs, spec, w, upstream)
 
     grad_w = np.zeros(spec.n_params)
     for m in range(spec.n_params):
         wp, wm = w.copy(), w.copy()
         wp[m] += np.pi / 2
         wm[m] -= np.pi / 2
-        diff = qsim._z_expectations(qsim._run(xs, spec, wp), spec.q) - qsim._z_expectations(
-            qsim._run(xs, spec, wm), spec.q
+        diff = qsim._z_expectations(simulator_state(xs, spec, wp), spec.q) - qsim._z_expectations(
+            simulator_state(xs, spec, wm), spec.q
         )
         grad_w[m] = float(np.sum(upstream * diff) / 2.0)
 
@@ -146,8 +155,8 @@ def param_shift_grad_batch(xs, spec, w, upstream):
         xp, xm = xs.copy(), xs.copy()
         xp[:, i] += np.pi / 4
         xm[:, i] -= np.pi / 4
-        diff = qsim._z_expectations(qsim._run(xp, spec, w), spec.q) - qsim._z_expectations(
-            qsim._run(xm, spec, w), spec.q
+        diff = qsim._z_expectations(simulator_state(xp, spec, w), spec.q) - qsim._z_expectations(
+            simulator_state(xm, spec, w), spec.q
         )
         grad_x[:, i] = np.sum(upstream * diff, axis=1)
     return grad_w, grad_x

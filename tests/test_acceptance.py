@@ -24,6 +24,7 @@ from tests.oracles import (
     flatten_params,
     intersection_edges,
     pair_auc,
+    simulator_state,
     unflatten_params,
 )
 from tests.synth import separable_four_graphs, write_synthetic_csv
@@ -60,7 +61,7 @@ def test_criterion_1_simulator_correctness():
         got = qsim.run_vqc_batch(x, spec, w)[0]
         want = dense_run_vqc(x, spec, w)
         worst = max(worst, float(np.abs(got - want).max()))
-        amps = qsim._run(x[None, :], spec, w)[0]
+        amps = simulator_state(x[None, :], spec, w)[0]
         worst_norm = max(worst_norm, abs(np.vdot(amps, amps).real - 1.0))
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-10 and worst_norm < 1e-10 and elapsed < 10.0

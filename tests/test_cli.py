@@ -1,6 +1,7 @@
 import gzip
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -359,6 +360,62 @@ class TestEvaluate:
                 "--output-dir", str(tmp_path / "run")]
         assert run(argv) == 1
         assert f"checkpoint not found: {missing}" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("pattern, replacement, message", [
+        (r"^meta seed .*\n", "meta seed\n", "meta line needs a name and a value"),
+        (r"^(array \S+) \S+\n", r"\1\n", "array line needs a name and a value"),
+        (r"^(array \S+) \S+\n", r"\1 2,x\n", "invalid literal for int()"),
+        (r"^[-\d][^ \n]*", "abc", "could not convert string to float: 'abc'"),
+        (r"^meta kind qgnn\n", "", "--model qgnn was given a checkpoint with no 'meta kind' line"),
+    ])
+    def test_malformed_checkpoint_is_validation_error(self, built_run, tmp_path, capsys, pattern, replacement,
+                                                      message):
+        cfg, out = built_run
+        text = (out / "train_qgnn" / "checkpoint.txt").read_text()
+        found = re.search(pattern, text, flags=re.M)
+        checkpoint = tmp_path / "checkpoint.txt"
+        checkpoint.write_text(text[:found.start()] + found.expand(replacement) + text[found.end():])
+        argv = ["evaluate", "--config", str(cfg), "--model", "qgnn", "--checkpoint", str(checkpoint),
+                "--graphs", str(out / "graphs"), "--output-dir", str(tmp_path / "run")]
+        capsys.readouterr()
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert f"{checkpoint}: " in err and message in err
+        if replacement:  # the edited line is named
+            assert f"line {text.count(chr(10), 0, found.start()) + 1}: " in err
+        assert not (tmp_path / "run").exists()
+
+    def test_checkpoint_of_the_other_model_is_validation_error(self, built_run, tmp_path, capsys):
+        cfg, out = built_run
+        checkpoint = out / "train_sage" / "checkpoint.txt"
+        argv = ["evaluate", "--config", str(cfg), "--model", "qgnn", "--checkpoint", str(checkpoint),
+                "--graphs", str(out / "graphs"), "--output-dir", str(tmp_path / "run")]
+        capsys.readouterr()
+        assert run(argv) == 1
+        assert f"{checkpoint}: --model qgnn was given a sage checkpoint" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda line: line[:-1], "line 2: Expecting ',' delimiter"),
+        (lambda line: "not json", "line 2: Expecting value"),
+        *[(lambda line, key=key: json.dumps({k: v for k, v in json.loads(line).items() if k != key}),
+           f"line 2: record has no '{key}' field") for key in ("nodes", "edges", "label")],
+    ], ids=["truncated", "not-json", "no-nodes", "no-edges", "no-label"])
+    def test_malformed_corpus_line_is_validation_error(self, built_run, tmp_path, capsys, edit, message):
+        cfg, out = built_run
+        graphs = tmp_path / "graphs"
+        graphs.mkdir()
+        for f in (out / "graphs").iterdir():
+            (graphs / f.name).write_bytes(f.read_bytes())
+        lines = (graphs / "graphs_test.jsonl").read_text().splitlines()
+        lines[1] = edit(lines[1])
+        (graphs / "graphs_test.jsonl").write_text("\n".join(lines) + "\n")
+        argv = ["evaluate", "--config", str(cfg), "--model", "qgnn", "--graphs", str(graphs),
+                "--checkpoint", str(out / "train_qgnn" / "checkpoint.txt"), "--output-dir", str(tmp_path / "run")]
+        capsys.readouterr()
+        assert run(argv) == 1
+        assert f"{graphs / 'graphs_test.jsonl'}: {message}" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
     def test_qubit_mismatch_is_explicit_error(self, built_run):

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -16,7 +17,7 @@ def random_state(q, rng):
 def encoded(x):
     """The angle-encoded state of x: the circuit with no layers."""
     x = np.asarray(x, dtype=float)
-    return qsim._run(x[None], qsim.CircuitSpec(x.size, 0, ()), np.zeros(0))[0]
+    return oracles.simulator_state(x[None], qsim.CircuitSpec(x.size, 0, ()), np.zeros(0))[0]
 
 
 def rotated(x, layer_angles):
@@ -30,7 +31,7 @@ def rotated(x, layer_angles):
     for layer, (axis, qubit, theta) in enumerate(layer_angles):
         w[layer, qubit if axis == "y" else q + qubit] = theta
     spec = qsim.CircuitSpec(q, len(layer_angles), ())
-    return qsim._run(np.asarray(x, dtype=float)[None], spec, w.reshape(-1))[0]
+    return oracles.simulator_state(np.asarray(x, dtype=float)[None], spec, w.reshape(-1))[0]
 
 
 def cnot(amps, q, control, target):
@@ -174,7 +175,7 @@ class TestRunVqc:
             w = rng.uniform(0, 2 * np.pi, spec.n_params)
             z = qsim.run_vqc_batch(x, spec, w)
             assert np.all(z <= 1.0 + 1e-12) and np.all(z >= -1.0 - 1e-12)
-            amps = qsim._run(x[None, :], spec, w)[0]
+            amps = oracles.simulator_state(x[None, :], spec, w)[0]
             assert abs(np.vdot(amps, amps).real - 1.0) < 1e-10
 
     def test_matches_dense_oracle(self, rng):
@@ -260,7 +261,7 @@ def one_layer_specs(rng):
 
 
 def simulated_z(xs, spec, w):
-    return qsim._z_expectations(qsim._run(xs, spec, w), spec.q)
+    return qsim._z_expectations(oracles.simulator_state(xs, spec, w), spec.q)
 
 
 class TestOneLayerClosedForm:
@@ -326,7 +327,7 @@ class TestLayerKernels:
                 for spec in entangler_specs(q, layers, rng):
                     xs = rng.uniform(-3, 3, (2, q))
                     w = rng.uniform(0, 2 * np.pi, spec.n_params)
-                    got = qsim._run(xs, spec, w)
+                    got = oracles.simulator_state(xs, spec, w)
                     for x, amps in zip(xs, got):
                         np.testing.assert_allclose(amps, oracles.tensor_state(x, spec, w), rtol=0, atol=1e-12)
 
@@ -472,10 +473,58 @@ class TestRealEnvironments:
                     np.testing.assert_allclose(got, oracles.transfer_step(env, site, signs), rtol=0, atol=1e-14)
 
 
+# one spec per circuit path, with the class ``_folded`` builds for it
+PATHS = [(qsim.CircuitSpec.chain(6, 1), qsim._OneLayer), (qsim.CircuitSpec.chain(6, 2), qsim._Statevector),
+         (qsim.CircuitSpec.chain(10, 2), qsim._Mps)]
+PATH_IDS = [qsim.CLOSED_FORM, qsim.STATEVECTOR, qsim.MPS]
+
+
+def kept_arrays(circuit):
+    """The arrays a fold keeps for every call until the next fold."""
+    if isinstance(circuit, qsim._OneLayer):
+        return [circuit.mask, circuit.sin_a, circuit.cos_a, circuit.sin_b, circuit.cos_b, circuit.cos_ab]
+    if isinstance(circuit, qsim._Statevector):
+        return [circuit.w, circuit.wires, circuit.perm, circuit.inverse, *itertools.chain(*circuit.krons, *circuit.undo)]
+    return [circuit.w, circuit.wires, circuit.entangler, *circuit.maps, circuit.grad_maps, circuit.select, circuit.signs]
+
+
+@pytest.mark.parametrize("spec, _", PATHS, ids=PATH_IDS)
+def test_more_than_two_input_dimensions_are_rejected(rng, spec, _):
+    # the contract is (n, q) rows or one (q,) row, on every path
+    w = rng.uniform(0, 2 * np.pi, spec.n_params)
+    xs = rng.uniform(-3, 3, (2, 3, spec.q))
+    with pytest.raises(qsim.QsimError, match=r"rows or one .* row, got shape \(2, 3,"):
+        qsim.run_vqc_batch(xs, spec, w)
+    with pytest.raises(qsim.QsimError, match="got shape"):
+        qsim.param_shift_grad_batch(xs, spec, w, np.ones(xs.shape))
+    with pytest.raises(qsim.QsimError, match="upstream shape"):
+        qsim.param_shift_grad_batch(xs[0], spec, w, np.ones(xs.shape))
+
+
 class TestFold:
     """``_folded`` keeps the last parameter vector's circuit for the next call."""
 
     spec = qsim.CircuitSpec.chain(10, 2)
+
+    @pytest.mark.parametrize("spec, kind", PATHS, ids=PATH_IDS)
+    def test_forward_and_gradient_share_one_fold(self, rng, spec, kind):
+        xs = rng.uniform(-3, 3, (4, spec.q))
+        w = rng.uniform(0, 2 * np.pi, spec.n_params)
+        qsim._folded.cache_clear()
+        qsim.run_vqc_batch(xs, spec, w)
+        qsim.param_shift_grad_batch(xs, spec, w, rng.normal(size=xs.shape))
+        assert qsim._folded.cache_info()[:2] == (1, 1)  # (hits, misses)
+        assert isinstance(qsim._folded(spec, w.tobytes()), kind)
+
+    @pytest.mark.parametrize("spec, kind", PATHS, ids=PATH_IDS)
+    def test_the_class_called_directly_gives_the_public_bits(self, rng, spec, kind):
+        xs = rng.uniform(-3, 3, (5, spec.q))
+        upstream = rng.normal(size=xs.shape)
+        w = rng.uniform(0, 2 * np.pi, spec.n_params)
+        circuit = kind(spec, w)
+        np.testing.assert_array_equal(qsim.run_vqc_batch(xs, spec, w), circuit.z(xs))
+        for got, want in zip(qsim.param_shift_grad_batch(xs, spec, w, upstream), circuit.grad(xs, upstream)):
+            np.testing.assert_array_equal(got, want)
 
     def test_in_place_change_gives_the_fresh_result(self, rng):
         xs = rng.uniform(-3, 3, (3, 10))
@@ -487,12 +536,14 @@ class TestFold:
         np.testing.assert_allclose(after, tensor_z(xs, self.spec, w), rtol=0, atol=1e-12)
 
     def test_cached_arrays_are_read_only(self, rng):
-        w = rng.uniform(0, 2 * np.pi, self.spec.n_params)
         assert qsim.circuit_path(self.spec) == qsim.MPS
-        circuit = qsim._folded(self.spec, w.tobytes())
-        for a in (circuit.wires, circuit.entangler, *circuit.maps, circuit.grad_maps):
-            assert not a.flags.writeable
-        assert qsim._folded(self.spec, w.copy().tobytes()) is circuit
+        for spec, kind in PATHS:
+            w = rng.uniform(0, 2 * np.pi, spec.n_params)
+            circuit = qsim._folded(spec, w.tobytes())
+            assert isinstance(circuit, kind)
+            for a in kept_arrays(circuit):
+                assert not a.flags.writeable
+            assert qsim._folded(spec, w.copy().tobytes()) is circuit
 
     def test_warm_and_cold_calls_give_the_same_bits(self, rng):
         xs = rng.uniform(-3, 3, (5, 10))
@@ -521,7 +572,7 @@ class TestMatrixProductState:
                 for spec in specs:
                     xs = rng.uniform(-3, 3, (3, q))
                     w = rng.uniform(0, 2 * np.pi, spec.n_params)
-                    np.testing.assert_allclose(qsim._mps_z(xs, spec, w), tensor_z(xs, spec, w), rtol=0, atol=1e-12)
+                    np.testing.assert_allclose(qsim._Mps(spec, w).z(xs), tensor_z(xs, spec, w), rtol=0, atol=1e-12)
         assert randoms > 50
 
     def test_readouts_match_tensor_state_at_16_qubits(self, rng):
@@ -557,7 +608,7 @@ class TestMatrixProductState:
                     xs = rng.uniform(-3, 3, (n, q))
                     w = rng.uniform(0, 2 * np.pi, spec.n_params)
                     upstream = rng.normal(size=(n, q))
-                    grad_w, grad_x = qsim._mps_grad(xs, spec, w, upstream)
+                    grad_w, grad_x = qsim._Mps(spec, w).grad(xs, upstream)
                     ref_w, ref_x = oracles.param_shift_grad_batch(xs, spec, w, upstream)
                     np.testing.assert_allclose(grad_w, ref_w, rtol=0, atol=1e-10)
                     np.testing.assert_allclose(grad_x, ref_x, rtol=0, atol=1e-10)
@@ -572,18 +623,19 @@ class TestMatrixProductState:
             xs = rng.uniform(-3, 3, (n, spec.q))
             w = rng.uniform(0, 2 * np.pi, spec.n_params)
             upstream = rng.normal(size=xs.shape)
-            z = qsim._mps_z(xs, spec, w)
-            grad_w, grad_x = qsim._mps_grad(xs, spec, w, upstream)
+            circuit = qsim._Mps(spec, w)
+            z = circuit.z(xs)
+            grad_w, grad_x = circuit.grad(xs, upstream)
             total_w = np.zeros_like(grad_w)
             for i in range(n):
-                np.testing.assert_array_equal(qsim._mps_z(xs[i:i + 1], spec, w), z[i:i + 1])
-                row_w, row_x = qsim._mps_grad(xs[i:i + 1], spec, w, upstream[i:i + 1])
+                np.testing.assert_array_equal(circuit.z(xs[i:i + 1]), z[i:i + 1])
+                row_w, row_x = circuit.grad(xs[i:i + 1], upstream[i:i + 1])
                 np.testing.assert_array_equal(row_x, grad_x[i:i + 1])
                 total_w += row_w
             np.testing.assert_allclose(total_w, grad_w, rtol=0, atol=1e-12)
             monkeypatch.setattr(qsim, "CHUNK_AMPLITUDES", 3 * qsim._mps_row_amplitudes(spec))
-            np.testing.assert_array_equal(qsim._mps_z(xs, spec, w), z)
-            np.testing.assert_array_equal(qsim._mps_grad(xs, spec, w, upstream)[1], grad_x)
+            np.testing.assert_array_equal(circuit.z(xs), z)
+            np.testing.assert_array_equal(circuit.grad(xs, upstream)[1], grad_x)
             monkeypatch.undo()
 
     def test_path_selection(self, rng):
@@ -597,9 +649,9 @@ class TestMatrixProductState:
         xs = rng.uniform(-3, 3, (5, 16))
         w = rng.uniform(0, 2 * np.pi, spec.n_params)
         upstream = rng.normal(size=xs.shape)
-        np.testing.assert_array_equal(qsim.run_vqc_batch(xs, spec, w), qsim._mps_z(xs, spec, w))
-        for got, want in zip(qsim.param_shift_grad_batch(xs, spec, w, upstream),
-                             qsim._mps_grad(xs, spec, w, upstream)):
+        circuit = qsim._Mps(spec, w)
+        np.testing.assert_array_equal(qsim.run_vqc_batch(xs, spec, w), circuit.z(xs))
+        for got, want in zip(qsim.param_shift_grad_batch(xs, spec, w, upstream), circuit.grad(xs, upstream)):
             np.testing.assert_array_equal(got, want)
 
     def test_small_circuits_stay_on_the_statevector(self):
