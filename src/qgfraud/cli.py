@@ -2,8 +2,13 @@
 
 Every run writes its artifacts into a staged directory that is renamed into
 place only on success, plus a manifest.json echoing the resolved config so
-the run can be reproduced exactly. Exit codes: 0 success, 1 validation
-error, 2 runtime failure.
+the run can be reproduced exactly. evaluate and every grid point score a
+checkpoint through ``_load_model``, which builds the model from the
+checkpoint's own meta lines and arrays: no config key changes a score.
+Exit codes: 0 success, 1 validation error (a missing or malformed config,
+dataset, corpus, corpus manifest or checkpoint, a checkpoint of the other
+model or another corpus, corpus files that do not match their manifest),
+2 runtime failure.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ import numpy as np
 from . import dataset, metrics, qgnn, qsim, sage, tda
 from .config import ENTANGLERS, ConfigError, RunConfig, load_config
 from .persist import PersistError, load_arrays, save_arrays, sha256_files, staged_output, write_manifest
+from .rng import make_rng
 from .svg import line_chart
 from .training import write_history
 
@@ -35,44 +41,45 @@ def _output_root(cfg: RunConfig) -> Path:
     return out if out.is_absolute() else base / out
 
 
-def _load_cfg(args) -> RunConfig:
-    return load_config(args.config, args.overrides)
-
-
 def _graphs_dir(cfg: RunConfig, args) -> Path:
-    if getattr(args, "graphs", None):
-        return Path(args.graphs)
-    return _output_root(cfg) / "graphs"
+    return Path(args.graphs) if getattr(args, "graphs", None) else _output_root(cfg) / "graphs"
 
 
-def _read_corpus(graphs_dir: Path, splits=tuple(CORPUS_FILES)) -> dict:
-    """The graphs of each split in ``splits``; all three files must exist."""
+def _read_corpus(graphs_dir: Path, splits=tuple(CORPUS_FILES)):
+    """(the graphs of each split in ``splits``, the manifest's corpus_config_hash).
+
+    All three files and the manifest must exist. The splits are parsed before
+    the three files are checked against the manifest's ``corpus_hash``, so a
+    malformed line is reported by its number.
+    """
     paths = {name: graphs_dir / fname for name, fname in CORPUS_FILES.items()}
     for path in paths.values():
         if not path.exists():
             raise ConfigError(f"graph corpus not found: {path} (run build-graphs first)")
-    return {name: tda.read_graph_corpus(paths[name]) for name in dict.fromkeys(splits)}
+    corpus = {name: tda.read_graph_corpus(paths[name]) for name in dict.fromkeys(splits)}
+    manifest = graphs_dir / "manifest.json"
+    if not manifest.exists():
+        raise ConfigError(f"corpus manifest not found: {manifest}")
+    try:
+        recorded = json.loads(manifest.read_text())
+        config_hash, corpus_hash = recorded["corpus_config_hash"], recorded["corpus_hash"]
+    except (ValueError, KeyError, TypeError) as exc:  # not UTF-8, not JSON, or a key missing
+        raise ConfigError(f"{manifest}: not a manifest with corpus_config_hash and corpus_hash ({exc!r})") from None
+    if sha256_files(paths.values()) != corpus_hash:
+        raise ConfigError(f"{graphs_dir}: the corpus files do not match the corpus_hash in {manifest}")
+    return corpus, config_hash
 
 
-def _corpus_meta(graphs_dir: Path) -> dict:
-    path = graphs_dir / "manifest.json"
-    if not path.exists():
-        raise ConfigError(f"corpus manifest not found: {path}")
-    return json.loads(path.read_text())
-
-
-def _circuit_spec(cfg: RunConfig, qubits=None, layers=None) -> qsim.CircuitSpec:
-    q = cfg.qgnn.qubits if qubits is None else qubits
-    n_layers = cfg.qgnn.layers if layers is None else layers
-    factory = qsim.CircuitSpec.ring if cfg.qgnn.entangler == "ring" else qsim.CircuitSpec.chain
-    return factory(q, n_layers)
+def _circuit_spec(qubits: int, layers: int, entangler: str) -> qsim.CircuitSpec:
+    factory = qsim.CircuitSpec.ring if entangler == "ring" else qsim.CircuitSpec.chain
+    return factory(qubits, layers)
 
 
 # ---------------------------------------------------------------------------
 # build-graphs
 
 def cmd_build_graphs(args) -> int:
-    cfg = _load_cfg(args)
+    cfg = load_config(args.config, args.overrides)
     t0 = time.perf_counter()
     stage_seconds = {}
     ts = dataset.load_transactions(cfg.dataset)
@@ -143,38 +150,23 @@ def cmd_build_graphs(args) -> int:
 # ---------------------------------------------------------------------------
 # train
 
-def _train(
-    cfg: RunConfig, corpus: dict, corpus_hash: str, out_dir: Path, model: str, qubits=None, layers=None
-):
+def _train(cfg: RunConfig, corpus: dict, corpus_hash: str, out_dir: Path, model: str, qubits=None, layers=None):
     """Train one model and write its checkpoint, history and manifest."""
     t0 = time.perf_counter()
     extra = {}
     if model == "qgnn":
-        spec = _circuit_spec(cfg, qubits, layers)
-        params, history = qgnn.train(
-            corpus["train"], corpus["val"], spec, cfg.training, cfg.qgnn.encode_activation
-        )
         meta = {
-            "qubits": spec.q,
-            "layers": spec.layers,
+            "qubits": cfg.qgnn.qubits if qubits is None else qubits,
+            "layers": cfg.qgnn.layers if layers is None else layers,
             "entangler": cfg.qgnn.entangler,
             "encode_activation": cfg.qgnn.encode_activation,
         }
-        extra["circuit"] = {
-            "qubits": spec.q,
-            "layers": spec.layers,
-            "entangler": cfg.qgnn.entangler,
-            "path": qsim.circuit_path(spec),
-        }
+        spec = _circuit_spec(meta["qubits"], meta["layers"], meta["entangler"])
+        params, history = qgnn.train(corpus["train"], corpus["val"], spec, cfg.training, meta["encode_activation"])
+        extra["circuit"] = {**meta, "path": qsim.circuit_path(spec)}
     else:
-        params, history = sage.sage_train(
-            corpus["train"],
-            corpus["val"],
-            cfg.training,
-            widths=cfg.sage.widths,
-            fan_outs=cfg.sage.fan_outs,
-            dropout=cfg.sage.dropout,
-        )
+        params, history = sage.sage_train(corpus["train"], corpus["val"], cfg.training, widths=cfg.sage.widths,
+                                          fan_outs=cfg.sage.fan_outs, dropout=cfg.sage.dropout)
         meta = {
             "widths": ",".join(str(w) for w in cfg.sage.widths),
             "fan_outs": ",".join("all" if f is None else str(f) for f in cfg.sage.fan_outs),
@@ -198,9 +190,7 @@ def _train(
                 "final_train_loss": history.epochs[-1].train_loss if len(history) else None,
                 "final_val_loss": history.epochs[-1].val_loss if len(history) else None,
                 "epoch_seconds": [e.seconds for e in history.epochs],
-                "grad_norms": [
-                    {"mean": e.grad_norm_mean, "max": e.grad_norm_max} for e in history.epochs
-                ],
+                "grad_norms": [{"mean": e.grad_norm_mean, "max": e.grad_norm_max} for e in history.epochs],
                 "wall_clock_s": elapsed,
                 "artifacts": sorted(p.name for p in tmp.iterdir()),
             },
@@ -209,18 +199,15 @@ def _train(
 
 
 def cmd_train(args) -> int:
-    cfg = _load_cfg(args)
+    cfg = load_config(args.config, args.overrides)
     graphs_dir = _graphs_dir(cfg, args)
-    corpus = _read_corpus(graphs_dir, ("train", "val"))
-    corpus_hash = _corpus_meta(graphs_dir)["corpus_config_hash"]
+    corpus, corpus_hash = _read_corpus(graphs_dir, ("train", "val"))
     out_dir = _output_root(cfg) / f"train_{args.model}"
     params, history = _train(cfg, corpus, corpus_hash, out_dir, args.model)
     if len(history):
         last = history.epochs[-1]
-        print(
-            f"{args.model}: {len(history)} epochs, train loss {last.train_loss:.4f}, "
-            f"val loss {last.val_loss:.4f}"
-        )
+        print(f"{args.model}: {len(history)} epochs, train loss {last.train_loss:.4f}, "
+              f"val loss {last.val_loss:.4f}")
     print(f"{params.n_parameters} trainable parameters; checkpoint in {out_dir}")
     return 0
 
@@ -228,65 +215,74 @@ def cmd_train(args) -> int:
 # ---------------------------------------------------------------------------
 # evaluate
 
-def _score_split(arrays, meta, cfg: RunConfig, graphs) -> np.ndarray:
-    if meta["kind"] == "qgnn":
-        spec = _circuit_spec(cfg, int(meta["qubits"]), int(meta["layers"]))
-        params = qgnn.QgnnParams.from_dict(arrays)
-        return qgnn.predict(graphs, params, spec, meta["encode_activation"])
-    params = sage.SageModelParams.from_dict(arrays, float(meta["dropout"]))
-    return sage.sage_predict(graphs, params)
+def _load_model(checkpoint: Path, model: str):
+    """(score, meta): ``score(graphs)`` gives each graph's fraud probability
+    under the model in ``checkpoint``, built from its arrays and meta lines
+    alone, and ``meta`` is those lines.
 
-
-def _score_at_val_threshold(arrays, meta, cfg: RunConfig, corpus: dict, split: str):
-    """Metrics on ``split`` at the validation split's best-F1 threshold, and
-    where that threshold came from.
-
-    The threshold falls back to 0.5 when validation lacks a class and so
-    cannot rank thresholds.
+    A checkpoint of another kind is a ConfigError. A missing or malformed
+    meta value, or an array missing or of a shape the model does not have,
+    is a PersistError. Each names the file.
     """
-
-    def scored(name: str) -> metrics.ScoredSet:
-        graphs = corpus[name]
-        return metrics.ScoredSet(_score_split(arrays, meta, cfg, graphs), [g.label for g in graphs])
-
-    val = scored("val")
-    if set(val.labels.tolist()) == {0, 1}:
-        threshold, source = metrics.optimal_threshold(val), "validation best F1"
-    else:
-        threshold, source = 0.5, "0.5 fallback, validation lacks a class"
-    return metrics.evaluate(scored(split), threshold), source
-
-
-def _check_checkpoint(meta: dict, cfg: RunConfig, corpus_hash: str, checkpoint: Path, model: str) -> None:
+    arrays, meta = load_arrays(checkpoint)
     if meta.get("kind") != model:
         found = f"a {meta['kind']} checkpoint" if "kind" in meta else "a checkpoint with no 'meta kind' line"
         raise ConfigError(f"{checkpoint}: --model {model} was given {found}")
-    if meta.get("corpus_config_hash") != corpus_hash:
-        raise ConfigError(
-            "checkpoint was trained on a different corpus "
-            f"(checkpoint hash {meta.get('corpus_config_hash')!r}, corpus hash {corpus_hash!r})"
-        )
-    if meta["kind"] == "qgnn":
-        found = (int(meta["qubits"]), int(meta["layers"]))
-        if found != (cfg.qgnn.qubits, cfg.qgnn.layers):
-            raise ConfigError(
-                f"checkpoint qubits/layers {found} do not match the configured "
-                f"({cfg.qgnn.qubits}, {cfg.qgnn.layers}); pass a matching config"
-            )
-        if meta["entangler"] != cfg.qgnn.entangler:
-            raise ConfigError(
-                f"checkpoint entangler {meta['entangler']!r} does not match config "
-                f"{cfg.qgnn.entangler!r}"
-            )
+
+    def read(key, parse=str, options=None):
+        if key not in meta:
+            raise ValueError(f"no 'meta {key}' line")
+        try:
+            value = parse(meta[key])
+        except ValueError as exc:
+            raise ValueError(f"meta {key}: {exc}") from None
+        if options is not None and value not in options:
+            raise ValueError(f"meta {key}: {value!r} is not one of {options}")
+        return value
+
+    try:  # the model's own initialisation gives every array's name and shape
+        if model == "qgnn":
+            spec = _circuit_spec(read("qubits", int), read("layers", int), read("entangler", options=ENTANGLERS))
+            activation = read("encode_activation", options=qgnn.ENCODE_ACTIVATIONS)
+            template = qgnn.init_params(spec, make_rng(0))
+        else:
+            widths = read("widths", lambda v: tuple(int(w) for w in v.split(",")))
+            template = sage.init_sage_params(make_rng(0), widths=widths, dropout=read("dropout", float))
+        for name, value in template.to_dict().items():
+            if name not in arrays:
+                raise ValueError(f"no '{name}' array")
+            if arrays[name].shape != np.shape(value):
+                raise ValueError(f"array {name}: shape {arrays[name].shape}, the model's is {np.shape(value)}")
+        params = template.replace_arrays(arrays)
+    except ValueError as exc:  # also a meta value the model rejects, such as 25 qubits
+        raise PersistError(f"{checkpoint}: {exc}") from None
+    if model == "qgnn":
+        return (lambda graphs: qgnn.predict(graphs, params, spec, activation)), meta
+    return (lambda graphs: sage.sage_predict(graphs, params)), meta
 
 
-def _evaluate(cfg: RunConfig, checkpoint: Path, graphs_dir: Path, out_dir: Path, split: str, model: str):
+def _score_at_val_threshold(score, corpus: dict, split: str):
+    """Metrics of ``score`` on ``split`` at the validation split's best-F1
+    threshold, or at 0.5 when validation lacks a class and so cannot rank
+    thresholds, and where that threshold came from."""
+    val, scored = (metrics.ScoredSet(score(corpus[name]), [g.label for g in corpus[name]]) for name in ("val", split))
+    if set(val.labels.tolist()) == {0, 1}:
+        return metrics.evaluate(scored, metrics.optimal_threshold(val)), "validation best F1"
+    return metrics.evaluate(scored, 0.5), "0.5 fallback, validation lacks a class"
+
+
+def cmd_evaluate(args) -> int:
     t0 = time.perf_counter()
-    arrays, meta = load_arrays(checkpoint)
-    corpus = _read_corpus(graphs_dir, ("val", split))
-    corpus_hash = _corpus_meta(graphs_dir)["corpus_config_hash"]
-    _check_checkpoint(meta, cfg, corpus_hash, checkpoint, model)
-    report, threshold_source = _score_at_val_threshold(arrays, meta, cfg, corpus, split)
+    cfg = load_config(args.config, args.overrides)
+    model, split = args.model, args.split
+    checkpoint = Path(args.checkpoint or _output_root(cfg) / f"train_{model}" / "checkpoint.txt")
+    out_dir = _output_root(cfg) / f"eval_{model}_{split}"
+    score, meta = _load_model(checkpoint, model)
+    corpus, corpus_hash = _read_corpus(_graphs_dir(cfg, args), ("val", split))
+    if meta.get("corpus_config_hash") != corpus_hash:
+        raise ConfigError("checkpoint was trained on a different corpus "
+                          f"(checkpoint hash {meta.get('corpus_config_hash')!r}, corpus hash {corpus_hash!r})")
+    report, threshold_source = _score_at_val_threshold(score, corpus, split)
 
     with staged_output(out_dir) as tmp:
         metrics.write_report(report, tmp / "report.txt")
@@ -299,6 +295,8 @@ def _evaluate(cfg: RunConfig, checkpoint: Path, graphs_dir: Path, out_dir: Path,
                 "model": model,
                 "config": cfg.to_dict(),
                 "checkpoint": str(checkpoint),
+                # the model scored: the checkpoint's meta lines, not the config
+                "checkpoint_meta": meta,
                 "split": split,
                 "threshold": report.threshold,
                 "threshold_source": threshold_source,
@@ -314,23 +312,9 @@ def _evaluate(cfg: RunConfig, checkpoint: Path, graphs_dir: Path, out_dir: Path,
                 "artifacts": sorted(p.name for p in tmp.iterdir()),
             },
         )
-    return report, threshold_source
-
-
-def cmd_evaluate(args) -> int:
-    cfg = _load_cfg(args)
-    graphs_dir = _graphs_dir(cfg, args)
-    checkpoint = Path(args.checkpoint) if args.checkpoint else (
-        _output_root(cfg) / f"train_{args.model}" / "checkpoint.txt"
-    )
-    out_dir = _output_root(cfg) / f"eval_{args.model}_{args.split}"
-    report, threshold_source = _evaluate(cfg, checkpoint, graphs_dir, out_dir, args.split, args.model)
-    print(
-        f"{args.model} on {args.split}: accuracy {report.accuracy:.1f}%, "
-        f"precision {report.precision:.1f}%, recall {report.recall:.1f}%, "
-        f"f1 {report.f1:.3f}, auc_roc {report.auc_roc:.3f}, auc_pr {report.auc_pr:.3f}, "
-        f"threshold {report.threshold:.4g} ({threshold_source})"
-    )
+    print(f"{model} on {split}: accuracy {report.accuracy:.1f}%, precision {report.precision:.1f}%, "
+          f"recall {report.recall:.1f}%, f1 {report.f1:.3f}, auc_roc {report.auc_roc:.3f}, "
+          f"auc_pr {report.auc_pr:.3f}, threshold {report.threshold:.4g} ({threshold_source})")
     print(f"report written to {out_dir}")
     return 0
 
@@ -339,10 +323,9 @@ def cmd_evaluate(args) -> int:
 # grid
 
 def cmd_grid(args) -> int:
-    cfg = _load_cfg(args)
+    cfg = load_config(args.config, args.overrides)
     graphs_dir = _graphs_dir(cfg, args)
-    corpus = _read_corpus(graphs_dir)
-    corpus_hash = _corpus_meta(graphs_dir)["corpus_config_hash"]
+    corpus, corpus_hash = _read_corpus(graphs_dir)
     out_dir = _output_root(cfg) / "grid"
     t0 = time.perf_counter()
     rows, sources, points = [], [], []
@@ -353,16 +336,14 @@ def cmd_grid(args) -> int:
             started = time.perf_counter()
             sub = tmp / name
             _, history = _train(cfg, corpus, corpus_hash, sub / "train", "qgnn", qubits=qubits, layers=layers)
-            arrays, meta = load_arrays(sub / "train" / "checkpoint.txt")
-            report, threshold_source = _score_at_val_threshold(arrays, meta, cfg, corpus, "test")
+            score, _ = _load_model(sub / "train" / "checkpoint.txt", "qgnn")
+            report, threshold_source = _score_at_val_threshold(score, corpus, "test")
             metrics.write_report(report, sub / "report.txt")
             sources.append(threshold_source)
-            rows.append(
-                (qubits, layers, report.accuracy, report.precision, report.recall, report.f1, report.auc_pr)
-            )
+            rows.append((qubits, layers, report.accuracy, report.precision, report.recall, report.f1, report.auc_pr))
             points.append({
                 "name": name,
-                "path": qsim.circuit_path(_circuit_spec(cfg, qubits, layers)),
+                "path": qsim.circuit_path(_circuit_spec(qubits, layers, cfg.qgnn.entangler)),
                 "seconds": time.perf_counter() - started,
                 "epoch_seconds": [e.seconds for e in history.epochs],
             })

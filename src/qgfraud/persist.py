@@ -50,31 +50,35 @@ def load_arrays(path):
         raise PersistError(f"checkpoint not found: {p}")
     arrays: dict = {}
     meta: dict = {}
-    with open(p) as fh:
-        first = fh.readline().rstrip("\n")
-        if first != MAGIC:
-            raise PersistError(f"{p}: not a named-array file (header {first!r})")
-        lines = enumerate((line.rstrip("\n") for line in fh), start=2)
-        for lineno, line in lines:
-            try:
-                head, *fields = line.split(" ", 2)
-                if head in ("meta", "array") and len(fields) < 2:
-                    raise ValueError(f"{head} line needs a name and a value")
-                if head == "meta":
-                    meta[fields[0]] = fields[1]
-                elif head == "array":
-                    name, shape_s = fields
-                    shape = () if shape_s == "-" else tuple(int(d) for d in shape_s.split(","))
-                    lineno, values = next(lines, (lineno + 1, ""))
-                    arr = np.array([float(v) for v in values.split()], dtype=float)
-                    expected = int(np.prod(shape)) if shape else 1
-                    if arr.size != expected:
-                        raise ValueError(f"array {name} has {arr.size} values, expected {expected}")
-                    arrays[name] = arr.reshape(shape)
-                elif line:
-                    raise ValueError(f"unrecognised line {line!r}")
-            except ValueError as exc:
-                raise PersistError(f"{p}: line {lineno}: {exc}") from None
+    data = p.read_bytes()
+    try:
+        first, *rest = data.decode().splitlines() or [""]
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise PersistError(f"{p}: line {lineno}: not UTF-8 text") from None
+    if first != MAGIC:
+        raise PersistError(f"{p}: not a named-array file (header {first!r})")
+    lines = enumerate(rest, start=2)
+    for lineno, line in lines:
+        try:
+            head, *fields = line.split(" ", 2)
+            if head in ("meta", "array") and len(fields) < 2:
+                raise ValueError(f"{head} line needs a name and a value")
+            if head == "meta":
+                meta[fields[0]] = fields[1]
+            elif head == "array":
+                name, shape_s = fields
+                shape = () if shape_s == "-" else tuple(int(d) for d in shape_s.split(","))
+                lineno, values = next(lines, (lineno + 1, ""))
+                arr = np.array([float(v) for v in values.split()], dtype=float)
+                expected = int(np.prod(shape)) if shape else 1
+                if arr.size != expected:
+                    raise ValueError(f"array {name} has {arr.size} values, expected {expected}")
+                arrays[name] = arr.reshape(shape)
+            elif line:
+                raise ValueError(f"unrecognised line {line!r}")
+        except ValueError as exc:
+            raise PersistError(f"{p}: line {lineno}: {exc}") from None
     return arrays, meta
 
 

@@ -30,7 +30,6 @@ from .rng import make_rng
 from .training import TrainConfig, TrainingError, bce_loss, fit, sigmoid
 
 ENCODE_ACTIVATIONS = ("none", "tanh_pi")
-PREDICT_GRAPHS = 64  # graphs whose nodes share one circuit call in predict
 
 
 @dataclass(eq=False)
@@ -111,22 +110,20 @@ def forward(g, params: QgnnParams, spec: qsim.CircuitSpec, encode_activation: st
 def predict(graphs, params: QgnnParams, spec: qsim.CircuitSpec, encode_activation: str = "none") -> np.ndarray:
     """Fraud probability of each graph, bit for bit as ``forward`` gives it.
 
-    The nodes of up to ``PREDICT_GRAPHS`` graphs go through the circuit in one
-    ``run_vqc_batch`` call; a node's readout does not depend on the rows
-    beside it. The encoding matmul and the pooling run per graph, since their
-    sums are not grouped the same way over a longer batch (``np.add.reduceat``
+    Every graph's nodes go through the circuit in one ``run_vqc_batch`` call,
+    whose row chunks bound its memory on each path; a node's readout does not
+    depend on the rows beside it. The encoding matmul and the pooling run per
+    graph: over a longer batch their sums group differently (``np.add.reduceat``
     and ``mean`` differ in the last bit).
     """
-    probs = []
-    for start in range(0, len(graphs), PREDICT_GRAPHS):
-        chunk = graphs[start:start + PREDICT_GRAPHS]
-        for g in chunk:
-            _check_graph(g)
-        enc = np.concatenate([_encode_inputs(g.nodes, params, encode_activation)[1] for g in chunk])
-        z = qsim.run_vqc_batch(enc, spec, params.w_vqc)
-        ends = itertools.accumulate(g.n_nodes for g in chunk)
-        probs += [_probability(z[end - g.n_nodes:end], params) for g, end in zip(chunk, ends)]
-    return np.array(probs)
+    for g in graphs:
+        _check_graph(g)
+    if not graphs:
+        return np.array([])
+    enc = np.concatenate([_encode_inputs(g.nodes, params, encode_activation)[1] for g in graphs])
+    z = qsim.run_vqc_batch(enc, spec, params.w_vqc)
+    ends = itertools.accumulate(g.n_nodes for g in graphs)
+    return np.array([_probability(z[end - g.n_nodes:end], params) for g, end in zip(graphs, ends)])
 
 
 def backward_batch(graphs, params: QgnnParams, spec: qsim.CircuitSpec, ys, encode_activation: str = "none"):

@@ -52,14 +52,16 @@ Deeper circuits take one of two paths:
   from the index bits of ``arange(2**q)``, one CNOT at a time. <Z_k> is read
   by halving the probabilities once per wire.
 
-Rows go through in chunks of ``CHUNK_AMPLITUDES`` amplitudes (at least one
-row), so a state stays cache-sized and a call's memory is a fixed multiple of
-that budget, or of one row beyond 16 qubits, whatever the batch size. The MPS
-path chunks by what a row of its sites, transfer matrices and environments
-holds (``_mps_forward_amplitudes``, ``_mps_row_amplitudes``), and is taken
-only when a gradient row fits in the budget. Every per-row result is
-computed the same way whatever the chunk holds, so readouts and input
-gradients do not depend on the chunking.
+Every path runs rows in chunks of ``CHUNK_AMPLITUDES`` amplitudes (at least
+one row), so a call's memory is a fixed multiple of that budget, or of one
+row beyond 16 qubits, plus its per-row results, whatever the batch size. A
+row counts what it holds at most: 2^q amplitudes on the statevector, its
+(q, q) factors and partial products in the closed form
+(``_OneLayer.row_amplitudes``), its sites, transfer matrices and
+environments on the MPS (``_mps_forward_amplitudes``, ``_mps_row_amplitudes``),
+which is taken only when a gradient row fits in the budget. Per-row results
+do not depend on the chunking, nor do the closed form's and the MPS's angle
+gradients, totalled over all rows at once.
 
 On the statevector, gradients come from the adjoint method (``_Statevector.grad``).
 Parameter shift survives only as the test oracle in ``tests/oracles.py``; the
@@ -430,6 +432,9 @@ class _OneLayer:
         self.mask = _parity_mask(spec)
         self.sin_a, self.cos_a, self.sin_b, self.cos_b = np.sin(w[:q]), np.cos(w[:q]), np.sin(w[q:]), np.cos(w[q:])
         self.cos_ab = self.cos_a * self.cos_b
+        # amplitudes a gradient row holds at most, a real counting as half of one: its (q, q)
+        # factors, partial products and two product temporaries, and sin 2x, cos 2x, z and ones
+        self.row_amplitudes = q * (5 * q + 4) // 2
         _read_only(self.sin_a, self.cos_a, self.sin_b, self.cos_b, self.cos_ab)
 
     def wire_z(self, xs: np.ndarray):
@@ -438,24 +443,32 @@ class _OneLayer:
         return sin2x, cos2x, cos2x * self.cos_ab + sin2x * self.sin_b
 
     def z(self, xs: np.ndarray) -> np.ndarray:
-        return np.where(self.mask, self.wire_z(xs)[2][:, None, :], 1.0).prod(axis=-1)
+        out = np.empty(xs.shape)
+        for rows in _chunks(len(xs), self.row_amplitudes):
+            out[rows] = np.where(self.mask, self.wire_z(xs[rows])[2][:, None, :], 1.0).prod(axis=-1)
+        return out
 
     def grad(self, xs: np.ndarray, upstream: np.ndarray):
         """dL/dz_j = sum_k upstream[n, k] prod_{i in row k, i != j} z_i, then the
-        chain rule through z_j(x_j, a_j, b_j)."""
-        sin2x, cos2x, z = self.wire_z(xs)
-        # factors[n, k, j] is z_j where readout k depends on wire j, else 1; the
-        # leave-one-out products come from prefix and suffix products, never from
-        # dividing by z_j, which can be exactly 0
-        factors = np.where(self.mask, z[:, None, :], 1.0)
-        ones = np.ones(factors.shape[:-1] + (1,))
-        before = np.cumprod(np.concatenate([ones, factors[..., :-1]], axis=-1), axis=-1)
-        after = np.cumprod(np.concatenate([ones, factors[..., :0:-1]], axis=-1), axis=-1)[..., ::-1]
-        dz = np.einsum("nk,nkj->nj", upstream, before * after * self.mask)
-        cos_sum, sin_sum = (dz * cos2x).sum(axis=0), (dz * sin2x).sum(axis=0)
+        chain rule through z_j(x_j, a_j, b_j). The angle terms of every row are
+        kept and totalled once, so grad_w does not depend on the chunking."""
+        cos_terms, sin_terms, grad_x = np.empty(xs.shape), np.empty(xs.shape), np.empty(xs.shape)
+        for rows in _chunks(len(xs), self.row_amplitudes):
+            sin2x, cos2x, z = self.wire_z(xs[rows])
+            # factors[n, k, j] is z_j where readout k depends on wire j, else 1; the
+            # leave-one-out products come from prefix and suffix products, never from
+            # dividing by z_j, which can be exactly 0
+            factors = np.where(self.mask, z[:, None, :], 1.0)
+            ones = np.ones(factors.shape[:-1] + (1,))
+            before = np.cumprod(np.concatenate([ones, factors[..., :-1]], axis=-1), axis=-1)
+            after = np.cumprod(np.concatenate([ones, factors[..., :0:-1]], axis=-1), axis=-1)[..., ::-1]
+            dz = np.einsum("nk,nkj->nj", upstream[rows], before * after * self.mask)
+            cos_terms[rows], sin_terms[rows] = dz * cos2x, dz * sin2x
+            grad_x[rows] = dz * (2.0 * cos2x * self.sin_b - 2.0 * sin2x * self.cos_ab)
+        cos_sum, sin_sum = cos_terms.sum(axis=0), sin_terms.sum(axis=0)
         grad_w = np.concatenate([-cos_sum * self.sin_a * self.cos_b,
                                  sin_sum * self.cos_b - cos_sum * self.cos_a * self.sin_b])
-        return grad_w, dz * (2.0 * cos2x * self.sin_b - 2.0 * sin2x * self.cos_ab)
+        return grad_w, grad_x
 
 
 # ---------------------------------------------------------------------------
@@ -749,8 +762,8 @@ def param_shift_grad_batch(xs, spec: CircuitSpec, w, upstream):
     the function up by it.
 
     Returns (grad_w totalled over the batch, grad_x per row). Rows run in
-    chunks (see ``CHUNK_AMPLITUDES``); grad_w adds the chunks' totals in row
-    order.
+    chunks (see ``CHUNK_AMPLITUDES``); on the statevector grad_w adds the
+    chunks' totals in row order.
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     w = np.asarray(w, dtype=float)

@@ -303,7 +303,7 @@ def sage_train(
         return batch_loss, acc
 
     def val_probs(params, graphs):
-        return [sage_forward(g, params) for g in graphs]
+        return sage_predict(graphs, params)
 
     params = init_sage_params(rng, in_dim=in_dim, widths=widths, dropout=dropout)
     # this module's adam_step, looked up at call time: the benchmark tracer

@@ -228,7 +228,7 @@ def build_graph(clusters, t: Transaction) -> TransactionGraph:
     """
     if not clusters:
         raise TdaError("build_graph needs at least one cluster")
-    canon = sorted(map(sorted, map(set, clusters)))  # sorted lists order as tuples do
+    canon = sorted(map(sorted, clusters))  # sorted lists order as tuples do; a repeat is a self-loop
     if not canon[0]:  # an empty cluster sorts first
         raise TdaError("clusters must be non-empty")
     cols = list(chain.from_iterable(canon))

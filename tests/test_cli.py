@@ -368,21 +368,37 @@ class TestEvaluate:
         (r"^(array \S+) \S+\n", r"\1 2,x\n", "invalid literal for int()"),
         (r"^[-\d][^ \n]*", "abc", "could not convert string to float: 'abc'"),
         (r"^meta kind qgnn\n", "", "--model qgnn was given a checkpoint with no 'meta kind' line"),
+        (r"^meta layers .*\n", "", "no 'meta layers' line"),
+        (r"^meta entangler .*\n", "", "no 'meta entangler' line"),
+        (r"^meta encode_activation .*\n", "", "no 'meta encode_activation' line"),
+        (r"^meta qubits .*\n", "meta qubits three\n", "meta qubits: invalid literal for int()"),
+        (r"^array w_vqc .*\n.*\n", "", "no 'w_vqc' array"),
+        (r"^array w_vqc .*\n.*\n", "array w_vqc 1\n0.5\n", "array w_vqc: shape (1,), the model's is (6,)"),
+        (r"\Z", "\udcff\udcfe", "not UTF-8 text"),
+        (r"^meta dropout .*\n", "", "no 'meta dropout' line"),
     ])
     def test_malformed_checkpoint_is_validation_error(self, built_run, tmp_path, capsys, pattern, replacement,
                                                       message):
         cfg, out = built_run
-        text = (out / "train_qgnn" / "checkpoint.txt").read_text()
-        found = re.search(pattern, text, flags=re.M)
+        # the edit applies to the first checkpoint, qgnn then sage, that holds the pattern
+        for model in ("qgnn", "sage"):
+            text = (out / f"train_{model}" / "checkpoint.txt").read_text()
+            found = re.search(pattern, text, flags=re.M)
+            if found:
+                break
         checkpoint = tmp_path / "checkpoint.txt"
-        checkpoint.write_text(text[:found.start()] + found.expand(replacement) + text[found.end():])
-        argv = ["evaluate", "--config", str(cfg), "--model", "qgnn", "--checkpoint", str(checkpoint),
+        # a surrogate escape writes its byte as is, so "\udcff" is a byte 0xff
+        checkpoint.write_text(text[:found.start()] + found.expand(replacement) + text[found.end():],
+                              errors="surrogateescape")
+        argv = ["evaluate", "--config", str(cfg), "--model", model, "--checkpoint", str(checkpoint),
                 "--graphs", str(out / "graphs"), "--output-dir", str(tmp_path / "run")]
         capsys.readouterr()
         assert run(argv) == 1
         err = capsys.readouterr().err
         assert f"{checkpoint}: " in err and message in err
-        if replacement:  # the edited line is named
+        # an edited line is named by its number; a parsed value the model cannot
+        # use is named by its meta key or array name instead
+        if replacement and not re.match(r"(meta|array) \w+: ", message):
             assert f"line {text.count(chr(10), 0, found.start()) + 1}: " in err
         assert not (tmp_path / "run").exists()
 
@@ -418,9 +434,42 @@ class TestEvaluate:
         assert f"{graphs / 'graphs_test.jsonl'}: {message}" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
-    def test_qubit_mismatch_is_explicit_error(self, built_run):
-        cfg, _ = built_run
-        assert run(["evaluate", "--config", str(cfg), "--model", "qgnn", "--qubits", "5"]) == 1
+    @pytest.mark.parametrize("name, edit, message", [
+        ("manifest.json", lambda text: "{not json",
+         "manifest.json: not a manifest with corpus_config_hash and corpus_hash (JSONDecodeError("),
+        ("manifest.json", lambda text: re.sub(r'"corpus_config_hash": "\w+",\n', "", text),
+         "manifest.json: not a manifest with corpus_config_hash and corpus_hash (KeyError('corpus_config_hash'))"),
+        ("graphs_test.jsonl", lambda text: "".join(text.splitlines(keepends=True)[3:]),
+         "the corpus files do not match the corpus_hash in"),
+    ], ids=["not-json", "no-config-hash", "altered-corpus"])
+    def test_malformed_corpus_manifest_is_validation_error(self, built_run, tmp_path, capsys, name, edit, message):
+        cfg, out = built_run
+        graphs = tmp_path / "graphs"
+        graphs.mkdir()
+        for f in (out / "graphs").iterdir():
+            (graphs / f.name).write_bytes(f.read_bytes())
+        (graphs / name).write_text(edit((graphs / name).read_text()))
+        argv = ["evaluate", "--config", str(cfg), "--model", "qgnn", "--graphs", str(graphs),
+                "--checkpoint", str(out / "train_qgnn" / "checkpoint.txt"), "--output-dir", str(tmp_path / "run")]
+        capsys.readouterr()
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert str(graphs) in err and message in err
+        assert not (tmp_path / "run").exists()
+
+    def test_model_comes_from_the_checkpoint(self, built_run, tmp_path):
+        # a config of other qubits and another entangler changes neither the
+        # model nor its scores, and the manifest says what was scored
+        cfg, out = built_run
+        common = ["--config", str(cfg), "--model", "qgnn", "--graphs", str(out / "graphs"),
+                  "--checkpoint", str(out / "train_qgnn" / "checkpoint.txt")]
+        assert run(["evaluate", *common, "--output-dir", str(tmp_path / "a")]) == 0
+        assert run(["evaluate", *common, "--output-dir", str(tmp_path / "b"), "--qubits", "5",
+                    "--entangler", "ring"]) == 0
+        a, b = (tmp_path / sub / "eval_qgnn_test" for sub in ("a", "b"))
+        assert (b / "report.txt").read_bytes() == (a / "report.txt").read_bytes()
+        meta = json.loads((b / "manifest.json").read_text())["checkpoint_meta"]
+        assert (meta["qubits"], meta["layers"], meta["entangler"]) == ("3", "1", "chain")
 
     def test_foreign_corpus_rejected(self, built_run, tiny_csv, tmp_path):
         cfg, out = built_run

@@ -271,15 +271,19 @@ class TestPredict:
 
     @pytest.mark.parametrize("q, layers", [(6, 1), (6, 2), (16, 2)])
     def test_batch_matches_forward_bit_for_bit(self, q, layers, monkeypatch):
-        # the closed form, the statevector and the MPS path; chunks of three
-        # graphs put every graph beside others, and a chunk may end mid-list
+        # the closed form, the statevector and the MPS path; every graph sits
+        # beside others in one circuit call, and a budget of 256 amplitudes
+        # (1 to 4 rows) ends row chunks inside graphs. The fold the calls above
+        # made keeps each spec on its path, though a q16 MPS row exceeds 256
         spec = qsim.CircuitSpec.chain(q, layers)
         params = qgnn.init_params(spec, make_rng(q + layers))
         graphs = random_graphs(8, seed=q * layers, max_nodes=6)
         singles = [qgnn.forward(g, params, spec) for g in graphs]
         np.testing.assert_array_equal(qgnn.predict(graphs, params, spec), singles)
-        monkeypatch.setattr(qgnn, "PREDICT_GRAPHS", 3)
+        fold = qsim._folded(spec, params.w_vqc.tobytes())
+        monkeypatch.setattr(qsim, "CHUNK_AMPLITUDES", 256)
         np.testing.assert_array_equal(qgnn.predict(graphs, params, spec), singles)
+        assert qsim._folded(spec, params.w_vqc.tobytes()) is fold
 
 
 class TestParameterCount:

@@ -310,6 +310,32 @@ class TestOneLayerClosedForm:
         np.testing.assert_allclose(grad_w, ref_w, rtol=0, atol=1e-10)
         np.testing.assert_allclose(grad_x, ref_x, rtol=0, atol=1e-10)
 
+    def test_peak_memory_is_a_multiple_of_the_chunk_budget(self, rng, monkeypatch):
+        # 2 000 rows at q16 are twenty chunks; the outputs and the angle terms
+        # kept for every row (3 q reals a row) add 0.7 MiB to the budget
+        spec = qsim.CircuitSpec.chain(16, 1)
+        w = rng.uniform(0, 2 * np.pi, spec.n_params)
+        xs = rng.uniform(-3, 3, (2000, 16))
+        upstream = rng.normal(size=xs.shape)
+
+        def peaks():
+            found = []
+            for call in (lambda: qsim.run_vqc_batch(xs, spec, w),
+                         lambda: qsim.param_shift_grad_batch(xs, spec, w, upstream)):
+                tracemalloc.start()
+                try:
+                    call()
+                    found.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+            return found
+
+        bound = 3 * qsim.CHUNK_AMPLITUDES * 16
+        assert max(peaks()) < bound
+        # the bound is tight enough to see 2 000 rows held at once
+        monkeypatch.setattr(qsim, "CHUNK_AMPLITUDES", 2000 * qsim._OneLayer(spec, w).row_amplitudes)
+        assert min(peaks()) > bound
+
 
 def entangler_specs(q, layers, rng):
     """Chain, ring and one random entangler (up to q CNOTs) on q qubits."""
@@ -354,7 +380,7 @@ class TestLayerKernels:
 
 def chunking_cases():
     for q in range(1, 7):
-        for layers in (2, 3):
+        for layers in (1, 2, 3):
             for factory in (qsim.CircuitSpec.chain, qsim.CircuitSpec.ring):
                 yield factory(q, layers)
 
@@ -362,7 +388,8 @@ def chunking_cases():
 class TestChunking:
     def test_results_do_not_depend_on_chunk_size(self, rng, monkeypatch):
         # at q <= 6 the default budget holds all 11 rows in one chunk; 2**q and
-        # 3 * 2**q force chunks of one row and of three (the last one short)
+        # 3 * 2**q force chunks of one row and of three (the last one short) on
+        # the statevector, and of one row on the closed form
         for spec in chunking_cases():
             xs = rng.uniform(-3, 3, (11, spec.q))
             w = rng.uniform(0, 2 * np.pi, spec.n_params)

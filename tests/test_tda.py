@@ -229,6 +229,10 @@ class TestBuildGraph:
             canon = sorted(tuple(sorted(set(c))) for c in clusters)
             assert set(g.edges) == intersection_edges(canon)
 
+    def test_member_listed_twice_is_a_self_loop(self):
+        with pytest.raises(TdaError, match="self-loop on node 0"):
+            build_graph([(0, 3, 3), (5,)], make_transaction(seed=5))
+
     def test_node_feature_sparsity(self):
         t = make_transaction(seed=5)
         g = build_graph([(0, 3), (5,)], t)
