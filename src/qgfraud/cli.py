@@ -1,10 +1,10 @@
 """Command-line pipeline: build-graphs, train, evaluate, grid, plot.
 
 Every run writes its artifacts into a staged directory that is renamed into
-place only on success, plus a manifest.json echoing the resolved config so
-the run can be reproduced exactly. evaluate and every grid point score a
-checkpoint through ``_load_model``, which builds the model from the
-checkpoint's own meta lines and arrays: no config key changes a score.
+place only on success, plus a manifest.json: the resolved config, so the run
+can be reproduced exactly, or for evaluate the checkpoint and corpus it scored.
+evaluate and every grid point score a checkpoint through ``_load_model``, which
+builds the model from its meta lines and arrays: no config key changes a score.
 Exit codes: 0 success, 1 validation error (a missing or malformed config,
 dataset, corpus, corpus manifest or checkpoint, a checkpoint of the other
 model or another corpus, corpus files that do not match their manifest),
@@ -242,7 +242,10 @@ def _load_model(checkpoint: Path, model: str):
 
     try:  # the model's own initialisation gives every array's name and shape
         if model == "qgnn":
-            spec = _circuit_spec(read("qubits", int), read("layers", int), read("entangler", options=ENTANGLERS))
+            qubits, layers = read("qubits", int), read("layers", int)
+            if layers < 1:  # train never writes one: the config takes at least one layer
+                raise ValueError(f"meta layers: must be >= 1, got {layers}")
+            spec = _circuit_spec(qubits, layers, read("entangler", options=ENTANGLERS))
             activation = read("encode_activation", options=qgnn.ENCODE_ACTIVATIONS)
             template = qgnn.init_params(spec, make_rng(0))
         else:
@@ -278,7 +281,8 @@ def cmd_evaluate(args) -> int:
     checkpoint = Path(args.checkpoint or _output_root(cfg) / f"train_{model}" / "checkpoint.txt")
     out_dir = _output_root(cfg) / f"eval_{model}_{split}"
     score, meta = _load_model(checkpoint, model)
-    corpus, corpus_hash = _read_corpus(_graphs_dir(cfg, args), ("val", split))
+    graphs_dir = _graphs_dir(cfg, args)
+    corpus, corpus_hash = _read_corpus(graphs_dir, ("val", split))
     if meta.get("corpus_config_hash") != corpus_hash:
         raise ConfigError("checkpoint was trained on a different corpus "
                           f"(checkpoint hash {meta.get('corpus_config_hash')!r}, corpus hash {corpus_hash!r})")
@@ -293,10 +297,11 @@ def cmd_evaluate(args) -> int:
             {
                 "command": "evaluate",
                 "model": model,
-                "config": cfg.to_dict(),
+                # what was scored: the checkpoint's model on the corpus split, and nothing from the config
                 "checkpoint": str(checkpoint),
-                # the model scored: the checkpoint's meta lines, not the config
                 "checkpoint_meta": meta,
+                "graphs": str(graphs_dir),
+                "corpus_config_hash": corpus_hash,
                 "split": split,
                 "threshold": report.threshold,
                 "threshold_source": threshold_source,

@@ -28,19 +28,19 @@ Deeper circuits take one of two paths:
 * As a matrix product state (Vidal, arXiv:quant-ph/0301063) when the
   entanglement is short-range, as for chain and ring entanglers at 16 qubits.
   A CNOT is applied exactly, with no SVD, as a bond-2 MPO that doubles the
-  bond of each cut it spans, and every gate acts on single sites, so wire
-  j's site is linear in its two first-layer amplitudes. Sites are stacked at
-  the largest bond B (2 for a q16/l2 chain, 4 for a ring) as (B, 2, B)
-  tensors padded with exact zeros. The fold puts the layers' rotations into
-  the cached entangler maps, one (2 B^2, 2) map per wire. The last
-  entangler is never applied: as in the closed form, <Z_k> after it is the
-  Z-string over row k of the parity mask before it, read by carrying
+  bond of each cut it spans; sites are stacked at the largest bond B (2 for
+  a q16/l2 chain, 4 for a ring), padded with exact zeros. The last entangler
+  is never applied: as in the closed form, <Z_k> after it is the Z-string
+  over row k of the parity mask before it, read by carrying real
   environments (Schollwoeck, arXiv:1008.3477) stacked over rows and readouts
-  through each site's I and Z transfer matrices, one matmul per site. An
-  environment is a Hermitian (B, B) matrix, carried as B^2 real coordinates,
-  so the transfer matrices and the scan are real. The gradient runs the
-  same scan from the right, turns both scans' environments back into
-  complex matrices and contracts every site's cotangent at once.
+  through each site's real I and Z transfer matrices, one matmul per site.
+  Wire j's site is linear in (cos x_j, i sin x_j), so its transfer matrices
+  are P_j + cos 2x_j Q_j + sin 2x_j S_j (Schuld, Sweke & Meyer,
+  arXiv:2008.08605), folded once per parameter vector. The gradient scans
+  from the right too and pairs both scans' environments into each transfer
+  matrix's cotangent, read against dR/dx and against each angle's dP, dQ
+  and dS, which folds shifted by +-pi/2 give exactly (Mitarai et al.,
+  arXiv:1803.00745).
 * Otherwise on the statevector, simulated a layer at a time over (rows, 2^q)
   arrays. The first layer acts on the encoded product state, so its
   rotations are applied to each wire's two amplitudes before the product is
@@ -57,24 +57,24 @@ one row), so a call's memory is a fixed multiple of that budget, or of one
 row beyond 16 qubits, plus its per-row results, whatever the batch size. A
 row counts what it holds at most: 2^q amplitudes on the statevector, its
 (q, q) factors and partial products in the closed form
-(``_OneLayer.row_amplitudes``), its sites, transfer matrices and
-environments on the MPS (``_mps_forward_amplitudes``, ``_mps_row_amplitudes``),
+(``_OneLayer.row_amplitudes``), its transfer matrices, environments and
+cotangents on the MPS (``_mps_forward_amplitudes``, ``_mps_row_amplitudes``),
 which is taken only when a gradient row fits in the budget. Per-row results
 do not depend on the chunking, nor do the closed form's and the MPS's angle
 gradients, totalled over all rows at once.
 
 On the statevector, gradients come from the adjoint method (``_Statevector.grad``).
-Parameter shift survives only as the test oracle in ``tests/oracles.py``; the
-simulator is the reference the closed form is tested against, and
-``tests/oracles.tensor_state``, which applies one gate at a time to a
-(2,) * q tensor, is the reference for the layer kernels and the MPS path.
+Parameter shift of whole circuits survives only as the test oracle in
+``tests/oracles.py``; the simulator is the reference the closed form is
+tested against, and ``tests/oracles.tensor_state``, which applies one gate at
+a time to a (2,) * q tensor, is the reference for the layer kernels and the
+MPS path.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -268,11 +268,12 @@ def _wire_overlaps(lam: np.ndarray, psi: np.ndarray, q: int, scratch: np.ndarray
 
 
 def _wire_rotations(spec: CircuitSpec, w: np.ndarray) -> np.ndarray:
-    """(layers, q, 2, 2): a layer's RY then RX on one wire, as one matrix."""
-    half = w.reshape(spec.layers, 2, spec.q) / 2.0
-    cos, sin = np.cos(half), np.sin(half)
-    ry = np.stack([np.stack([cos[:, 0], -sin[:, 0]], -1), np.stack([sin[:, 0], cos[:, 0]], -1)], -2)
-    rx = np.stack([np.stack([cos[:, 1], -1j * sin[:, 1]], -1), np.stack([-1j * sin[:, 1], cos[:, 1]], -1)], -2)
+    """(..., layers, q, 2, 2): a layer's RY then RX on one wire, as one matrix,
+    for each of the (..., n_params) angle vectors w."""
+    half = np.moveaxis(w.reshape(w.shape[:-1] + (spec.layers, 2, spec.q)), -2, 0) / 2.0
+    (cy, cx), (sy, sx) = np.cos(half), np.sin(half)
+    ry = np.stack([np.stack([cy, -sy], -1), np.stack([sy, cy], -1)], -2)
+    rx = np.stack([np.stack([cx, -1j * sx], -1), np.stack([-1j * sx, cx], -1)], -2)
     return rx @ ry.astype(complex)
 
 
@@ -492,22 +493,23 @@ def _mps_bonds(spec: CircuitSpec) -> tuple[int, ...]:
 
 def _mps_forward_amplitudes(spec: CircuitSpec) -> int:
     """Amplitudes a row holds at most in an MPS forward, a real number counting as
-    half of one (D = 2 B^2 at the largest bond B). While its transfer matrices are
-    built: the sites and two copies (3 q D), their outer products and the real
-    terms drawn from them (3 q D^2 / 4). While it scans: the sites, the real
-    transfer matrices (q D^2 / 4) and the real environments of every cut
-    ((q + 1) q D / 4)."""
+    half of one (D = 2 B^2 at the largest bond B). While its real transfer
+    matrices are formed: them and one temporary (2 q D^2 / 4). While it scans:
+    the transfer matrices (q D^2 / 4), the environments of every cut
+    ((q + 1) q D / 4) and a step's product (q D / 2)."""
     q, size = spec.q, 2 * max(_mps_bonds(spec)) ** 2
-    return q * size * max(12 + 3 * size, 4 + size + q + 1) // 4
+    return q * size * max(2 * size, size + q + 3) // 4
 
 
 def _mps_row_amplitudes(spec: CircuitSpec) -> int:
-    """Amplitudes a gradient row holds at most, the most on the MPS path: the
-    forward's, or, once both scans are done, the sites and real transfer matrices,
-    the environments of both scans ((q + 1) q D / 2) and the complex matrices of
-    the cotangent contraction (3 q^2 D)."""
+    """Amplitudes a gradient row holds at most, the most on the MPS path: while
+    it scans, the forward's and a second scan's environments ((q + 1) q D / 4);
+    once both scans are done, their environments ((q + 1) q D / 2), the
+    cotangents (q D^2 / 4), one slot's weighted left environments (q^2 D / 4)
+    and the weights (q^2)."""
     q, size = spec.q, 2 * max(_mps_bonds(spec)) ** 2
-    return max(_mps_forward_amplitudes(spec), q * size * (4 + size + 2 * (q + 1) + 12 * q) // 4)
+    scans = _mps_forward_amplitudes(spec) + (q + 1) * q * size // 4
+    return max(scans, q * size * (3 * q + 2 + size) // 4 + q * q)
 
 
 def circuit_path(spec: CircuitSpec) -> str:
@@ -568,6 +570,7 @@ def _entangler_maps(spec: CircuitSpec) -> np.ndarray:
     return maps
 
 
+@functools.lru_cache(maxsize=64)
 def _mps_select(spec: CircuitSpec) -> np.ndarray:
     """(2, q, k, B^2) flat gather indices at the largest bond B: [0, j] picks readout
     k's environment past site j from its I and Z candidates laid out (k, 2, B^2) from
@@ -586,19 +589,20 @@ def _transfers(sites: np.ndarray, bond: int) -> np.ndarray:
 
     An environment E of a cut is a Hermitian (B, B) matrix, and site a carries
     it to sum_s (-1)^(s p) a_s^H E a_s (p = 1 for Z). It is stored as B^2 reals
-    e_xy = Re E_xy + Im E_xy (``_hermitian`` inverts this), in which that step is
-    e' = e @ R[:, p] with R[(x, y), p] = Re T[(x, y), p] + Im T[(y, x), p], T the
-    complex transfer matrix: [(x, y), p, (x', y')] sums (-1)^(s p) conj(a[x, s, x'])
-    a[y, s, y'] over s. R is read straight from the real and imaginary parts of
-    the outer products, the site index innermost so that every pass runs over
-    all n q sites at once.
+    e_xy = Re E_xy + Im E_xy, which E_xy = ((1 + i) e_xy + (1 - i) e_yx) / 2
+    inverts, and in which that step is e' = e @ R[:, p] with R[(x, y), p] =
+    Re T[(x, y), p] + Im T[(y, x), p], T the complex transfer matrix:
+    [(x, y), p, (x', y')] sums (-1)^(s p) conj(a[x, s, x']) a[y, s, y'] over s.
+    R is read straight from the real and imaginary parts of the outer products,
+    the site index innermost so that every pass runs over all n q sites at
+    once. Only ``_mps_folds`` calls it, on three sites a wire and angle vector.
     """
     n, q, _ = sites.shape
     b = bond
     a = np.ascontiguousarray(sites.reshape(n * q, b, 2, b).transpose(2, 1, 3, 0))  # (s, x, x', site)
     outer = a.conj()[:, :, None, :, None] * a[:, None, :, None, :]  # (s, x, y, x', y', site)
     terms = np.add(outer.real, outer.imag.swapaxes(1, 2))
-    del outer  # freed before the output is allocated (see _mps_forward_amplitudes)
+    del outer  # freed before the output is allocated
     out = np.empty((n * q, b, b, 2, b, b))
     by_site = out.transpose(1, 2, 3, 4, 5, 0)
     np.add(terms[0], terms[1], out=by_site[:, :, 0])
@@ -606,59 +610,52 @@ def _transfers(sites: np.ndarray, bond: int) -> np.ndarray:
     return out.reshape(n, q, b * b, 2, b * b)
 
 
-@functools.lru_cache(maxsize=None)
-def _hermitian_map(bond: int) -> np.ndarray:
-    """(B^2, 2 B^2) real matrix taking real coordinates (see ``_transfers``) to the
-    interleaved real and imaginary parts of E_xy = ((1 + i) e_xy + (1 - i) e_yx) / 2."""
-    same = np.eye(bond * bond).reshape(-1, bond, bond)  # [(x, y), x', y']: (x', y') = (x, y)
-    swapped = same.swapaxes(1, 2)  # (x', y') = (y, x)
-    out = np.stack([same + swapped, same - swapped], axis=-1).reshape(bond * bond, -1) / 2
-    _read_only(out)
-    return out
+def _mps_folds(spec: CircuitSpec, ws: np.ndarray) -> np.ndarray:
+    """(m, 3, q, B^2, 2 B^2): P, Q and S of every wire under each of the (m,
+    n_params) angle vectors ws, so that wire j's real transfer matrices (see
+    ``_transfers``) at input x are R_j(x) = P_j + cos 2x Q_j + sin 2x S_j.
 
-
-def _hermitian(coords: np.ndarray, bond: int) -> np.ndarray:
-    """(..., B^2) real coordinates -> (..., B, B) Hermitian matrices, by one real
-    matmul: each entry adds at most two exact halves, so it rounds once, and a
-    row's result does not depend on how many rows share the call."""
-    flat = coords.reshape(-1, bond * bond) @ _hermitian_map(bond)
-    return flat.view(complex).reshape(coords.shape[:-1] + (bond, bond))
-
-
-def _rotate_sites(u: np.ndarray, maps: np.ndarray) -> np.ndarray:
-    """Apply each wire's (2, 2) rotation u[j] to the physical index of maps[j], (q, D, m)."""
-    q, size, m = maps.shape
-    bond = math.isqrt(size // 2)
-    sites = maps.reshape(q, bond, 1, 2, bond * m)
-    return (u[:, None, :, :, None] * sites).sum(axis=3).reshape(q, size, m)
+    Wire j's last site is A_j @ (cos x, i sin x), A_j the layers' rotations
+    and entangler maps, so R_j is quadratic in (cos x, sin x). It is read at
+    x = 0, pi/2 and pi/4, the last with its site scaled by sqrt 2 so that
+    every coefficient below is an exact halving: R(0) = P + Q,
+    R(pi/2) = P - Q and 2 R(pi/4) = 2 (P + S).
+    """
+    q, bond = spec.q, max(_mps_bonds(spec))
+    entangler = _entangler_maps(spec)
+    wires = _wire_rotations(spec, ws)
+    a = np.zeros((len(ws), q, 2 * bond * bond, 2), dtype=complex)
+    a[:, :, [0, bond]] = wires[:, 0]  # the first-layer amplitudes at (0, s, 0): bond 1 padded to B
+    for u in wires[:, 1:].swapaxes(0, 1):  # a layer's entangler, then its rotations on each site's index s
+        sites = (entangler @ a).reshape(len(ws), q, bond, 1, 2, -1)
+        a = (u[:, :, None, :, :, None] * sites).sum(axis=-2).reshape(a.shape)
+    sites = np.stack([a[..., 0], 1j * a[..., 1], a[..., 0] + 1j * a[..., 1]], axis=1)
+    reads = _transfers(sites.reshape(-1, q, a.shape[-2]), bond).reshape(len(ws), 3, -1)
+    folds = np.array([[1, 1, 0], [1, -1, 0], [-1, -1, 1]]) / 2 @ reads
+    return folds.reshape(len(ws), 3, q, bond * bond, -1)
 
 
 class _Mps:
-    """The circuit on the MPS path for one parameter vector: wire j's site
-    after layer l is ``maps[l][j] @ f_j``, f_j its two first-layer amplitudes.
-    The fold also keeps the spec's gather indices, Z signs and row sizes."""
+    """The circuit on the MPS path for one parameter vector: each wire's P, Q
+    and S (``_mps_folds``), and the spec's gather indices, readout slots and
+    row sizes."""
 
     def __init__(self, spec: CircuitSpec, w: np.ndarray) -> None:
         self.spec, self.w = spec, w
-        self.wires = _wire_rotations(spec, w)
-        self.entangler = _entangler_maps(spec)
-        self.bond = math.isqrt(self.entangler.shape[-1] // 2)
+        self.folds = _mps_folds(spec, w[None])[0]
         self.select = _mps_select(spec)
-        # (j, s, k): -1 where readout k's Z-string acts on wire j and s is 1
-        self.signs = np.where(_parity_mask(spec).T[:, None, :] & (np.arange(2)[:, None] == 1), -1.0, 1.0)
+        # (j, p, k): 1 where p is readout k's slot on wire j, p = 1 (Z) where row k of the parity mask holds j
+        self.slots = (_parity_mask(spec).T[:, None, :] == np.arange(2)[:, None]).astype(float)
         self.forward_amplitudes, self.row_amplitudes = _mps_forward_amplitudes(spec), _mps_row_amplitudes(spec)
-        m = np.zeros((spec.q, 2 * self.bond**2, 2), dtype=complex)
-        m[:, [0, self.bond], [0, 1]] = 1.0  # f_j at (0, s, 0): bond 1 padded to B
-        maps = [m]
-        for u in self.wires[1:]:
-            maps.append(_rotate_sites(u, self.entangler @ maps[-1]))
-        self.maps = tuple(maps)
-        _read_only(self.wires, self.signs, *self.maps)
+        _read_only(self.folds, self.slots)
 
-    def sites(self, first: np.ndarray) -> np.ndarray:
-        # (n, q, 2) first-layer amplitudes -> (n, q, D) last sites, written out elementwise
-        m = self.maps[-1]
-        return m[:, :, 0] * first[:, :, 0, None] + m[:, :, 1] * first[:, :, 1, None]
+    def transfers(self, cos2x: np.ndarray, sin2x: np.ndarray) -> np.ndarray:
+        """(n, q, B^2, 2 B^2) real transfer matrices of the rows with these (n, q) cos 2x and sin 2x."""
+        p, q, s = self.folds
+        out = cos2x[:, :, None, None] * q
+        out += sin2x[:, :, None, None] * s
+        out += p
+        return out
 
     def environments(self, transfers: np.ndarray, select: np.ndarray) -> np.ndarray:
         """(q + 1, n, k, B^2): each readout's environment at every cut in real
@@ -673,63 +670,59 @@ class _Mps:
         return envs
 
     @functools.cached_property
-    def grad_maps(self) -> np.ndarray:
-        """(q, D, layers * 8) N: layer l's overlaps are [a, b] = sum_{d, c}
-        conj(G[d]) N[d, l, a, b, c] f[c], G the last site's cotangent, where N
-        sums K_l[d, (x, a, y)] maps[l][(x, b, y), c], K_l layer l -> last site."""
-        q, b, size = self.spec.q, self.bond, self.entangler.shape[-1]
-        k = np.broadcast_to(np.eye(size, dtype=complex), (q, size, size))
-        parts = []
-        for layer in reversed(range(len(self.maps))):
-            ks = k.reshape(q, size, b, 2, b).transpose(0, 1, 3, 2, 4).reshape(q, 2 * size, b * b)
-            ms = self.maps[layer].reshape(q, b, 2, b, 2).transpose(0, 1, 3, 2, 4).reshape(q, b * b, 4)
-            parts.append((ks @ ms).reshape(q, size, 8))
-            if layer:
-                k = k @ _rotate_sites(self.wires[layer], self.entangler)
-        out = np.stack(parts[::-1], axis=2).reshape(q, size, -1)
+    def grad_matrices(self) -> np.ndarray:
+        """(q, 2 + 6 layers, 2 B^4): per wire, Q and S, then dP, dQ and dS for each
+        angle row in the order of w. A transfer matrix is a + b cos t + c sin t in
+        each angle t, so its derivative is half the difference of two folds at
+        t +- pi/2; a wire's transfers depend on its own angles alone, so one fold
+        shifts a whole angle row, and all 4 layers shifted folds are one call."""
+        rows = 2 * self.spec.layers
+        shifts = np.repeat(np.eye(rows), self.spec.q, axis=1) * (np.pi / 2)
+        shifted = _mps_folds(self.spec, self.w + np.concatenate([shifts, -shifts]))
+        derivs = (shifted[:rows] - shifted[rows:]) / 2
+        columns = np.concatenate([self.folds[1:], derivs.reshape(3 * rows, *self.folds.shape[1:])])
+        out = np.ascontiguousarray(columns.reshape(len(columns), self.spec.q, -1).swapaxes(0, 1))
         _read_only(out)
         return out
 
     def z(self, xs: np.ndarray) -> np.ndarray:
         """Readouts: each readout's environment past the last site."""
-        q, b = self.spec.q, self.bond
         out = np.empty(xs.shape)
         for rows in _chunks(len(xs), self.forward_amplitudes):
-            sites = self.sites(_first_wires(xs[rows], self.wires))
-            transfers = _transfers(sites, b).reshape(len(sites), q, -1, 2 * b**2)
+            transfers = self.transfers(np.cos(2.0 * xs[rows]), np.sin(2.0 * xs[rows]))
             out[rows] = self.environments(transfers, self.select[0])[-1, :, :, 0]
         return out
 
     def grad(self, xs: np.ndarray, upstream: np.ndarray):
-        """f = sum_k upstream_k <Z-string_k> is a quadratic form in each wire's last
-        site A_j; G_j = df/d conj(A_j) is the left environment times A_j times the
-        right one, each readout weighted by upstream_k and its sign on wire j. The
-        overlaps ``_layer_grads`` reads come from G_j and f_j (``grad_maps``)."""
-        q, layers = self.spec.q, self.spec.layers
-        b, size = self.bond, 2 * self.bond**2
-        reads = self.grad_maps
-        firsts = _first_wires(xs, self.wires)
-        overlaps = np.empty((layers, len(xs), 2, 2, q), dtype=complex)
+        """f = sum_k upstream_k <Z-string_k> is linear in each wire's transfer matrix
+        R_j, with cotangent G_j = sum_k upstream_k left_jk (x) right_jk in readout
+        k's I or Z slot, left and right the environments on either side. grad_x is
+        G_j's inner product with dR_j/dx = 2 (cos 2x S_j - sin 2x Q_j), and an
+        angle's gradient sums G_j's inner products with dP_j + cos 2x dQ_j +
+        sin 2x dS_j over the rows: each row's terms are kept and totalled once."""
+        q = self.spec.q
+        reads = self.grad_matrices
+        cos2x, sin2x = np.cos(2.0 * xs), np.sin(2.0 * xs)
+        grad_x = np.empty(xs.shape)
+        angle_terms = np.empty((len(xs), q, 2 * self.spec.layers))
         for rows in _chunks(len(xs), self.row_amplitudes):
-            first = firsts[rows]
-            sites, n = self.sites(first), len(first)
-            transfers = _transfers(sites, b)
-            left = self.environments(transfers.reshape(n, q, b * b, size), self.select[0])[:q]
-            # the same scan from the right, through each transfer matrix transposed,
-            # carries the conjugate of each right environment
-            mirrored = transfers.reshape(n, q, size, b * b).swapaxes(-1, -2)[:, ::-1]
-            right = self.environments(mirrored, self.select[1, ::-1])[q - 1::-1]
-            # la[n, j, k, x, s, y'] = sum_y left[., x, y] a[., y, s, y'], weighted and laid
-            # out as ((x, s), (k, y')) against the conjugate right environment as ((k, y'), x')
-            la = _hermitian(left.transpose(1, 0, 2, 3), b).reshape(n, q, q * b, b) @ sites.reshape(n, q, b, 2 * b)
-            weights = (upstream[rows][:, None, None, :] * self.signs)[:, :, None, :, :, None]  # (n, j, 1, s, k, 1)
-            weighted = np.multiply(la.reshape(n, q, q, b, 2, b).transpose(0, 1, 3, 4, 2, 5), weights, order="C")
-            right = _hermitian(right.transpose(1, 0, 2, 3), b).reshape(n, q, q * b, b)
-            cotangents = weighted.reshape(n, q, 2 * b, q * b) @ right
-            reads_at = (cotangents.reshape(n, q, 1, size).conj() @ reads).reshape(n, q, layers, 2, 2, 2)
-            at = reads_at[..., 0] * first[:, :, None, None, None, 0] + reads_at[..., 1] * first[:, :, None, None, None, 1]
-            overlaps[:, rows] = at.transpose(2, 0, 3, 4, 1)
-        return _layer_grads(overlaps, self.w, self.wires)
+            c, s = cos2x[rows], sin2x[rows]
+            transfers = self.transfers(c, s)
+            n, b2 = len(transfers), transfers.shape[2]
+            left = self.environments(transfers, self.select[0])[:q].transpose(1, 0, 3, 2)  # (n, j, B^2, k)
+            # the same scan from the right, through each transfer matrix transposed
+            mirrored = transfers.reshape(n, q, -1, b2).swapaxes(-1, -2)[:, ::-1]
+            right = self.environments(mirrored, self.select[1, ::-1])[q - 1::-1].transpose(1, 0, 2, 3)
+            del transfers, mirrored  # freed before the cotangents (see _mps_row_amplitudes)
+            weights = upstream[rows][:, None, None, :] * self.slots  # (n, j, p, k)
+            cotangents = np.empty((n, q, b2, 2, b2))
+            for p in (0, 1):
+                np.matmul(left * weights[:, :, p, None], right, out=cotangents[:, :, :, p])
+            at = (reads @ cotangents.reshape(n, q, -1, 1))[..., 0]
+            grad_x[rows] = 2.0 * (c * at[..., 1] - s * at[..., 0])
+            terms = at[..., 2:].reshape(n, q, -1, 3)
+            angle_terms[rows] = terms[..., 0] + c[..., None] * terms[..., 1] + s[..., None] * terms[..., 2]
+        return angle_terms.sum(axis=0).T.reshape(-1), grad_x
 
 
 @functools.lru_cache(maxsize=1)

@@ -280,15 +280,15 @@ def _reject_constant(token: str):
 
 def read_graph_corpus(path) -> list[TransactionGraph]:
     """The graphs ``write_graph_corpus`` wrote. Anything else, such as a NaN or
-    infinite value, a line that is not JSON or a record without a field, is a
-    ``TdaError`` that names the file and line."""
+    infinite value, a line that is not UTF-8 or not JSON, or a record without a
+    field, is a ``TdaError`` that names the file and line."""
     graphs = []
-    with open(path) as fh:
+    with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
             try:
+                line = line.decode().strip()
+                if not line:
+                    continue
                 rec = json.loads(line, parse_constant=_reject_constant)
                 graphs.append(
                     TransactionGraph(
@@ -299,6 +299,6 @@ def read_graph_corpus(path) -> list[TransactionGraph]:
                 )
             except KeyError as exc:
                 raise TdaError(f"{path}: line {lineno}: record has no {exc} field") from None
-            except (TypeError, ValueError) as exc:  # TdaError and JSONDecodeError among them
+            except (TypeError, ValueError) as exc:  # TdaError, JSONDecodeError and UnicodeDecodeError among them
                 raise TdaError(f"{path}: line {lineno}: {exc}") from None
     return graphs

@@ -376,6 +376,8 @@ class TestEvaluate:
         (r"^array w_vqc .*\n.*\n", "array w_vqc 1\n0.5\n", "array w_vqc: shape (1,), the model's is (6,)"),
         (r"\Z", "\udcff\udcfe", "not UTF-8 text"),
         (r"^meta dropout .*\n", "", "no 'meta dropout' line"),
+        (r"^meta layers .*\n((?:.*\n)*?)array w_vqc .*\n.*\n", r"meta layers 0\n\1array w_vqc 0\n\n",
+         "meta layers: must be >= 1, got 0"),
     ])
     def test_malformed_checkpoint_is_validation_error(self, built_run, tmp_path, capsys, pattern, replacement,
                                                       message):
@@ -417,7 +419,8 @@ class TestEvaluate:
         (lambda line: "not json", "line 2: Expecting value"),
         *[(lambda line, key=key: json.dumps({k: v for k, v in json.loads(line).items() if k != key}),
            f"line 2: record has no '{key}' field") for key in ("nodes", "edges", "label")],
-    ], ids=["truncated", "not-json", "no-nodes", "no-edges", "no-label"])
+        (lambda line: line + "\udcff\udcfe", "line 2: 'utf-8' codec can't decode byte 0xff"),
+    ], ids=["truncated", "not-json", "no-nodes", "no-edges", "no-label", "not-utf8"])
     def test_malformed_corpus_line_is_validation_error(self, built_run, tmp_path, capsys, edit, message):
         cfg, out = built_run
         graphs = tmp_path / "graphs"
@@ -426,7 +429,8 @@ class TestEvaluate:
             (graphs / f.name).write_bytes(f.read_bytes())
         lines = (graphs / "graphs_test.jsonl").read_text().splitlines()
         lines[1] = edit(lines[1])
-        (graphs / "graphs_test.jsonl").write_text("\n".join(lines) + "\n")
+        # a surrogate escape writes its byte as is, so "\udcff" is a byte 0xff
+        (graphs / "graphs_test.jsonl").write_text("\n".join(lines) + "\n", errors="surrogateescape")
         argv = ["evaluate", "--config", str(cfg), "--model", "qgnn", "--graphs", str(graphs),
                 "--checkpoint", str(out / "train_qgnn" / "checkpoint.txt"), "--output-dir", str(tmp_path / "run")]
         capsys.readouterr()
@@ -459,17 +463,24 @@ class TestEvaluate:
 
     def test_model_comes_from_the_checkpoint(self, built_run, tmp_path):
         # a config of other qubits and another entangler changes neither the
-        # model nor its scores, and the manifest says what was scored
+        # model nor its scores, and the manifest says what was scored, not the config
         cfg, out = built_run
+        checkpoint = out / "train_qgnn" / "checkpoint.txt"
         common = ["--config", str(cfg), "--model", "qgnn", "--graphs", str(out / "graphs"),
-                  "--checkpoint", str(out / "train_qgnn" / "checkpoint.txt")]
+                  "--checkpoint", str(checkpoint)]
         assert run(["evaluate", *common, "--output-dir", str(tmp_path / "a")]) == 0
         assert run(["evaluate", *common, "--output-dir", str(tmp_path / "b"), "--qubits", "5",
                     "--entangler", "ring"]) == 0
         a, b = (tmp_path / sub / "eval_qgnn_test" for sub in ("a", "b"))
         assert (b / "report.txt").read_bytes() == (a / "report.txt").read_bytes()
-        meta = json.loads((b / "manifest.json").read_text())["checkpoint_meta"]
+        manifest = json.loads((b / "manifest.json").read_text())
+        meta = manifest["checkpoint_meta"]
         assert (meta["qubits"], meta["layers"], meta["entangler"]) == ("3", "1", "chain")
+        assert "config" not in manifest
+        assert (manifest["checkpoint"], manifest["split"]) == (str(checkpoint), "test")
+        assert manifest["graphs"] == str(out / "graphs")
+        corpus = json.loads((out / "graphs" / "manifest.json").read_text())
+        assert manifest["corpus_config_hash"] == corpus["corpus_config_hash"] == meta["corpus_config_hash"]
 
     def test_foreign_corpus_rejected(self, built_run, tiny_csv, tmp_path):
         cfg, out = built_run

@@ -470,18 +470,14 @@ def hermitian_coordinates(env):
     return (env.real + env.imag).reshape(env.shape[:-2] + (-1,))
 
 
+def hermitian_matrices(coords, bond):
+    """The Hermitian matrices of real coordinates: E_xy = ((1 + i) e_xy + (1 - i) e_yx) / 2."""
+    e = coords.reshape(coords.shape[:-1] + (bond, bond))
+    return ((1 + 1j) * e + (1 - 1j) * e.swapaxes(-1, -2)) / 2
+
+
 class TestRealEnvironments:
     """MPS environments are Hermitian and carried as B^2 real coordinates."""
-
-    @pytest.mark.parametrize("bond", [1, 2, 4, 8])
-    def test_coordinates_round_trip_exactly(self, rng, bond):
-        # small integers: every sum and halving below is exact, so the
-        # identity itself is checked bit for bit, both ways round
-        env = rng.integers(-8, 9, (5, bond, bond)) + 1j * rng.integers(-8, 9, (5, bond, bond))
-        env = env + env.conj().swapaxes(-1, -2)
-        np.testing.assert_array_equal(qsim._hermitian(hermitian_coordinates(env), bond), env)
-        coords = rng.integers(-8, 9, (5, bond * bond)).astype(float)
-        np.testing.assert_array_equal(hermitian_coordinates(qsim._hermitian(coords, bond)), coords)
 
     @pytest.mark.parametrize("bond", [1, 2, 4, 8])
     def test_real_step_matches_oracle(self, rng, bond):
@@ -496,7 +492,7 @@ class TestRealEnvironments:
             for j in range(2):
                 site = sites[n, j].reshape(bond, 2, bond)
                 for p, signs in enumerate([(1, 1), (1, -1)]):
-                    got = qsim._hermitian(coords @ transfers[n, j, :, p], bond)
+                    got = hermitian_matrices(coords @ transfers[n, j, :, p], bond)
                     np.testing.assert_allclose(got, oracles.transfer_step(env, site, signs), rtol=0, atol=1e-14)
 
 
@@ -512,7 +508,7 @@ def kept_arrays(circuit):
         return [circuit.mask, circuit.sin_a, circuit.cos_a, circuit.sin_b, circuit.cos_b, circuit.cos_ab]
     if isinstance(circuit, qsim._Statevector):
         return [circuit.w, circuit.wires, circuit.perm, circuit.inverse, *itertools.chain(*circuit.krons, *circuit.undo)]
-    return [circuit.w, circuit.wires, circuit.entangler, *circuit.maps, circuit.grad_maps, circuit.select, circuit.signs]
+    return [circuit.w, circuit.folds, circuit.grad_matrices, circuit.select, circuit.slots]
 
 
 @pytest.mark.parametrize("spec, _", PATHS, ids=PATH_IDS)
@@ -680,6 +676,21 @@ class TestMatrixProductState:
         np.testing.assert_array_equal(qsim.run_vqc_batch(xs, spec, w), circuit.z(xs))
         for got, want in zip(qsim.param_shift_grad_batch(xs, spec, w, upstream), circuit.grad(xs, upstream)):
             np.testing.assert_array_equal(got, want)
+
+    def test_derivative_folds_are_built_once_by_the_first_gradient(self, rng, monkeypatch):
+        # scoring never pays for the 4 L shifted folds; a batch's gradient builds them once
+        spec = qsim.CircuitSpec.chain(16, 2)
+        xs = rng.uniform(-3, 3, (3, 16))
+        w = rng.uniform(0, 2 * np.pi, spec.n_params)
+        folds, fold = [], qsim._mps_folds
+        monkeypatch.setattr(qsim, "_mps_folds", lambda spec, ws: folds.append(len(ws)) or fold(spec, ws))
+        qsim._folded.cache_clear()
+        qsim.run_vqc_batch(xs, spec, w)
+        circuit = qsim._folded(spec, w.tobytes())
+        assert "grad_matrices" not in vars(circuit) and folds == [1]
+        for _ in range(2):
+            qsim.param_shift_grad_batch(xs, spec, w, rng.normal(size=xs.shape))
+        assert "grad_matrices" in vars(circuit) and folds == [1, 4 * spec.layers]
 
     def test_small_circuits_stay_on_the_statevector(self):
         # q6 circuits are simulated bit for bit as before the MPS path existed
