@@ -249,7 +249,7 @@ def _load_model(checkpoint: Path, model: str):
             activation = read("encode_activation", options=qgnn.ENCODE_ACTIVATIONS)
             template = qgnn.init_params(spec, make_rng(0))
         else:
-            widths = read("widths", lambda v: tuple(int(w) for w in v.split(",")))
+            widths = read("widths", lambda v: sage.check_widths(tuple(int(w) for w in v.split(","))))
             template = sage.init_sage_params(make_rng(0), widths=widths, dropout=read("dropout", float))
         for name, value in template.to_dict().items():
             if name not in arrays:

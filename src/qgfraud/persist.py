@@ -74,6 +74,8 @@ def load_arrays(path):
                 expected = int(np.prod(shape)) if shape else 1
                 if arr.size != expected:
                     raise ValueError(f"array {name} has {arr.size} values, expected {expected}")
+                if not np.isfinite(arr).all():  # train stops before it could write one
+                    raise ValueError(f"array {name} has a non-finite value")
                 arrays[name] = arr.reshape(shape)
             elif line:
                 raise ValueError(f"unrecognised line {line!r}")

@@ -11,10 +11,11 @@ Conventions, fixed once and used everywhere:
 A circuit runs on one of three exact paths, which ``circuit_path`` picks from
 the spec alone by a cost model (no option selects it). Each path is one class,
 ``_OneLayer``, ``_Mps`` or ``_Statevector``, built once per parameter vector
-with two methods, ``z(xs)`` and ``grad(xs, upstream)``. ``_folded`` is the
-only place that picks the path, and it keeps the last fold: a training
-batch's forward and gradient share one, as does every row scored under one
-checkpoint.
+with two kernels that work on one chunk of rows: ``z(xs)``, and
+``grad(xs, upstream)``, which returns each row's angle gradients in the order
+of w and its input gradient. ``_folded`` is the only place that picks the
+path, and it keeps the last fold: a training batch's forward and gradient
+share one, as does every row scored under one checkpoint.
 
 One-layer circuits never build a state. Their rotations leave a product
 state whose wire j has <Z> = z_j = cos 2x_j cos a_j cos b_j + sin 2x_j sin b_j
@@ -52,16 +53,16 @@ Deeper circuits take one of two paths:
   from the index bits of ``arange(2**q)``, one CNOT at a time. <Z_k> is read
   by halving the probabilities once per wire.
 
-Every path runs rows in chunks of ``CHUNK_AMPLITUDES`` amplitudes (at least
-one row), so a call's memory is a fixed multiple of that budget, or of one
-row beyond 16 qubits, plus its per-row results, whatever the batch size. A
-row counts what it holds at most: 2^q amplitudes on the statevector, its
-(q, q) factors and partial products in the closed form
-(``_OneLayer.row_amplitudes``), its transfer matrices, environments and
-cotangents on the MPS (``_mps_forward_amplitudes``, ``_mps_row_amplitudes``),
-which is taken only when a gradient row fits in the budget. Per-row results
-do not depend on the chunking, nor do the closed form's and the MPS's angle
-gradients, totalled over all rows at once.
+``run_vqc_batch`` and ``param_shift_grad_batch`` alone run rows in chunks of
+``CHUNK_AMPLITUDES`` amplitudes (at least one row), so a call's memory is a
+fixed multiple of that budget, or of one row beyond 16 qubits, plus its
+per-row results, whatever the batch size. A row counts what it holds at most
+(a fold's ``forward_amplitudes`` and ``row_amplitudes``): 2^q amplitudes on
+the statevector, its (q, q) factors and partial products in the closed form,
+its transfer matrices, environments and cotangents on the MPS
+(``_mps_forward_amplitudes``, ``_mps_row_amplitudes``), which is taken only
+when a gradient row fits in the budget. No result depends on the chunking;
+the entry points total each row's angle gradients once.
 
 On the statevector, gradients come from the adjoint method (``_Statevector.grad``).
 Parameter shift of whole circuits survives only as the test oracle in
@@ -286,31 +287,24 @@ def _first_wires(xs: np.ndarray, wires: np.ndarray) -> np.ndarray:
     return u[None, :, :, 0] * enc[:, :, None, 0] + u[None, :, :, 1] * enc[:, :, None, 1]
 
 
-def _encoding_generators(wires: np.ndarray) -> np.ndarray:
-    """(2, 2, q): the encoding's generator X of each wire, seen just after the
-    first layer's rotation u as u X u^dag (X itself with no layers)."""
-    u = wires[0] if len(wires) else np.eye(2, dtype=complex)[None]
-    return np.moveaxis(u @ _PAULI_X @ u.conj().swapaxes(-1, -2), 0, -1)
-
-
 def _rotation_grads(overlaps: np.ndarray, w_layer: np.ndarray) -> np.ndarray:
-    # (2, 2, q) wire overlaps read just after a layer's rotations -> its 2q
-    # angle gradients. RX is each wire's last rotation, so its generator there
-    # is X; RY sits under it and is seen as RX Y RX^dag = cos(t) Y + sin(t) Z.
-    (r00, r01), (r10, r11) = overlaps
-    theta_x = w_layer[len(r00):]
-    grad_y = np.cos(theta_x) * (r10 - r01).real + np.sin(theta_x) * (r00 - r11).imag
-    return np.concatenate([grad_y, (r01 + r10).imag])
+    # (n, 2, 2, q) wire overlaps read just after a layer's rotations -> each
+    # row's 2q angle gradients. RX is each wire's last rotation, so its generator
+    # there is X; RY sits under it and is seen as RX Y RX^dag = cos(t) Y + sin(t) Z.
+    re, im = overlaps.real, overlaps.imag
+    theta_x = w_layer[overlaps.shape[-1]:]
+    grad_y = np.cos(theta_x) * (re[:, 1, 0] - re[:, 0, 1]) + np.sin(theta_x) * (im[:, 0, 0] - im[:, 1, 1])
+    return np.concatenate([grad_y, im[:, 0, 1] + im[:, 1, 0]], axis=-1)
 
 
-def _layer_grads(overlaps: np.ndarray, w: np.ndarray, wires: np.ndarray):
-    """Gradients from wire overlaps (see ``_wire_overlaps``) read just after
-    each layer's rotations: (layers, n, 2, 2, q) -> (grad_w totalled over the
-    n rows, (n, q) grad_x). With no layers, overlaps[0] is read at the encoding."""
-    w_layers = w.reshape(-1, overlaps.shape[-1] * 2)
-    grad_w = np.array([_rotation_grads(o.sum(axis=0), wl) for o, wl in zip(overlaps, w_layers)])
-    enc = (_encoding_generators(wires) * overlaps[0]).reshape(-1, 4, overlaps.shape[-1])
-    return grad_w.reshape(-1), -2.0 * enc.sum(axis=1).imag
+def _encoding_grads(overlaps: np.ndarray, wires: np.ndarray) -> np.ndarray:
+    """(n, q) grad_x from (n, 2, 2, q) wire overlaps (see ``_wire_overlaps``) read
+    just after the first layer's rotations u, where the encoding's generator X of
+    each wire is seen as u X u^dag; with no layers they are read at the encoding."""
+    u = wires[0] if len(wires) else np.eye(2, dtype=complex)[None]
+    generators = np.moveaxis(u @ _PAULI_X @ u.conj().swapaxes(-1, -2), 0, -1)
+    enc = (generators * overlaps).reshape(-1, 4, overlaps.shape[-1])
+    return -2.0 * enc.sum(axis=1).imag
 
 
 def _z_weights(upstream: np.ndarray) -> np.ndarray:
@@ -333,37 +327,27 @@ class _Statevector:
         self.krons = [[_kron(mats[k0:k0 + c]) for k0, c in _wire_groups(spec.q)] for mats in self.wires[1:]]
         self.undo = [[m.conj().T for m in krons] for krons in self.krons]
         self.perm, self.inverse = _entangler_perms(spec)
+        self.forward_amplitudes = self.row_amplitudes = 2**spec.q
         _read_only(self.wires, *itertools.chain(*self.krons, *self.undo))
 
-    def chunked(self, n: int, buffers: int) -> list:
-        """(rows, work) for each of ``_chunks`` of n rows: work holds that many rows
-        of ``buffers`` arrays, allocated once for the first, longest chunk."""
-        chunks = _chunks(n, 2**self.q)
-        work = np.empty((buffers, chunks[0].stop if chunks else 0, 2**self.q), dtype=complex)
-        return [(rows, work[:, : rows.stop - rows.start]) for rows in chunks]
-
-    def rotated(self, first: np.ndarray, amps: np.ndarray, spare: np.ndarray):
-        """The state after the last layer's rotations, before its entangler.
-
-        Computed in the work arrays ``amps`` and ``spare``; returns (the one
-        that holds the state, the other).
-        """
+    def rotated(self, first: np.ndarray):
+        """(the state after the last layer's rotations, before its entangler, and
+        a spare array of its shape), from each wire's amplitudes ``first``
+        (``_first_wires``): two (n, 2**q) work arrays of their own."""
+        amps, spare = np.empty((2, len(first), 2**self.q), dtype=complex)
         _product_state(first, amps)
         for krons in self.krons:
             amps, spare = _permute(amps, self.perm, spare), amps
             _rotate(amps, krons, self.q, spare)
         return amps, spare
 
-    def state(self, xs: np.ndarray, work: np.ndarray) -> np.ndarray:
-        """Output state of the rows xs, in one of the two arrays of ``work``."""
-        amps, spare = self.rotated(_first_wires(xs, self.wires), work[0], work[1])
+    def state(self, xs: np.ndarray) -> np.ndarray:
+        """(n, 2**q) output states of the (n, q) rows xs."""
+        amps, spare = self.rotated(_first_wires(xs, self.wires))
         return _permute(amps, self.perm, spare) if self.layers else amps
 
     def z(self, xs: np.ndarray) -> np.ndarray:
-        out = np.empty(xs.shape)
-        for rows, work in self.chunked(len(xs), 2):
-            out[rows] = _z_expectations(self.state(xs[rows], work), self.q)
-        return out
+        return _z_expectations(self.state(xs), self.q)
 
     def grad(self, xs: np.ndarray, upstream: np.ndarray):
         """The adjoint method (Jones & Gacon, arXiv:2009.02823).
@@ -379,25 +363,23 @@ class _Statevector:
         first layer's rotation of that wire.
         """
         q, layers = self.q, self.layers
-        grad_w = np.zeros(self.w.size)
-        grad_x = np.empty_like(xs)
-        for rows, work in self.chunked(len(xs), 3):
-            first = _first_wires(xs[rows], self.wires)
-            psi, spare = self.rotated(first, work[0], work[1])
-            weights = _z_weights(upstream[rows])
-            lam = np.multiply(np.take(weights, self.inverse, axis=1) if layers else weights, psi, out=work[2])
-            overlaps = np.empty((max(layers, 1), len(first), 2, 2, q), dtype=complex)
-            for layer in range(layers - 1, 0, -1):
-                overlaps[layer] = _wire_overlaps(lam, psi, q, spare)
-                _rotate(lam, self.undo[layer - 1], q, spare)
-                lam, spare = _permute(lam, self.inverse, spare), lam
-                if layer > 1:
-                    _rotate(psi, self.undo[layer - 1], q, spare)
-                    psi, spare = _permute(psi, self.inverse, spare), psi
-            overlaps[0] = _wire_overlaps(lam, _product_state(first, spare), q, psi)
-            chunk_w, grad_x[rows] = _layer_grads(overlaps, self.w, self.wires)
-            grad_w += chunk_w
-        return grad_w, grad_x
+        first = _first_wires(xs, self.wires)
+        psi, spare = self.rotated(first)
+        weights = _z_weights(upstream)
+        lam = np.multiply(np.take(weights, self.inverse, axis=1) if layers else weights, psi)
+        w_layers = self.w.reshape(layers, 2 * q)
+        angles = np.empty((len(xs), layers, 2 * q))
+        for layer in range(layers - 1, 0, -1):
+            angles[:, layer] = _rotation_grads(_wire_overlaps(lam, psi, q, spare), w_layers[layer])
+            _rotate(lam, self.undo[layer - 1], q, spare)
+            lam, spare = _permute(lam, self.inverse, spare), lam
+            if layer > 1:
+                _rotate(psi, self.undo[layer - 1], q, spare)
+                psi, spare = _permute(psi, self.inverse, spare), psi
+        overlaps = _wire_overlaps(lam, _product_state(first, spare), q, psi)
+        if layers:
+            angles[:, 0] = _rotation_grads(overlaps, w_layers[0])
+        return angles.reshape(len(xs), self.w.size), _encoding_grads(overlaps, self.wires)
 
 
 def _check_shapes(xs: np.ndarray, spec: CircuitSpec, w: np.ndarray, upstream=None) -> None:
@@ -433,9 +415,9 @@ class _OneLayer:
         self.mask = _parity_mask(spec)
         self.sin_a, self.cos_a, self.sin_b, self.cos_b = np.sin(w[:q]), np.cos(w[:q]), np.sin(w[q:]), np.cos(w[q:])
         self.cos_ab = self.cos_a * self.cos_b
-        # amplitudes a gradient row holds at most, a real counting as half of one: its (q, q)
+        # amplitudes a row holds at most, a real counting as half of one: its (q, q)
         # factors, partial products and two product temporaries, and sin 2x, cos 2x, z and ones
-        self.row_amplitudes = q * (5 * q + 4) // 2
+        self.forward_amplitudes = self.row_amplitudes = q * (5 * q + 4) // 2
         _read_only(self.sin_a, self.cos_a, self.sin_b, self.cos_b, self.cos_ab)
 
     def wire_z(self, xs: np.ndarray):
@@ -444,32 +426,24 @@ class _OneLayer:
         return sin2x, cos2x, cos2x * self.cos_ab + sin2x * self.sin_b
 
     def z(self, xs: np.ndarray) -> np.ndarray:
-        out = np.empty(xs.shape)
-        for rows in _chunks(len(xs), self.row_amplitudes):
-            out[rows] = np.where(self.mask, self.wire_z(xs[rows])[2][:, None, :], 1.0).prod(axis=-1)
-        return out
+        return np.where(self.mask, self.wire_z(xs)[2][:, None, :], 1.0).prod(axis=-1)
 
     def grad(self, xs: np.ndarray, upstream: np.ndarray):
         """dL/dz_j = sum_k upstream[n, k] prod_{i in row k, i != j} z_i, then the
-        chain rule through z_j(x_j, a_j, b_j). The angle terms of every row are
-        kept and totalled once, so grad_w does not depend on the chunking."""
-        cos_terms, sin_terms, grad_x = np.empty(xs.shape), np.empty(xs.shape), np.empty(xs.shape)
-        for rows in _chunks(len(xs), self.row_amplitudes):
-            sin2x, cos2x, z = self.wire_z(xs[rows])
-            # factors[n, k, j] is z_j where readout k depends on wire j, else 1; the
-            # leave-one-out products come from prefix and suffix products, never from
-            # dividing by z_j, which can be exactly 0
-            factors = np.where(self.mask, z[:, None, :], 1.0)
-            ones = np.ones(factors.shape[:-1] + (1,))
-            before = np.cumprod(np.concatenate([ones, factors[..., :-1]], axis=-1), axis=-1)
-            after = np.cumprod(np.concatenate([ones, factors[..., :0:-1]], axis=-1), axis=-1)[..., ::-1]
-            dz = np.einsum("nk,nkj->nj", upstream[rows], before * after * self.mask)
-            cos_terms[rows], sin_terms[rows] = dz * cos2x, dz * sin2x
-            grad_x[rows] = dz * (2.0 * cos2x * self.sin_b - 2.0 * sin2x * self.cos_ab)
-        cos_sum, sin_sum = cos_terms.sum(axis=0), sin_terms.sum(axis=0)
-        grad_w = np.concatenate([-cos_sum * self.sin_a * self.cos_b,
-                                 sin_sum * self.cos_b - cos_sum * self.cos_a * self.sin_b])
-        return grad_w, grad_x
+        chain rule through z_j(x_j, a_j, b_j)."""
+        sin2x, cos2x, z = self.wire_z(xs)
+        # factors[n, k, j] is z_j where readout k depends on wire j, else 1; the
+        # leave-one-out products come from prefix and suffix products, never from
+        # dividing by z_j, which can be exactly 0
+        factors = np.where(self.mask, z[:, None, :], 1.0)
+        ones = np.ones(factors.shape[:-1] + (1,))
+        before = np.cumprod(np.concatenate([ones, factors[..., :-1]], axis=-1), axis=-1)
+        after = np.cumprod(np.concatenate([ones, factors[..., :0:-1]], axis=-1), axis=-1)[..., ::-1]
+        dz = np.einsum("nk,nkj->nj", upstream, before * after * self.mask)
+        cos_term = dz * cos2x
+        angles = np.concatenate([cos_term * (-self.sin_a * self.cos_b),
+                                 dz * sin2x * self.cos_b - cos_term * (self.cos_a * self.sin_b)], axis=1)
+        return angles, dz * (2.0 * cos2x * self.sin_b - 2.0 * sin2x * self.cos_ab)
 
 
 # ---------------------------------------------------------------------------
@@ -687,42 +661,33 @@ class _Mps:
 
     def z(self, xs: np.ndarray) -> np.ndarray:
         """Readouts: each readout's environment past the last site."""
-        out = np.empty(xs.shape)
-        for rows in _chunks(len(xs), self.forward_amplitudes):
-            transfers = self.transfers(np.cos(2.0 * xs[rows]), np.sin(2.0 * xs[rows]))
-            out[rows] = self.environments(transfers, self.select[0])[-1, :, :, 0]
-        return out
+        transfers = self.transfers(np.cos(2.0 * xs), np.sin(2.0 * xs))
+        return self.environments(transfers, self.select[0])[-1, :, :, 0]
 
     def grad(self, xs: np.ndarray, upstream: np.ndarray):
         """f = sum_k upstream_k <Z-string_k> is linear in each wire's transfer matrix
         R_j, with cotangent G_j = sum_k upstream_k left_jk (x) right_jk in readout
         k's I or Z slot, left and right the environments on either side. grad_x is
         G_j's inner product with dR_j/dx = 2 (cos 2x S_j - sin 2x Q_j), and an
-        angle's gradient sums G_j's inner products with dP_j + cos 2x dQ_j +
-        sin 2x dS_j over the rows: each row's terms are kept and totalled once."""
+        angle's gradient is G_j's inner product with dP_j + cos 2x dQ_j + sin 2x dS_j."""
         q = self.spec.q
         reads = self.grad_matrices
-        cos2x, sin2x = np.cos(2.0 * xs), np.sin(2.0 * xs)
-        grad_x = np.empty(xs.shape)
-        angle_terms = np.empty((len(xs), q, 2 * self.spec.layers))
-        for rows in _chunks(len(xs), self.row_amplitudes):
-            c, s = cos2x[rows], sin2x[rows]
-            transfers = self.transfers(c, s)
-            n, b2 = len(transfers), transfers.shape[2]
-            left = self.environments(transfers, self.select[0])[:q].transpose(1, 0, 3, 2)  # (n, j, B^2, k)
-            # the same scan from the right, through each transfer matrix transposed
-            mirrored = transfers.reshape(n, q, -1, b2).swapaxes(-1, -2)[:, ::-1]
-            right = self.environments(mirrored, self.select[1, ::-1])[q - 1::-1].transpose(1, 0, 2, 3)
-            del transfers, mirrored  # freed before the cotangents (see _mps_row_amplitudes)
-            weights = upstream[rows][:, None, None, :] * self.slots  # (n, j, p, k)
-            cotangents = np.empty((n, q, b2, 2, b2))
-            for p in (0, 1):
-                np.matmul(left * weights[:, :, p, None], right, out=cotangents[:, :, :, p])
-            at = (reads @ cotangents.reshape(n, q, -1, 1))[..., 0]
-            grad_x[rows] = 2.0 * (c * at[..., 1] - s * at[..., 0])
-            terms = at[..., 2:].reshape(n, q, -1, 3)
-            angle_terms[rows] = terms[..., 0] + c[..., None] * terms[..., 1] + s[..., None] * terms[..., 2]
-        return angle_terms.sum(axis=0).T.reshape(-1), grad_x
+        c, s = np.cos(2.0 * xs), np.sin(2.0 * xs)
+        transfers = self.transfers(c, s)
+        n, b2 = len(transfers), transfers.shape[2]
+        left = self.environments(transfers, self.select[0])[:q].transpose(1, 0, 3, 2)  # (n, j, B^2, k)
+        # the same scan from the right, through each transfer matrix transposed
+        mirrored = transfers.reshape(n, q, -1, b2).swapaxes(-1, -2)[:, ::-1]
+        right = self.environments(mirrored, self.select[1, ::-1])[q - 1::-1].transpose(1, 0, 2, 3)
+        del transfers, mirrored  # freed before the cotangents (see _mps_row_amplitudes)
+        weights = upstream[:, None, None, :] * self.slots  # (n, j, p, k)
+        cotangents = np.empty((n, q, b2, 2, b2))
+        for p in (0, 1):
+            np.matmul(left * weights[:, :, p, None], right, out=cotangents[:, :, :, p])
+        at = (reads @ cotangents.reshape(n, q, -1, 1))[..., 0]
+        terms = at[..., 2:].reshape(n, q, -1, 3)
+        angles = terms[..., 0] + c[..., None] * terms[..., 1] + s[..., None] * terms[..., 2]
+        return angles.transpose(0, 2, 1).reshape(n, -1), 2.0 * (c * at[..., 1] - s * at[..., 0])
 
 
 @functools.lru_cache(maxsize=1)
@@ -742,24 +707,32 @@ def run_vqc_batch(xs, spec: CircuitSpec, w) -> np.ndarray:
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     w = np.asarray(w, dtype=float)
     _check_shapes(xs, spec, w)
-    return _folded(spec, w.tobytes()).z(xs)
+    fold = _folded(spec, w.tobytes())
+    out = np.empty(xs.shape)
+    for rows in _chunks(len(xs), fold.forward_amplitudes):
+        out[rows] = fold.z(xs[rows])
+    return out
 
 
 def param_shift_grad_batch(xs, spec: CircuitSpec, w, upstream):
     """Exact circuit gradients contracted with an upstream (n, q) cotangent.
 
-    The folded circuit's ``grad`` computes them on its path (``_OneLayer``,
-    ``_Mps`` or ``_Statevector``). None uses the parameter-shift rule, which
-    needs 2 (2qL + q) circuit runs and is kept in ``tests/oracles.py`` as the
-    reference; the name stays because callers and the benchmark's tracer look
-    the function up by it.
+    The folded circuit's ``grad`` computes them for each row of a chunk on its
+    path (``_OneLayer``, ``_Mps`` or ``_Statevector``). None uses the
+    parameter-shift rule, which needs 2 (2qL + q) circuit runs and is kept in
+    ``tests/oracles.py`` as the reference; the name stays because callers and
+    the benchmark's tracer look the function up by it.
 
     Returns (grad_w totalled over the batch, grad_x per row). Rows run in
-    chunks (see ``CHUNK_AMPLITUDES``); on the statevector grad_w adds the
-    chunks' totals in row order.
+    chunks (see ``CHUNK_AMPLITUDES``), and each row's angle gradients are kept
+    and totalled once, so neither result depends on the chunking.
     """
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     w = np.asarray(w, dtype=float)
     upstream = np.atleast_2d(np.asarray(upstream, dtype=float))
     _check_shapes(xs, spec, w, upstream)
-    return _folded(spec, w.tobytes()).grad(xs, upstream)
+    fold = _folded(spec, w.tobytes())
+    angles, grad_x = np.empty((len(xs), spec.n_params)), np.empty(xs.shape)
+    for rows in _chunks(len(xs), fold.row_amplitudes):
+        angles[rows], grad_x[rows] = fold.grad(xs[rows], upstream[rows])
+    return angles.sum(axis=0), grad_x

@@ -97,6 +97,13 @@ class SageModelParams:
         return sum(np.asarray(a).size for a in self.to_dict().values())
 
 
+def check_widths(widths):
+    """The widths of the model's two layers, or a ``TrainingError`` unless both are at least 1."""
+    if len(widths) != 2 or min(widths) < 1:
+        raise TrainingError(f"the model uses exactly two layers of positive width, got widths {widths!r}")
+    return widths
+
+
 def init_sage_params(
     rng: np.random.Generator,
     in_dim: int = 28,
@@ -104,8 +111,7 @@ def init_sage_params(
     dropout: float = DEFAULT_DROPOUT,
 ) -> SageModelParams:
     """Uniform(+-1/sqrt(fan_in)) weights, zero biases; two layers plus head."""
-    if len(widths) != 2:
-        raise TrainingError(f"the model uses exactly two layers, got widths {widths!r}")
+    check_widths(widths)
 
     def layer(d_in: int, width: int) -> SageLayerParams:
         bound = 1.0 / np.sqrt(d_in)

@@ -290,9 +290,12 @@ def read_graph_corpus(path) -> list[TransactionGraph]:
                 if not line:
                     continue
                 rec = json.loads(line, parse_constant=_reject_constant)
+                nodes = np.array(rec["nodes"], dtype=float)
+                if not np.isfinite(nodes).all():  # a number past the float range parses to inf
+                    raise TdaError("non-finite node value")
                 graphs.append(
                     TransactionGraph(
-                        nodes=np.array(rec["nodes"], dtype=float),
+                        nodes=nodes,
                         edges=tuple((int(a), int(b)) for a, b in rec["edges"]),
                         label=int(rec["label"]),
                     )

@@ -117,14 +117,9 @@ def transfer_step(env, site, signs) -> np.ndarray:
 
 
 def simulator_state(xs, spec, w) -> np.ndarray:
-    """The statevector simulator's (n, 2**q) output states of (n, q) rows, a
-    chunk at a time: the full state that ``qsim.run_vqc_batch`` reads <Z> from."""
-    xs = np.asarray(xs, dtype=float)
-    circuit = qsim._Statevector(spec, np.asarray(w, dtype=float))
-    out = np.empty((len(xs), 2**spec.q), dtype=complex)
-    for rows, work in circuit.chunked(len(xs), 2):
-        out[rows] = circuit.state(xs[rows], work)
-    return out
+    """The statevector simulator's (n, 2**q) output states of (n, q) rows: the
+    full state that ``qsim.run_vqc_batch`` reads <Z> from."""
+    return qsim._Statevector(spec, np.asarray(w, dtype=float)).state(np.asarray(xs, dtype=float))
 
 
 def param_shift_grad_batch(xs, spec, w, upstream):

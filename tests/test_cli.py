@@ -378,6 +378,11 @@ class TestEvaluate:
         (r"^meta dropout .*\n", "", "no 'meta dropout' line"),
         (r"^meta layers .*\n((?:.*\n)*?)array w_vqc .*\n.*\n", r"meta layers 0\n\1array w_vqc 0\n\n",
          "meta layers: must be >= 1, got 0"),
+        (r"(?<=^array w_o 3\n)\S+", "nan", "array w_o has a non-finite value"),
+        (r"(?<=^array w_vqc 6\n)\S+", "inf", "array w_vqc has a non-finite value"),
+        (r"(?<=^array b_c 3\n)\S+", "1e999", "array b_c has a non-finite value"),
+        (r"^meta widths .*\n", "meta widths 0,128\n",
+         "meta widths: the model uses exactly two layers of positive width, got widths (0, 128)"),
     ])
     def test_malformed_checkpoint_is_validation_error(self, built_run, tmp_path, capsys, pattern, replacement,
                                                       message):
@@ -420,7 +425,8 @@ class TestEvaluate:
         *[(lambda line, key=key: json.dumps({k: v for k, v in json.loads(line).items() if k != key}),
            f"line 2: record has no '{key}' field") for key in ("nodes", "edges", "label")],
         (lambda line: line + "\udcff\udcfe", "line 2: 'utf-8' codec can't decode byte 0xff"),
-    ], ids=["truncated", "not-json", "no-nodes", "no-edges", "no-label", "not-utf8"])
+        (lambda line: re.sub(r'(?<="nodes":\[\[)[^,\]]+', "1e999", line, count=1), "line 2: non-finite node value"),
+    ], ids=["truncated", "not-json", "no-nodes", "no-edges", "no-label", "not-utf8", "overflow"])
     def test_malformed_corpus_line_is_validation_error(self, built_run, tmp_path, capsys, edit, message):
         cfg, out = built_run
         graphs = tmp_path / "graphs"

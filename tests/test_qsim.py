@@ -401,7 +401,7 @@ class TestChunking:
                 np.testing.assert_array_equal(qsim.run_vqc_batch(xs, spec, w), z)
                 chunked_w, chunked_x = qsim.param_shift_grad_batch(xs, spec, w, upstream)
                 np.testing.assert_array_equal(chunked_x, grad_x)
-                np.testing.assert_allclose(chunked_w, grad_w, rtol=0, atol=1e-12)
+                np.testing.assert_array_equal(chunked_w, grad_w)
                 np.testing.assert_array_equal(qsim.run_vqc_batch(xs[4], spec, w)[0], z[4])
                 monkeypatch.undo()
 
@@ -546,8 +546,26 @@ class TestFold:
         w = rng.uniform(0, 2 * np.pi, spec.n_params)
         circuit = kind(spec, w)
         np.testing.assert_array_equal(qsim.run_vqc_batch(xs, spec, w), circuit.z(xs))
-        for got, want in zip(qsim.param_shift_grad_batch(xs, spec, w, upstream), circuit.grad(xs, upstream)):
+        angles, grad_x = circuit.grad(xs, upstream)
+        for got, want in zip(qsim.param_shift_grad_batch(xs, spec, w, upstream), (angles.sum(axis=0), grad_x)):
             np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("spec, kind", PATHS, ids=PATH_IDS)
+    def test_a_row_gives_the_same_bits_alone_and_in_a_batch(self, rng, spec, kind):
+        # a fold returns per-row results, so a row's readouts, angle gradients
+        # and input gradient do not depend on the rows computed beside it
+        xs = rng.uniform(-3, 3, (7, spec.q))
+        upstream = rng.normal(size=xs.shape)
+        w = rng.uniform(0, 2 * np.pi, spec.n_params)
+        circuit = kind(spec, w)
+        z = circuit.z(xs)
+        angles, grad_x = circuit.grad(xs, upstream)
+        assert angles.shape == (len(xs), spec.n_params)
+        for i in range(len(xs)):
+            np.testing.assert_array_equal(circuit.z(xs[i:i + 1]), z[i:i + 1])
+            row_angles, row_x = circuit.grad(xs[i:i + 1], upstream[i:i + 1])
+            np.testing.assert_array_equal(row_angles, angles[i:i + 1])
+            np.testing.assert_array_equal(row_x, grad_x[i:i + 1])
 
     def test_in_place_change_gives_the_fresh_result(self, rng):
         xs = rng.uniform(-3, 3, (3, 10))
@@ -631,14 +649,15 @@ class TestMatrixProductState:
                     xs = rng.uniform(-3, 3, (n, q))
                     w = rng.uniform(0, 2 * np.pi, spec.n_params)
                     upstream = rng.normal(size=(n, q))
-                    grad_w, grad_x = qsim._Mps(spec, w).grad(xs, upstream)
+                    angles, grad_x = qsim._Mps(spec, w).grad(xs, upstream)
                     ref_w, ref_x = oracles.param_shift_grad_batch(xs, spec, w, upstream)
-                    np.testing.assert_allclose(grad_w, ref_w, rtol=0, atol=1e-10)
+                    np.testing.assert_allclose(angles.sum(axis=0), ref_w, rtol=0, atol=1e-10)
                     np.testing.assert_allclose(grad_x, ref_x, rtol=0, atol=1e-10)
 
     def test_rows_do_not_depend_on_the_call(self, rng, monkeypatch):
         # 74 rows at q16/l2 chain are two chunks by default; then one call per
-        # row, and chunks of three rows
+        # row, and chunks of three rows. Only the entry points chunk, so the
+        # chunked calls go through them, with ``_folded`` giving this MPS fold
         specs = [factory(q, layers) for q in (3, 6) for layers in (2, 3)
                  for factory in (qsim.CircuitSpec.chain, qsim.CircuitSpec.ring)]
         for spec in specs + [qsim.CircuitSpec.chain(16, 2)]:
@@ -648,17 +667,19 @@ class TestMatrixProductState:
             upstream = rng.normal(size=xs.shape)
             circuit = qsim._Mps(spec, w)
             z = circuit.z(xs)
-            grad_w, grad_x = circuit.grad(xs, upstream)
+            angles, grad_x = circuit.grad(xs, upstream)
+            grad_w = angles.sum(axis=0)
             total_w = np.zeros_like(grad_w)
             for i in range(n):
                 np.testing.assert_array_equal(circuit.z(xs[i:i + 1]), z[i:i + 1])
-                row_w, row_x = circuit.grad(xs[i:i + 1], upstream[i:i + 1])
+                row_angles, row_x = circuit.grad(xs[i:i + 1], upstream[i:i + 1])
                 np.testing.assert_array_equal(row_x, grad_x[i:i + 1])
-                total_w += row_w
+                total_w += row_angles.sum(axis=0)
             np.testing.assert_allclose(total_w, grad_w, rtol=0, atol=1e-12)
             monkeypatch.setattr(qsim, "CHUNK_AMPLITUDES", 3 * qsim._mps_row_amplitudes(spec))
-            np.testing.assert_array_equal(circuit.z(xs), z)
-            np.testing.assert_array_equal(circuit.grad(xs, upstream)[1], grad_x)
+            monkeypatch.setattr(qsim, "_folded", lambda spec, angles: circuit)
+            np.testing.assert_array_equal(qsim.run_vqc_batch(xs, spec, w), z)
+            np.testing.assert_array_equal(qsim.param_shift_grad_batch(xs, spec, w, upstream)[1], grad_x)
             monkeypatch.undo()
 
     def test_path_selection(self, rng):
@@ -674,7 +695,8 @@ class TestMatrixProductState:
         upstream = rng.normal(size=xs.shape)
         circuit = qsim._Mps(spec, w)
         np.testing.assert_array_equal(qsim.run_vqc_batch(xs, spec, w), circuit.z(xs))
-        for got, want in zip(qsim.param_shift_grad_batch(xs, spec, w, upstream), circuit.grad(xs, upstream)):
+        angles, grad_x = circuit.grad(xs, upstream)
+        for got, want in zip(qsim.param_shift_grad_batch(xs, spec, w, upstream), (angles.sum(axis=0), grad_x)):
             np.testing.assert_array_equal(got, want)
 
     def test_derivative_folds_are_built_once_by_the_first_gradient(self, rng, monkeypatch):
