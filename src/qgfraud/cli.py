@@ -243,6 +243,8 @@ def _load_model(checkpoint: Path, model: str):
     try:  # the model's own initialisation gives every array's name and shape
         if model == "qgnn":
             qubits, layers = read("qubits", int), read("layers", int)
+            if not 1 <= qubits <= qsim.MAX_QUBITS:
+                raise ValueError(f"meta qubits: must be in [1, {qsim.MAX_QUBITS}], got {qubits}")
             if layers < 1:  # train never writes one: the config takes at least one layer
                 raise ValueError(f"meta layers: must be >= 1, got {layers}")
             spec = _circuit_spec(qubits, layers, read("entangler", options=ENTANGLERS))
@@ -257,7 +259,7 @@ def _load_model(checkpoint: Path, model: str):
             if arrays[name].shape != np.shape(value):
                 raise ValueError(f"array {name}: shape {arrays[name].shape}, the model's is {np.shape(value)}")
         params = template.replace_arrays(arrays)
-    except ValueError as exc:  # also a meta value the model rejects, such as 25 qubits
+    except ValueError as exc:  # also a meta value the model rejects
         raise PersistError(f"{checkpoint}: {exc}") from None
     if model == "qgnn":
         return (lambda graphs: qgnn.predict(graphs, params, spec, activation)), meta

@@ -96,8 +96,9 @@ def _check_graph(g) -> None:
 
 
 def _probability(z: np.ndarray, params: QgnnParams) -> float:
-    """One graph's (n_nodes, q) readouts, mean-pooled, through the head."""
-    return sigmoid(float(z.mean(axis=0) @ params.w_o) + params.b_o)
+    """One graph's (n_nodes, q) readouts, mean-pooled, through the head. The sum
+    over nodes divided by their count is what ``mean`` computes, bit for bit."""
+    return sigmoid(float((z.sum(axis=0) / len(z)) @ params.w_o) + params.b_o)
 
 
 def forward(g, params: QgnnParams, spec: qsim.CircuitSpec, encode_activation: str = "none") -> float:

@@ -32,14 +32,22 @@ Deeper circuits take one of two paths:
   bond of each cut it spans; sites are stacked at the largest bond B (2 for
   a q16/l2 chain, 4 for a ring), padded with exact zeros. The last entangler
   is never applied: as in the closed form, <Z_k> after it is the Z-string
-  over row k of the parity mask before it, read by carrying real
-  environments (Schollwoeck, arXiv:1008.3477) stacked over rows and readouts
-  through each site's real I and Z transfer matrices, one matmul per site.
-  Wire j's site is linear in (cos x_j, i sin x_j), so its transfer matrices
-  are P_j + cos 2x_j Q_j + sin 2x_j S_j (Schuld, Sweke & Meyer,
-  arXiv:2008.08605), folded once per parameter vector. The gradient scans
-  from the right too and pairs both scans' environments into each transfer
-  matrix's cotangent, read against dR/dx and against each angle's dP, dQ
+  over row k of the parity mask before it. Wire j's site is linear in
+  (cos x_j, i sin x_j), so its real I and Z transfer matrices are
+  P_j + cos 2x_j Q_j + sin 2x_j S_j (Schuld, Sweke & Meyer,
+  arXiv:2008.08605), folded once per parameter vector. Real environments
+  (Schollwoeck, arXiv:1008.3477) are carried in a few channels built from
+  the mask, not one per readout: row k is all identity past its last Z, so
+  readout k is a left string's environment at that cut against the one
+  identity environment from the right there. A chain has one left string
+  (row k is Z on wires 0..k), a ring two. One scan runs the left channels
+  and the right one together, one stacked matmul a step. The gradient of
+  sum_k u_k <Z-string_k> is a sum of strings, a bond-2 automaton MPO
+  (Crosswhite & Bacon, arXiv:0708.1221): it adds a left channel V that
+  collects the u_k of readouts whose cut is passed and a right channel per
+  left string that collects those not yet reached, so each transfer
+  matrix's cotangent is a sum of rank-1 terms, four channels for a chain.
+  The cotangents are read against dR/dx and against each angle's dP, dQ
   and dS, which folds shifted by +-pi/2 give exactly (Mitarai et al.,
   arXiv:1803.00745).
 * Otherwise on the statevector, simulated a layer at a time over (rows, 2^q)
@@ -59,8 +67,8 @@ fixed multiple of that budget, or of one row beyond 16 qubits, plus its
 per-row results, whatever the batch size. A row counts what it holds at most
 (a fold's ``forward_amplitudes`` and ``row_amplitudes``): 2^q amplitudes on
 the statevector, its (q, q) factors and partial products in the closed form,
-its transfer matrices, environments and cotangents on the MPS
-(``_mps_forward_amplitudes``, ``_mps_row_amplitudes``), which is taken only
+each scan step's operands, its channels at every cut and the cotangents on
+the MPS (``_mps_forward_amplitudes``, ``_mps_row_amplitudes``), which is taken only
 when a gradient row fits in the budget. No result depends on the chunking;
 the entry points total each row's angle gradients once.
 
@@ -77,6 +85,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -270,12 +279,23 @@ def _wire_overlaps(lam: np.ndarray, psi: np.ndarray, q: int, scratch: np.ndarray
 
 def _wire_rotations(spec: CircuitSpec, w: np.ndarray) -> np.ndarray:
     """(..., layers, q, 2, 2): a layer's RY then RX on one wire, as one matrix,
-    for each of the (..., n_params) angle vectors w."""
-    half = np.moveaxis(w.reshape(w.shape[:-1] + (spec.layers, 2, spec.q)), -2, 0) / 2.0
-    (cy, cx), (sy, sx) = np.cos(half), np.sin(half)
-    ry = np.stack([np.stack([cy, -sy], -1), np.stack([sy, cy], -1)], -2)
-    rx = np.stack([np.stack([cx, -1j * sx], -1), np.stack([-1j * sx, cx], -1)], -2)
-    return rx @ ry.astype(complex)
+    for each of the (..., n_params) angle vectors w. With c and s the cosines
+    and sines of the half angles, RX RY = [[cx cy - i sx sy, -cx sy - i sx cy],
+    [cx sy - i sx cy, cx cy + i sx sy]]: each real and imaginary part is one
+    product."""
+    half = w.reshape(w.shape[:-1] + (spec.layers, 2, spec.q)) / 2.0
+    cos, sin = np.cos(half), np.sin(half)
+    (cy, cx), (sy, sx) = np.moveaxis(cos, -2, 0), np.moveaxis(sin, -2, 0)
+    cc, ss, cs, sc = cx * cy, sx * sy, cx * sy, sx * cy
+    out = np.empty(cc.shape + (2, 2), dtype=complex)
+    out.real[..., 0, 0] = out.real[..., 1, 1] = cc
+    out.real[..., 1, 0] = cs
+    np.negative(cs, out=out.real[..., 0, 1])
+    np.negative(ss, out=out.imag[..., 0, 0])
+    out.imag[..., 1, 1] = ss
+    np.negative(sc, out=out.imag[..., 0, 1])
+    out.imag[..., 1, 0] = out.imag[..., 0, 1]
+    return out
 
 
 def _first_wires(xs: np.ndarray, wires: np.ndarray) -> np.ndarray:
@@ -467,23 +487,30 @@ def _mps_bonds(spec: CircuitSpec) -> tuple[int, ...]:
 
 def _mps_forward_amplitudes(spec: CircuitSpec) -> int:
     """Amplitudes a row holds at most in an MPS forward, a real number counting as
-    half of one (D = 2 B^2 at the largest bond B). While its real transfer
-    matrices are formed: them and one temporary (2 q D^2 / 4). While it scans:
-    the transfer matrices (q D^2 / 4), the environments of every cut
-    ((q + 1) q D / 4) and a step's product (q D / 2)."""
-    q, size = spec.q, 2 * max(_mps_bonds(spec)) ** 2
-    return q * size * max(2 * size, size + q + 3) // 4
+    half of one, with c = m + 1 channels (m left strings, see ``_Channels``) at
+    the largest bond B. While it scans: (1, cos 2x, sin 2x) and a temporary
+    (4 q), each step's operands and their coefficients (q c (B^4 + 3)) and the
+    channels at every cut ((q + 1) c B^2). Reading them out holds less."""
+    q, size, b2 = spec.q, len(_mps_channels(spec).strings) + 1, max(_mps_bonds(spec)) ** 2
+    return (q * (4 + size * (b2 * b2 + 3)) + (q + 1) * size * b2 + 1) // 2
 
 
 def _mps_row_amplitudes(spec: CircuitSpec) -> int:
-    """Amplitudes a gradient row holds at most, the most on the MPS path: while
-    it scans, the forward's and a second scan's environments ((q + 1) q D / 4);
-    once both scans are done, their environments ((q + 1) q D / 2), the
-    cotangents (q D^2 / 4), one slot's weighted left environments (q^2 D / 4)
-    and the weights (q^2)."""
-    q, size = spec.q, 2 * max(_mps_bonds(spec)) ** 2
-    scans = _mps_forward_amplitudes(spec) + (q + 1) * q * size // 4
-    return max(scans, q * size * (3 * q + 2 + size) // 4 + q * q)
+    """Amplitudes a gradient row holds at most, the most on the MPS path, with
+    c = 2 m + 2 channels and m + 1 pairs of them. Throughout: the upstream
+    weights at each cut ((q + 1) m), the channel mix of its q - 1 steps
+    ((q - 1) c^2), (1, cos 2x, sin 2x) (3 q) and the channels at every cut
+    (q c B^2). While it scans: each step's operands and their coefficients
+    ((q - 1) c (B^4 + 3)) and a step's product (c B^2). Once it is done: each
+    pair's two environments and its weighted slots (4 q (m + 1) B^2), the
+    cotangents (2 q B^4), their inner products (q (2 + 6 layers)) and the angle
+    terms and their sums (8 q layers + 4 q)."""
+    q, m, b2 = spec.q, len(_mps_channels(spec).strings), max(_mps_bonds(spec)) ** 2
+    size, steps = 2 * m + 2, q - 1
+    scan = steps * size * (b2 * b2 + 3) + size * b2
+    done = 4 * q * (m + 1) * b2 + 2 * q * b2 * b2 + q * (2 + 6 * spec.layers) + 8 * q * spec.layers + 4 * q
+    held = (q + 1) * m + steps * size * size + 3 * q + q * size * b2
+    return (held + max(scan, done) + 1) // 2
 
 
 def circuit_path(spec: CircuitSpec) -> str:
@@ -495,9 +522,12 @@ def circuit_path(spec: CircuitSpec) -> str:
     (about 2q per amplitude and layer); on the MPS, at any depth, q sites of
     ``SITE_COST`` for their numpy calls plus 2 q B^4 real multiply-adds for
     carrying q readouts through a real (B^2, 2 B^2) transfer matrix. The
-    constants come from timings on a 2-core x86 host: the paths break even at
-    q = 8 to 9 for a chain at two layers, q = 9 to 10 for a chain at three and
-    q = 10 to 11 for a ring at two.
+    constants come from timings on a 2-core x86 host when the MPS carried every
+    readout: the paths broke even at q = 8 to 9 for a chain at two layers, q = 9
+    to 10 for a chain at three and q = 10 to 11 for a ring at two. With a few
+    channels the MPS is cheaper, and a 72-row training batch on the same host
+    breaks even below q = 5, at q = 8 to 9 and at q = 8 to 9; the model still
+    sends those in between to the statevector.
     """
     if spec.layers == 1:
         return CLOSED_FORM
@@ -544,18 +574,54 @@ def _entangler_maps(spec: CircuitSpec) -> np.ndarray:
     return maps
 
 
+class _Channels(NamedTuple):
+    """The channels of an MPS scan for one spec (``_mps_channels``).
+
+    Readout k is the Z-string ``strings[channel[k]]`` on its first ``cut[k]``
+    wires, and the identity past them. A scan step t carries a stack of 2 m + 2
+    channels, m = len(strings): the left strings L_0 .. L_{m-1} and V across
+    wire t from the left, the right identity R_I and W_0 .. W_{m-1} across wire
+    q - 1 - t from the right, in the order L, R_I, V, W, so that the readouts
+    need only the first m + 1. ``right`` (2 m + 2,) marks the channels that
+    come from the right. ``sites`` and ``slots`` (q, 2 m + 2) are the wire each
+    channel of a step crosses and the slot of it that it reads, 0 for I and 1
+    for Z; a right channel reads it transposed.
+    """
+
+    strings: np.ndarray
+    channel: np.ndarray
+    cut: np.ndarray
+    right: np.ndarray
+    sites: np.ndarray
+    slots: np.ndarray
+
+
 @functools.lru_cache(maxsize=64)
-def _mps_select(spec: CircuitSpec) -> np.ndarray:
-    """(2, q, k, B^2) flat gather indices at the largest bond B: [0, j] picks readout
-    k's environment past site j from its I and Z candidates laid out (k, 2, B^2) from
-    the left, and [1, j] from (k, B^2, 2) from the right, with Z where ``_parity_mask``
-    [k, j]."""
-    b = max(_mps_bonds(spec))
-    z = _parity_mask(spec).T[:, :, None]
-    k, xy = np.arange(spec.q)[:, None], np.arange(b * b)
-    select = np.stack([(2 * k + z) * b * b + xy, 2 * (k * b * b + xy) + z])
-    _read_only(select)
-    return select
+def _mps_channels(spec: CircuitSpec) -> _Channels:
+    """The channel table of the spec's readouts, each one the Z-string over its
+    row of ``_parity_mask``. A row's cut is one past its last Z, and past it the
+    row is all identity, so one right channel serves every readout. Rows whose
+    prefixes up to their cuts are prefixes of one another share a left string:
+    a chain has one, a ring two, any mask at most q."""
+    q = spec.q
+    mask = _parity_mask(spec)
+    cut = q - np.argmax(mask[:, ::-1], axis=1)
+    strings, channel = [], np.empty(q, dtype=np.intp)
+    for k in np.argsort(-cut, kind="stable"):  # longest first: a row joins the first string it begins
+        prefix = mask[k, :cut[k]]
+        channel[k] = next((c for c, s in enumerate(strings) if np.array_equal(s[:cut[k]], prefix)), len(strings))
+        if channel[k] == len(strings):
+            strings.append(np.where(np.arange(q) < cut[k], mask[k], False))
+    strings = np.array(strings, dtype=np.intp)
+    m = len(strings)
+    right = np.array([False] * m + [True, False] + [True] * m)
+    steps = np.arange(q)[:, None]
+    sites = np.where(right, q - 1 - steps, steps)
+    slots = np.zeros(sites.shape, dtype=np.intp)
+    slots[:, :m], slots[:, m + 2:] = strings.T, strings.T[::-1]
+    table = _Channels(strings, channel, cut, right, sites, slots)
+    _read_only(*table)
+    return table
 
 
 def _transfers(sites: np.ndarray, bond: int) -> np.ndarray:
@@ -609,38 +675,60 @@ def _mps_folds(spec: CircuitSpec, ws: np.ndarray) -> np.ndarray:
     return folds.reshape(len(ws), 3, q, bond * bond, -1)
 
 
+def _trig(xs: np.ndarray) -> np.ndarray:
+    """(q, n, 3): (1, cos 2x, sin 2x) of each wire of the (n, q) rows xs."""
+    twice = 2.0 * xs.T
+    trig = np.empty(twice.shape + (3,))
+    trig[..., 0] = 1.0
+    trig[..., 1] = np.cos(twice)
+    trig[..., 2] = np.sin(twice)
+    return trig
+
+
 class _Mps:
     """The circuit on the MPS path for one parameter vector: each wire's P, Q
-    and S (``_mps_folds``), and the spec's gather indices, readout slots and
-    row sizes."""
+    and S (``_mps_folds``), and the same laid out as the operands of each scan
+    step's channels (see ``_Channels``)."""
 
     def __init__(self, spec: CircuitSpec, w: np.ndarray) -> None:
         self.spec, self.w = spec, w
         self.folds = _mps_folds(spec, w[None])[0]
-        self.select = _mps_select(spec)
-        # (j, p, k): 1 where p is readout k's slot on wire j, p = 1 (Z) where row k of the parity mask holds j
-        self.slots = (_parity_mask(spec).T[:, None, :] == np.arange(2)[:, None]).astype(float)
+        self.channels = _mps_channels(spec)
+        q, b2 = spec.q, self.folds.shape[-2]
+        right, sites, slots = self.channels.right, self.channels.sites, self.channels.slots
+        # (q, 2 m + 2, 3, B^4): (1, cos 2x, sin 2x) @ operands[t, c] is channel c's operand at step t
+        blocks = self.folds.reshape(3, q, b2, 2, b2).transpose(1, 3, 0, 2, 4)  # (wire, slot, P Q S, B^2, B^2)
+        operands = np.empty((q, len(right), 3, b2, b2))
+        operands[:, ~right] = blocks[sites[:, ~right], slots[:, ~right]]
+        operands[:, right] = blocks[sites[:, right], slots[:, right]].swapaxes(-1, -2)
+        self.operands = operands.reshape(q, len(right), 3, -1)
         self.forward_amplitudes, self.row_amplitudes = _mps_forward_amplitudes(spec), _mps_row_amplitudes(spec)
-        _read_only(self.folds, self.slots)
+        _read_only(self.folds, self.operands)
 
-    def transfers(self, cos2x: np.ndarray, sin2x: np.ndarray) -> np.ndarray:
-        """(n, q, B^2, 2 B^2) real transfer matrices of the rows with these (n, q) cos 2x and sin 2x."""
-        p, q, s = self.folds
-        out = cos2x[:, :, None, None] * q
-        out += sin2x[:, :, None, None] * s
-        out += p
-        return out
+    def scan(self, trig: np.ndarray, start: np.ndarray, mix=None) -> np.ndarray:
+        """(steps + 1, c, n, 1, B^2): the first c channels of the stack before
+        each step and after the last, in real coordinates (see ``_transfers``),
+        from the (c, n, 1, B^2) boundaries ``start``, for the rows with (q, n, 3)
+        ``trig`` (``_trig``).
 
-    def environments(self, transfers: np.ndarray, select: np.ndarray) -> np.ndarray:
-        """(q + 1, n, k, B^2): each readout's environment at every cut in real
-        coordinates, carried through (n, q, B^2, 2 B^2) real transfers (see
-        ``_transfers``) by one matmul and one gather (``select``) a site."""
-        n, q, b2 = transfers.shape[:3]
-        envs = np.zeros((q + 1, n, q, b2))
-        envs[0, :, :, 0] = 1.0
-        for j in range(q):
-            both = envs[j] @ transfers[:, j]
-            both.reshape(n, -1).take(select[j], axis=1, out=envs[j + 1], mode="clip")
+        A row's operands are formed as one stacked (1 x 3) @ (3 x B^4) product a
+        step and channel, of (1, cos 2x, sin 2x) at the wire it crosses with its
+        P, Q and S; a step is then one stacked (1 x B^2) @ (B^2 x B^2) product a
+        channel and row. There are q steps, or as many as ``mix`` (steps, n, c, c)
+        has, which then mixes each row's channels after each step."""
+        q, n = trig.shape[:2]
+        size, b2 = len(start), self.folds.shape[-2]
+        steps = q if mix is None else len(mix)
+        coefficients = trig.take(self.channels.sites[:steps, :size], axis=0)[..., None, :]
+        operands = (coefficients @ self.operands[:steps, :size, None]).reshape(steps, size, n, b2, b2)
+        envs = np.empty((steps + 1,) + start.shape)
+        envs[0] = start
+        if mix is None:
+            for env, op, out in zip(envs[:-1], operands, envs[1:]):
+                np.matmul(env, op, out=out)
+        else:
+            for env, op, weights, out in zip(envs[:-1], operands, mix, envs[1:]):
+                np.matmul(weights, (env @ op)[..., 0, :].swapaxes(0, 1), out=out[..., 0, :].swapaxes(0, 1))
         return envs
 
     @functools.cached_property
@@ -660,31 +748,60 @@ class _Mps:
         return out
 
     def z(self, xs: np.ndarray) -> np.ndarray:
-        """Readouts: each readout's environment past the last site."""
-        transfers = self.transfers(np.cos(2.0 * xs), np.sin(2.0 * xs))
-        return self.environments(transfers, self.select[0])[-1, :, :, 0]
+        """Readout k: its left string at its cut, against the right identity there."""
+        q, m = self.spec.q, len(self.channels.strings)
+        start = np.zeros((m + 1, len(xs), 1, self.folds.shape[-2]))
+        start[..., 0, 0] = 1.0  # the left boundary for L, the right one for R_I
+        envs = self.scan(_trig(xs), start).reshape((q + 1) * (m + 1), len(xs), -1)
+        cut, channel = self.channels.cut, self.channels.channel
+        z = np.vecdot(envs.take(cut * (m + 1) + channel, axis=0), envs.take((q - cut) * (m + 1) + m, axis=0))
+        return np.ascontiguousarray(z.T)  # rows in order, as the other paths give them
+
+    def cotangents(self, trig: np.ndarray, upstream: np.ndarray) -> np.ndarray:
+        """(q, n, B^2, 2, B^2): each wire's cotangent G_j for the rows with (q, n, 3)
+        ``trig`` (``_trig``) and (n, q) ``upstream``.
+
+        f = sum_k upstream_k <Z-string_k> is linear in each wire's transfer matrix
+        R_j, with cotangent G_j = sum_k upstream_k left_jk (x) right_jk in readout
+        k's I or Z slot, left and right its environments on either side. Readouts
+        of one left string share their left environment up to their cuts, so G_j is
+        sum_ch L_ch(j) (x) W_ch(j + 1) in slot ch[j], plus V(j) (x) R_I(j + 1) in
+        the I slot. W_ch carries from the right the sum of upstream_k times readout
+        k's right environment over the string's readouts with cut past j, each
+        entering as upstream_k R_I at its cut; V carries from the left the sum over
+        readouts with cut at most j, each entering as upstream_k L_ch at its cut.
+        Each term is rank 1 a row."""
+        q, n = trig.shape[:2]
+        m, b2 = len(self.channels.strings), self.folds.shape[-2]
+        size = 2 * m + 2
+        weights = np.zeros((q + 1, m, n))  # upstream_k at readout k's cut and left string
+        weights[self.channels.cut, self.channels.channel] = upstream.T
+        start = np.zeros((size, n, 1, b2))
+        start[:m + 1, :, 0, 0] = 1.0  # the left boundary for L, the right one for R_I
+        start[m + 2:, :, 0, 0] = weights[q]  # W at cut q
+        # q - 1 steps: V at cut q and every channel at cut 0 go unread
+        mix = np.zeros((q - 1, n, size, size))
+        mix[:, :, range(size), range(size)] = 1.0
+        mix[:, :, m + 1, :m] = weights[1:q].swapaxes(1, 2)  # into V after step t, at cut t + 1
+        mix[:, :, m + 2:, m] = weights[q - 1:0:-1].swapaxes(1, 2)  # into W, at cut q - 1 - t
+        envs = self.scan(trig, start, mix)[..., 0, :]
+        pairs = [*range(m), m + 1], [*range(m + 2, size), m]  # (L_c, W_c) and (V, R_I)
+        left = envs[:q, pairs[0]]  # (j, pair, n, B^2): L_c and V at cut j, which cross wire j at step j
+        right = envs[q - 1::-1, pairs[1]].swapaxes(1, 2)  # (j, n, pair, B^2): W_c and R_I at cut j + 1
+        slots = np.eye(2)[self.channels.slots[:, pairs[0]]]  # (j, pair, slot): the slot each pair reads
+        weighted = left[..., None] * slots[:, :, None, None, :]  # (j, pair, n, B^2, slot)
+        out = weighted.reshape(q, m + 1, n, -1).transpose(0, 2, 3, 1) @ right
+        return out.reshape(q, n, b2, 2, b2)
 
     def grad(self, xs: np.ndarray, upstream: np.ndarray):
-        """f = sum_k upstream_k <Z-string_k> is linear in each wire's transfer matrix
-        R_j, with cotangent G_j = sum_k upstream_k left_jk (x) right_jk in readout
-        k's I or Z slot, left and right the environments on either side. grad_x is
-        G_j's inner product with dR_j/dx = 2 (cos 2x S_j - sin 2x Q_j), and an
-        angle's gradient is G_j's inner product with dP_j + cos 2x dQ_j + sin 2x dS_j."""
-        q = self.spec.q
-        reads = self.grad_matrices
-        c, s = np.cos(2.0 * xs), np.sin(2.0 * xs)
-        transfers = self.transfers(c, s)
-        n, b2 = len(transfers), transfers.shape[2]
-        left = self.environments(transfers, self.select[0])[:q].transpose(1, 0, 3, 2)  # (n, j, B^2, k)
-        # the same scan from the right, through each transfer matrix transposed
-        mirrored = transfers.reshape(n, q, -1, b2).swapaxes(-1, -2)[:, ::-1]
-        right = self.environments(mirrored, self.select[1, ::-1])[q - 1::-1].transpose(1, 0, 2, 3)
-        del transfers, mirrored  # freed before the cotangents (see _mps_row_amplitudes)
-        weights = upstream[:, None, None, :] * self.slots  # (n, j, p, k)
-        cotangents = np.empty((n, q, b2, 2, b2))
-        for p in (0, 1):
-            np.matmul(left * weights[:, :, p, None], right, out=cotangents[:, :, :, p])
-        at = (reads @ cotangents.reshape(n, q, -1, 1))[..., 0]
+        """Each wire's cotangent G_j (``cotangents``): grad_x is its inner product
+        with dR_j/dx = 2 (cos 2x S_j - sin 2x Q_j), and an angle's gradient its
+        inner product with dP_j + cos 2x dQ_j + sin 2x dS_j."""
+        n, q = xs.shape
+        trig = _trig(xs)
+        cotangents = self.cotangents(trig, upstream).reshape(q, n, -1, 1)
+        at = (self.grad_matrices[:, None] @ cotangents)[..., 0].swapaxes(0, 1)
+        c, s = trig[..., 1].T, trig[..., 2].T
         terms = at[..., 2:].reshape(n, q, -1, 3)
         angles = terms[..., 0] + c[..., None] * terms[..., 1] + s[..., None] * terms[..., 2]
         return angles.transpose(0, 2, 1).reshape(n, -1), 2.0 * (c * at[..., 1] - s * at[..., 0])
@@ -708,8 +825,11 @@ def run_vqc_batch(xs, spec: CircuitSpec, w) -> np.ndarray:
     w = np.asarray(w, dtype=float)
     _check_shapes(xs, spec, w)
     fold = _folded(spec, w.tobytes())
+    chunks = _chunks(len(xs), fold.forward_amplitudes)
+    if len(chunks) == 1:
+        return fold.z(xs)
     out = np.empty(xs.shape)
-    for rows in _chunks(len(xs), fold.forward_amplitudes):
+    for rows in chunks:
         out[rows] = fold.z(xs[rows])
     return out
 

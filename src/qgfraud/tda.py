@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import accumulate, chain, combinations, repeat
+from itertools import chain
 from math import isfinite
 from operator import itemgetter
 
@@ -98,11 +98,15 @@ class TransactionGraph:
 
 
 def _sorted_values(values, what: str) -> tuple[list[float], list[int]]:
-    """Values in stable ascending order, with the original index of each."""
-    v = np.asarray(values, dtype=float)
-    if v.ndim != 1 or v.size == 0:
-        raise TdaError(f"{what} expects a non-empty 1-D value list")
-    vals = v.tolist()
+    """Values in stable ascending order, with the original index of each. A
+    list of floats is taken as it is; anything else goes through numpy."""
+    if type(values) is list and values and all(type(x) is float for x in values):
+        vals = values
+    else:
+        v = np.asarray(values, dtype=float)
+        if v.ndim != 1 or v.size == 0:
+            raise TdaError(f"{what} expects a non-empty 1-D value list")
+        vals = v.tolist()
     if not all(map(isfinite, vals)):
         raise TdaError(f"{what} expects finite values")
     order = sorted(range(len(vals)), key=vals.__getitem__)
@@ -120,10 +124,12 @@ def _cluster_ranges(s: list[float], idx: list[int], spec: DbscanSpec, slices) ->
     eps, min_pts, n = spec.eps, spec.min_pts, len(s)
     start, stop = [], []  # each point's eps-window: sorted positions [start, stop)
     lo = hi = 0
+    # s is sorted and every window holds its own point, so s[lo] <= x <= s[hi]:
+    # each difference below is the distance ``abs`` would give
     for x in s:
-        while abs(x - s[lo]) > eps:
+        while x - s[lo] > eps:
             lo += 1
-        while hi < n and abs(s[hi] - x) <= eps:
+        while hi < n and s[hi] - x <= eps:
             hi += 1
         start.append(lo)
         stop.append(hi)
@@ -132,9 +138,12 @@ def _cluster_ranges(s: list[float], idx: list[int], spec: DbscanSpec, slices) ->
         k = len(ranges)
         reach = lo  # end of the eps-window of the last core seen
         for i in range(lo, hi):
-            a, b = start[i], stop[i]
-            a = a if a > lo else lo
-            b = b if b < hi else hi
+            a = start[i]
+            b = end = stop[i]
+            if a < lo:
+                a = lo
+            if b > hi:
+                b = hi
             if b - a < min_pts:
                 continue
             if i < reach:
@@ -144,7 +153,7 @@ def _cluster_ranges(s: list[float], idx: list[int], spec: DbscanSpec, slices) ->
                     run[2] = idx[i]
             else:
                 ranges.append([a, b, idx[i]])
-            reach = stop[i]
+            reach = end
         # neighbouring runs can share only non-cores; they join the run
         # whose lowest-index core is lower
         for left, right in zip(ranges[k:], ranges[k + 1 :]):
@@ -211,12 +220,11 @@ def cover_and_cluster(f, cover: CoverSpec, db: DbscanSpec) -> list[tuple[int, ..
     # the order a stable sort of those points alone would give
     slices = [(bisect_left(s, a), bisect_right(s, b)) for a, b in cover_intervals(s[0], s[-1], cover)]
     ranges = _cluster_ranges(s, idx, db, slices)
-    count = [0] * (len(s) + 1)  # clusters holding each sorted position, as differences
+    held = bytearray(len(s))  # 1 at each sorted position some cluster holds
     for a, b, _ in ranges:
-        count[a] += 1
-        count[b] -= 1
+        held[a:b] = b"\x01" * (b - a)
     clusters = [tuple(idx[a:b]) for a, b, _ in ranges]
-    clusters += [(j,) for j, held in zip(idx, accumulate(count)) if not held]
+    clusters += [(j,) for j, h in zip(idx, held) if not h]
     return clusters
 
 
@@ -234,15 +242,17 @@ def build_graph(clusters, t: Transaction) -> TransactionGraph:
     cols = list(chain.from_iterable(canon))
     if canon[0][0] < 0 or max(cols) >= N_FEATURES:
         raise TdaError(f"cluster indices out of range: {min(cols)}..{max(cols)}")
-    owners: list[list[int]] = [[] for _ in range(N_FEATURES)]  # nodes holding each feature
+    owners: list[list[int]] = [[] for _ in range(N_FEATURES)]  # nodes holding each feature so far
+    flat, edges = [], set()
     for k, members in enumerate(canon):
         for j in members:
+            for other in owners[j]:  # node k shares feature j with each earlier holder
+                edges.add((other, k))
             owners[j].append(k)
+            flat.append(k * N_FEATURES + j)
     nodes = np.zeros((len(canon), N_FEATURES))
-    flat = [k * N_FEATURES + j for k, members in enumerate(canon) for j in members]
     np.put(nodes, flat, itemgetter(*cols)(t.v))
-    edges = sorted(set(chain.from_iterable(map(combinations, owners, repeat(2)))))
-    return TransactionGraph(nodes=nodes, edges=tuple(edges), label=t.label)
+    return TransactionGraph(nodes=nodes, edges=tuple(sorted(edges)), label=t.label)
 
 
 def transaction_graph(
@@ -255,8 +265,8 @@ def transaction_graph(
     w = np.asarray(DEFAULT_PROJECTION if direction is None else direction, dtype=float)
     if w.shape != (3,):
         raise TdaError(f"projection direction must have 3 components, got {w.shape}")
-    f = np.asarray(t.v, dtype=float) * w[1]
-    return build_graph(cover_and_cluster(f, cover, db), t)
+    weight = float(w[1])
+    return build_graph(cover_and_cluster([v * weight for v in t.v], cover, db), t)
 
 
 def write_graph_corpus(path, graphs) -> None:

@@ -105,6 +105,16 @@ def tensor_state(x, spec, w) -> np.ndarray:
     return state.reshape(-1)
 
 
+def wire_rotations(spec, w) -> np.ndarray:
+    """(..., layers, q, 2, 2): each wire's RX times RY matrix of a layer, for
+    (..., n_params) angle vectors w, as a stacked complex matmul of the two."""
+    half = np.moveaxis(w.reshape(w.shape[:-1] + (spec.layers, 2, spec.q)), -2, 0) / 2.0
+    (cy, cx), (sy, sx) = np.cos(half), np.sin(half)
+    ry = np.stack([np.stack([cy, -sy], -1), np.stack([sy, cy], -1)], -2)
+    rx = np.stack([np.stack([cx, -1j * sx], -1), np.stack([-1j * sx, cx], -1)], -2)
+    return rx @ ry.astype(complex)
+
+
 def transfer_step(env, site, signs) -> np.ndarray:
     """One site's step of an MPS environment, a plain loop over the physical index:
     E' = sum_s signs[s] A_s^H E A_s, with A_s = site[:, s, :] of a (B, 2, B) site.
@@ -113,6 +123,26 @@ def transfer_step(env, site, signs) -> np.ndarray:
     for s, sign in enumerate(signs):
         a = site[:, s, :]
         out += sign * (a.conj().T @ env @ a)
+    return out
+
+
+def string_cotangents(transfers, mask, upstream) -> np.ndarray:
+    """(n, q, B^2, 2, B^2): the cotangents of f = sum_k upstream[:, k] f_k with
+    respect to each wire's real transfer matrix, f_k = e_0 R_0[p_0] .. R_{q-1}[p_{q-1}] e_0
+    the Z-string over row k of ``mask`` (p_j = mask[k, j], 1 for Z), from
+    (n, q, B^2, 2, B^2) transfers. Readout by readout and wire by wire: f_k's
+    left environment before wire j times its right environment after it, in
+    its slot."""
+    n, q, b2 = transfers.shape[:3]
+    e0 = np.eye(b2)[0]
+    out = np.zeros(transfers.shape)
+    for r in range(n):
+        for k in range(q):
+            mats = [transfers[r, j, :, int(mask[k, j]), :] for j in range(q)]
+            for j in range(q):
+                left = reduce(np.matmul, mats[:j], e0)
+                right = reduce(lambda env, mat: mat @ env, mats[:j:-1], e0)
+                out[r, j, :, int(mask[k, j]), :] += upstream[r, k] * np.outer(left, right)
     return out
 
 

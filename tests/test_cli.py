@@ -372,6 +372,7 @@ class TestEvaluate:
         (r"^meta entangler .*\n", "", "no 'meta entangler' line"),
         (r"^meta encode_activation .*\n", "", "no 'meta encode_activation' line"),
         (r"^meta qubits .*\n", "meta qubits three\n", "meta qubits: invalid literal for int()"),
+        (r"^meta qubits .*\n", "meta qubits 25\n", "meta qubits: must be in [1, 20], got 25"),
         (r"^array w_vqc .*\n.*\n", "", "no 'w_vqc' array"),
         (r"^array w_vqc .*\n.*\n", "array w_vqc 1\n0.5\n", "array w_vqc: shape (1,), the model's is (6,)"),
         (r"\Z", "\udcff\udcfe", "not UTF-8 text"),

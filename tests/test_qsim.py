@@ -370,6 +370,17 @@ class TestLayerKernels:
                 np.testing.assert_array_equal(basis[perm], network)
                 np.testing.assert_array_equal(basis[inverse], network.T)
 
+    def test_wire_rotations_give_the_matrix_product_bit_for_bit(self, rng):
+        # each real and imaginary part of RX RY is one product of half-angle sines
+        # and cosines, so writing them out gives the stacked complex matmul's bits
+        for spec in (qsim.CircuitSpec.chain(16, 2), qsim.CircuitSpec.chain(6, 2), qsim.CircuitSpec.ring(5, 3)):
+            for shape in ((spec.n_params,), (8, spec.n_params)):
+                w = rng.uniform(-2 * np.pi, 4 * np.pi, shape)
+                got, want = qsim._wire_rotations(spec, w), oracles.wire_rotations(spec, w)
+                np.testing.assert_array_equal(got, want)
+                for part in (np.real, np.imag):
+                    np.testing.assert_array_equal(np.signbit(part(got)), np.signbit(part(want)))
+
     def test_entangler_permutation_is_cached_and_inverted(self):
         spec = qsim.CircuitSpec.ring(5, 2)
         perm, inverse = qsim._entangler_perms(spec)
@@ -496,10 +507,53 @@ class TestRealEnvironments:
                     np.testing.assert_allclose(got, oracles.transfer_step(env, site, signs), rtol=0, atol=1e-14)
 
 
+class TestChannels:
+    """An MPS scan carries a few channels built from the parity mask, not the q
+    readouts: one left string per set of rows that begin one another, and one
+    right identity."""
+
+    def test_strings_rebuild_every_readout(self, rng):
+        for q in range(1, 9):
+            for spec in entangler_specs(q, 2, rng):
+                table = qsim._mps_channels(spec)
+                mask = qsim._parity_mask(spec)
+                for k in range(q):
+                    rebuilt = np.where(np.arange(q) < table.cut[k], table.strings[table.channel[k]], 0)
+                    np.testing.assert_array_equal(rebuilt, mask[k])
+                    assert mask[k, table.cut[k] - 1]  # the cut is one past the last Z
+                assert len(table.strings) <= q
+
+    def test_a_chain_scans_one_left_string_and_a_ring_two(self):
+        for q in range(2, 17):
+            assert len(qsim._mps_channels(qsim.CircuitSpec.chain(q, 2)).strings) == 1
+            assert len(qsim._mps_channels(qsim.CircuitSpec.ring(q, 2)).strings) == 2
+
+    def test_cotangents_match_the_dense_sum_over_readouts(self, rng):
+        for q in range(1, 9):
+            for spec in mps_specs(q, 2, rng)[:3]:
+                xs = rng.uniform(-3, 3, (2, q))
+                w = rng.uniform(0, 2 * np.pi, spec.n_params)
+                upstream = rng.normal(size=xs.shape)
+                circuit = qsim._Mps(spec, w)
+                p, cos_q, sin_s = circuit.folds
+                transfers = p + np.cos(2 * xs)[..., None, None] * cos_q + np.sin(2 * xs)[..., None, None] * sin_s
+                transfers = transfers.reshape(transfers.shape[:3] + (2, -1))
+                want = oracles.string_cotangents(transfers, qsim._parity_mask(spec), upstream)
+                got = circuit.cotangents(qsim._trig(xs), upstream).swapaxes(0, 1)
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+                # f is linear in each transfer matrix, so every wire's cotangent gives it back
+                f = np.sum(upstream * tensor_z(xs, spec, w), axis=1)
+                np.testing.assert_allclose((got * transfers).sum(axis=(2, 3, 4)), np.broadcast_to(f[:, None], xs.shape),
+                                           rtol=0, atol=1e-12)
+
+
 # one spec per circuit path, with the class ``_folded`` builds for it
 PATHS = [(qsim.CircuitSpec.chain(6, 1), qsim._OneLayer), (qsim.CircuitSpec.chain(6, 2), qsim._Statevector),
          (qsim.CircuitSpec.chain(10, 2), qsim._Mps)]
 PATH_IDS = [qsim.CLOSED_FORM, qsim.STATEVECTOR, qsim.MPS]
+# and a ring, whose MPS scans two left strings
+FOLDS = PATHS + [(qsim.CircuitSpec.ring(16, 2), qsim._Mps)]
+FOLD_IDS = PATH_IDS + ["mps ring16"]
 
 
 def kept_arrays(circuit):
@@ -508,7 +562,7 @@ def kept_arrays(circuit):
         return [circuit.mask, circuit.sin_a, circuit.cos_a, circuit.sin_b, circuit.cos_b, circuit.cos_ab]
     if isinstance(circuit, qsim._Statevector):
         return [circuit.w, circuit.wires, circuit.perm, circuit.inverse, *itertools.chain(*circuit.krons, *circuit.undo)]
-    return [circuit.w, circuit.folds, circuit.grad_matrices, circuit.select, circuit.slots]
+    return [circuit.w, circuit.folds, circuit.operands, circuit.grad_matrices, *circuit.channels]
 
 
 @pytest.mark.parametrize("spec, _", PATHS, ids=PATH_IDS)
@@ -529,7 +583,7 @@ class TestFold:
 
     spec = qsim.CircuitSpec.chain(10, 2)
 
-    @pytest.mark.parametrize("spec, kind", PATHS, ids=PATH_IDS)
+    @pytest.mark.parametrize("spec, kind", FOLDS, ids=FOLD_IDS)
     def test_forward_and_gradient_share_one_fold(self, rng, spec, kind):
         xs = rng.uniform(-3, 3, (4, spec.q))
         w = rng.uniform(0, 2 * np.pi, spec.n_params)
@@ -539,7 +593,7 @@ class TestFold:
         assert qsim._folded.cache_info()[:2] == (1, 1)  # (hits, misses)
         assert isinstance(qsim._folded(spec, w.tobytes()), kind)
 
-    @pytest.mark.parametrize("spec, kind", PATHS, ids=PATH_IDS)
+    @pytest.mark.parametrize("spec, kind", FOLDS, ids=FOLD_IDS)
     def test_the_class_called_directly_gives_the_public_bits(self, rng, spec, kind):
         xs = rng.uniform(-3, 3, (5, spec.q))
         upstream = rng.normal(size=xs.shape)
@@ -550,7 +604,7 @@ class TestFold:
         for got, want in zip(qsim.param_shift_grad_batch(xs, spec, w, upstream), (angles.sum(axis=0), grad_x)):
             np.testing.assert_array_equal(got, want)
 
-    @pytest.mark.parametrize("spec, kind", PATHS, ids=PATH_IDS)
+    @pytest.mark.parametrize("spec, kind", FOLDS, ids=FOLD_IDS)
     def test_a_row_gives_the_same_bits_alone_and_in_a_batch(self, rng, spec, kind):
         # a fold returns per-row results, so a row's readouts, angle gradients
         # and input gradient do not depend on the rows computed beside it
@@ -578,7 +632,7 @@ class TestFold:
 
     def test_cached_arrays_are_read_only(self, rng):
         assert qsim.circuit_path(self.spec) == qsim.MPS
-        for spec, kind in PATHS:
+        for spec, kind in FOLDS:
             w = rng.uniform(0, 2 * np.pi, spec.n_params)
             circuit = qsim._folded(spec, w.tobytes())
             assert isinstance(circuit, kind)
@@ -655,12 +709,13 @@ class TestMatrixProductState:
                     np.testing.assert_allclose(grad_x, ref_x, rtol=0, atol=1e-10)
 
     def test_rows_do_not_depend_on_the_call(self, rng, monkeypatch):
-        # 74 rows at q16/l2 chain are two chunks by default; then one call per
-        # row, and chunks of three rows. Only the entry points chunk, so the
-        # chunked calls go through them, with ``_folded`` giving this MPS fold
+        # 74 rows at q16/l2 are two chunks by default on a chain and 15 on a
+        # ring; then one call per row, and chunks of three rows. Only the entry
+        # points chunk, so the chunked calls go through them, with ``_folded``
+        # giving this MPS fold
         specs = [factory(q, layers) for q in (3, 6) for layers in (2, 3)
                  for factory in (qsim.CircuitSpec.chain, qsim.CircuitSpec.ring)]
-        for spec in specs + [qsim.CircuitSpec.chain(16, 2)]:
+        for spec in specs + [qsim.CircuitSpec.chain(16, 2), qsim.CircuitSpec.ring(16, 2)]:
             n = 74 if spec.q == 16 else 11
             xs = rng.uniform(-3, 3, (n, spec.q))
             w = rng.uniform(0, 2 * np.pi, spec.n_params)
