@@ -18,6 +18,8 @@ would. Dropout draws keep the per-node order too: node v's self row, then its
 neighbour rows, node after node. Without sampling that is one
 ``rng.random`` call; when some node has more neighbours than the fan-out,
 the draws stay in a loop over nodes, each node's ``rng.choice`` first.
+A forward reads the graph's neighbours, flat and node after node, from one
+sort of its edge keys; only that sampling loop splits them per node.
 """
 
 from __future__ import annotations
@@ -134,15 +136,31 @@ def init_sage_params(
     )
 
 
-def neighbor_lists(g) -> list[np.ndarray]:
-    adj: list[list[int]] = [[] for _ in range(g.n_nodes)]
-    for a, b in g.edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    return [np.array(sorted(nb), dtype=int) for nb in adj]
+@dataclass(frozen=True, eq=False)
+class Neighbours:
+    """Each node's neighbours in ascending order, node after node (``flat``),
+    and each node's count of them (``deg``). Indexing or iterating gives one
+    node's neighbours."""
+
+    flat: np.ndarray
+    deg: np.ndarray
+
+    def __iter__(self):
+        return iter(np.split(self.flat, np.cumsum(self.deg)[:-1]))
+
+    def __getitem__(self, v: int) -> np.ndarray:
+        return list(self)[v]
 
 
-def _sampled_draws(adj, rng, p: float, d: int, fan_out: int):
+def neighbor_lists(g) -> Neighbours:
+    """The graph's neighbours from one sort: each edge (a, b) gives the keys
+    a * n + b and b * n + a, which order by node, then neighbour."""
+    n, edges = g.n_nodes, g.edges
+    keys = np.array(sorted([a * n + b for a, b in edges] + [b * n + a for a, b in edges]), dtype=np.intp)
+    return Neighbours(keys % n, np.bincount(keys // n, minlength=n))
+
+
+def _sampled_draws(adj: Neighbours, rng, p: float, d: int, fan_out: int):
     """Neighbour samples and dropout draws when some node has more than
     ``fan_out`` neighbours: node by node, its sample, then its self row and
     its neighbour rows, so ``rng.choice`` keeps its place among the draws."""
@@ -153,7 +171,8 @@ def _sampled_draws(adj, rng, p: float, d: int, fan_out: int):
         sampled.append(nb)
         if p > 0.0:
             draws.append(rng.random((1 + nb.size, d)))
-    return sampled, np.concatenate(draws) if draws else None
+    deg = np.array([nb.size for nb in sampled])
+    return Neighbours(np.concatenate(sampled), deg), np.concatenate(draws) if draws else None
 
 
 def _cells(rows: np.ndarray, d: int) -> np.ndarray:
@@ -161,18 +180,16 @@ def _cells(rows: np.ndarray, d: int) -> np.ndarray:
     return (rows[:, None] * d + np.arange(d)).ravel()
 
 
-def _layer_forward(h, adj, params: SageLayerParams, rng, train_mode: bool, fan_out):
+def _layer_forward(h, adj: Neighbours, params: SageLayerParams, rng, train_mode: bool, fan_out):
     n, d = h.shape
     p = params.dropout_p if train_mode else 0.0
-    deg = np.array([nb.size for nb in adj])
-    if train_mode and fan_out is not None and deg.max() > fan_out:
+    if train_mode and fan_out is not None and adj.deg.max() > fan_out:
         adj, draws = _sampled_draws(adj, rng, p, d, fan_out)
-        deg = np.array([nb.size for nb in adj])
     else:
         # node v's self row, then its neighbour rows: one call fills them in
         # the order a call per node would
-        draws = rng.random((n + deg.sum(), d)) if p > 0.0 else None
-    nbrs = np.concatenate(adj)
+        draws = rng.random((n + adj.deg.sum(), d)) if p > 0.0 else None
+    nbrs, deg = adj.flat, adj.deg
     owner = np.repeat(np.arange(n), deg)
     rows = h[nbrs]
     self_masks = neigh_masks = None

@@ -17,6 +17,12 @@ sorted values, and on a line every DBSCAN cluster is a range of sorted
 positions, so an interval's clusters come from one pass over its slice (see
 ``dbscan``): no pairwise distance matrix, no breadth-first search. Edges come
 from each feature's list of the nodes holding it.
+
+A corpus file stores each graph as what it is, one JSON line: the label, the
+node count, the 28-value V row, the ascending flat indices ``k * 28 + j`` of
+the node-matrix cells that hold ``v[j]``, and the edges. That is about a
+third of the bytes of the whole node matrix, and the reader rebuilds the
+nodes with one scatter into zeros, bit for bit.
 """
 
 from __future__ import annotations
@@ -269,47 +275,77 @@ def transaction_graph(
     return build_graph(cover_and_cluster([v * weight for v in t.v], cover, db), t)
 
 
-def write_graph_corpus(path, graphs) -> None:
-    """One JSON record per line: label, node feature vectors, edge list.
+_ENCODER = json.JSONEncoder(separators=(",", ":"), allow_nan=False)
 
-    Strict JSON: a NaN or infinite node value raises ``ValueError``.
+
+def write_graph_corpus(path, graphs) -> None:
+    """One JSON record per line: label, node count, V row, member cells, edges.
+
+    ``v`` is the graph's V row, read off its own nodes; ``cells`` lists, in
+    ascending order, the flat indices ``k * 28 + j`` of the node matrix that
+    hold ``v[j]``: every cell that is not +0.0, so a -0.0 member keeps its
+    sign and a +0.0 one reads back from the zeros around it. A graph whose
+    nodes give one feature two different values is not one V row and is a
+    ``TdaError``. Strict JSON: a NaN or infinite node value raises
+    ``ValueError``.
     """
     with open(path, "w") as fh:
         for g in graphs:
-            rec = {
-                "label": g.label,
-                "nodes": g.nodes.tolist(),
-                "edges": [[a, b] for a, b in g.edges],
-            }
-            fh.write(json.dumps(rec, separators=(",", ":"), allow_nan=False) + "\n")
+            flat = np.ascontiguousarray(g.nodes, dtype=float).reshape(-1)
+            cells = np.flatnonzero(flat.view(np.int64))  # +0.0 is the one float with no bit set
+            held, feats = flat[cells], cells % N_FEATURES
+            v = np.zeros(N_FEATURES)
+            v[feats] = held
+            clash = v[feats].view(np.int64) != held.view(np.int64)
+            if clash.any():
+                raise TdaError(f"the graph's nodes are not one V row: feature {feats[clash][0]} holds two values")
+            rec = {"label": g.label, "n_nodes": g.n_nodes, "v": v.tolist(), "cells": cells.tolist(), "edges": g.edges}
+            fh.write(_ENCODER.encode(rec) + "\n")
 
 
 def _reject_constant(token: str):
     raise TdaError(f"non-finite value {token}")
 
 
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+
+
+def _decode(rec) -> TransactionGraph:
+    """The graph of one ``write_graph_corpus`` record: its V row scattered
+    into the listed cells of a zero node matrix."""
+    if "nodes" in rec:
+        raise TdaError("a dense record from an earlier build-graphs; run build-graphs again")
+    n, v, cells = rec["n_nodes"], np.array(rec["v"]), np.array(rec["cells"], ndmin=1)
+    if type(n) is not int or n < 1:
+        raise TdaError(f"n_nodes must be an integer >= 1, got {n!r}")
+    if v.shape != (N_FEATURES,) or v.dtype.kind not in "if":
+        raise TdaError(f"v must be a list of {N_FEATURES} numbers")
+    if not np.isfinite(v).all():  # a number past the float range parses to inf
+        raise TdaError("non-finite node value")
+    if cells.ndim != 1 or cells.size and cells.dtype != np.intp:
+        raise TdaError("cells must be a list of integers")
+    cells = cells.astype(np.intp, copy=False)  # an empty list parses to floats
+    if cells.size and (cells[0] < 0 or cells[-1] >= n * N_FEATURES or (cells[1:] <= cells[:-1]).any()):
+        raise TdaError(f"cells must ascend strictly inside [0, {n * N_FEATURES}) for {n} nodes")
+    nodes = np.zeros((n, N_FEATURES))
+    nodes.reshape(-1)[cells] = v[cells % N_FEATURES]
+    edges = tuple((int(a), int(b)) for a, b in rec["edges"])
+    return TransactionGraph(nodes=nodes, edges=edges, label=int(rec["label"]))
+
+
 def read_graph_corpus(path) -> list[TransactionGraph]:
-    """The graphs ``write_graph_corpus`` wrote. Anything else, such as a NaN or
-    infinite value, a line that is not UTF-8 or not JSON, or a record without a
-    field, is a ``TdaError`` that names the file and line."""
+    """The graphs ``write_graph_corpus`` wrote. Anything else is a
+    ``TdaError`` that names the file and line: a dense record from an earlier
+    build-graphs, a NaN or infinite V value, cells that repeat, decrease or
+    fall outside the node matrix, a line that is not UTF-8 or not JSON, or a
+    record without a field."""
     graphs = []
     with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
             try:
                 line = line.decode().strip()
-                if not line:
-                    continue
-                rec = json.loads(line, parse_constant=_reject_constant)
-                nodes = np.array(rec["nodes"], dtype=float)
-                if not np.isfinite(nodes).all():  # a number past the float range parses to inf
-                    raise TdaError("non-finite node value")
-                graphs.append(
-                    TransactionGraph(
-                        nodes=nodes,
-                        edges=tuple((int(a), int(b)) for a, b in rec["edges"]),
-                        label=int(rec["label"]),
-                    )
-                )
+                if line:
+                    graphs.append(_decode(_DECODER.decode(line)))
             except KeyError as exc:
                 raise TdaError(f"{path}: line {lineno}: record has no {exc} field") from None
             except (TypeError, ValueError) as exc:  # TdaError, JSONDecodeError and UnicodeDecodeError among them

@@ -6,8 +6,9 @@ code paths: dense 2^q x 2^q circuit matrices, a gate-by-gate circuit on a
 its physical index, central finite differences, pairwise density
 reachability for DBSCAN, pair-counting AUC, direct cluster-intersection
 edges, the transaction graph assembled from those, a row-by-row CSV reader
-with ``float()`` on every cell, and a GraphSAGE layer that aggregates, draws
-its dropout masks and scatters its gradient one node at a time. The
+with ``float()`` on every cell, a GraphSAGE layer that aggregates, draws
+its dropout masks and scatters its gradient one node at a time, and the dense
+corpus encoder whose bytes the historical corpus digests were taken over. The
 exception is the parameter-shift gradient, which reruns the package's
 forward simulator (itself checked against the dense oracle) at shifted
 angles.
@@ -16,6 +17,7 @@ angles.
 from __future__ import annotations
 
 import csv
+import json
 import math
 from functools import reduce
 from pathlib import Path
@@ -302,6 +304,18 @@ def oracle_transaction_graph(t, cover, db, direction=None):
         for j in members:
             nodes[k, j] = t.v[j]
     return nodes, sorted(intersection_edges(canon))
+
+
+def dense_corpus_bytes(graphs) -> bytes:
+    """The corpus lines ``tda.write_graph_corpus`` wrote before it stored a
+    graph as its V row and member cells: the label, every node's 28 values,
+    and the edges."""
+    lines = (
+        json.dumps({"label": g.label, "nodes": g.nodes.tolist(), "edges": [[a, b] for a, b in g.edges]},
+                   separators=(",", ":"), allow_nan=False) + "\n"
+        for g in graphs
+    )
+    return "".join(lines).encode()
 
 
 def read_transactions(path) -> list:

@@ -10,6 +10,7 @@ from qgfraud import cli, qgnn, qsim, sage, tda
 from qgfraud.config import load_config
 from qgfraud.persist import load_arrays
 from qgfraud.rng import make_rng
+from tests import oracles
 from tests.synth import write_synthetic_csv
 
 
@@ -42,6 +43,25 @@ def run(argv):
     return cli.main(argv)
 
 
+def edited(change):
+    """A corpus line edit: ``change`` maps the parsed record to the fields it replaces."""
+
+    def edit(line):
+        rec = json.loads(line)
+        rec.update(change(rec))
+        return json.dumps(rec)
+
+    return edit
+
+
+def corpus_digests(files) -> tuple[str, str]:
+    """sha256 of the corpus files' bytes, and of the graphs they hold in the
+    dense encoding the pins before the V-row record were taken over."""
+    written = hashlib.sha256(b"".join(p.read_bytes() for p in files)).hexdigest()
+    dense = hashlib.sha256(b"".join(oracles.dense_corpus_bytes(tda.read_graph_corpus(p)) for p in files))
+    return written, dense.hexdigest()
+
+
 class TestBuildGraphs:
     def test_writes_corpus_and_manifest(self, tiny_csv, tmp_path):
         out = tmp_path / "run"
@@ -64,7 +84,7 @@ class TestBuildGraphs:
         for part, name in (("train", "graphs_train.jsonl"), ("val", "graphs_val.jsonl"),
                            ("test", "graphs_test.jsonl")):
             graphs = [json.loads(line) for line in (out / "graphs" / name).read_text().splitlines()]
-            nodes = [len(g["nodes"]) for g in graphs]
+            nodes = [g["n_nodes"] for g in graphs]
             c = manifest["counts"][part]
             assert c["total_nodes"] == sum(nodes)
             assert c["mean_nodes"] == pytest.approx(sum(nodes) / len(graphs))
@@ -132,8 +152,10 @@ class TestBuildGraphs:
         assert run(["build-graphs", "--dataset", str(csv), "--output-dir", str(out)]) == 0
         files = sorted((out / "graphs").glob("graphs_*.jsonl"))
         assert [p.name for p in files] == ["graphs_test.jsonl", "graphs_train.jsonl", "graphs_val.jsonl"]
-        digest = hashlib.sha256(b"".join(p.read_bytes() for p in files)).hexdigest()
-        assert digest == "05bb1d9e9bdf64deaaa40333555c46b9e42ec14b9552bd5daf3e6de19b24956f"
+        assert corpus_digests(files) == (
+            "00b6341d005c1c2df353ab85217837313d48877c046a45183e2a24220c5acf6e",
+            "05bb1d9e9bdf64deaaa40333555c46b9e42ec14b9552bd5daf3e6de19b24956f",
+        )
 
     def test_tuned_cover_corpus_is_pinned(self, tmp_path):
         # six narrow intervals and a sparse DBSCAN: many noise singletons and
@@ -144,8 +166,10 @@ class TestBuildGraphs:
         cfg = write_cfg(tmp_path, csv, out, tda={"n_intervals": 6, "overlap": 0.3, "eps": 0.05, "min_pts": 3})
         assert run(["build-graphs", "--config", str(cfg)]) == 0
         files = sorted((out / "graphs").glob("graphs_*.jsonl"))
-        digest = hashlib.sha256(b"".join(p.read_bytes() for p in files)).hexdigest()
-        assert digest == "c3461b0413e40695dcf80eb026f96a90d1e1497b2bef69b6f01d1c3632e1dd2a"
+        assert corpus_digests(files) == (
+            "4a7a09d01e4e6051159b96725c467aef5557ab308e0e7810855ebc76c05a735e",
+            "c3461b0413e40695dcf80eb026f96a90d1e1497b2bef69b6f01d1c3632e1dd2a",
+        )
 
     @pytest.mark.parametrize("extra, key", [
         ({"model": {"sage": {"widths": 3}}}, "model.sage.widths"),
@@ -424,10 +448,24 @@ class TestEvaluate:
         (lambda line: line[:-1], "line 2: Expecting ',' delimiter"),
         (lambda line: "not json", "line 2: Expecting value"),
         *[(lambda line, key=key: json.dumps({k: v for k, v in json.loads(line).items() if k != key}),
-           f"line 2: record has no '{key}' field") for key in ("nodes", "edges", "label")],
+           f"line 2: record has no '{key}' field") for key in ("n_nodes", "v", "cells", "edges", "label")],
         (lambda line: line + "\udcff\udcfe", "line 2: 'utf-8' codec can't decode byte 0xff"),
-        (lambda line: re.sub(r'(?<="nodes":\[\[)[^,\]]+', "1e999", line, count=1), "line 2: non-finite node value"),
-    ], ids=["truncated", "not-json", "no-nodes", "no-edges", "no-label", "not-utf8", "overflow"])
+        (lambda line: re.sub(r'(?<="v":\[)[^,\]]+', "1e999", line, count=1), "line 2: non-finite node value"),
+        *[(lambda line, token=token: re.sub(r'(?<="v":\[)[^,\]]+', token, line, count=1),
+           f"line 2: non-finite value {token}") for token in ("NaN", "Infinity")],
+        (edited(lambda r: {"v": r["v"][:27]}), "line 2: v must be a list of 28 numbers"),
+        (edited(lambda r: {"v": ["0.5"] + r["v"][1:]}), "line 2: v must be a list of 28 numbers"),
+        (edited(lambda r: {"n_nodes": 0}), "line 2: n_nodes must be an integer >= 1, got 0"),
+        (edited(lambda r: {"n_nodes": 1.5}), "line 2: n_nodes must be an integer >= 1, got 1.5"),
+        *[(edited(change), "line 2: cells must ascend strictly inside [0, ") for change in (
+            lambda r: {"cells": r["cells"][:1] + r["cells"]},
+            lambda r: {"cells": r["cells"][::-1]},
+            lambda r: {"cells": [-1] + r["cells"]},
+            lambda r: {"cells": r["cells"] + [28 * r["n_nodes"]]},
+        )],
+    ], ids=["truncated", "not-json", "no-n_nodes", "no-v", "no-cells", "no-edges", "no-label", "not-utf8",
+            "overflow", "nan", "infinity", "short-v", "text-in-v", "zero-nodes", "fractional-nodes",
+            "repeated-cell", "descending-cells", "negative-cell", "cell-past-end"])
     def test_malformed_corpus_line_is_validation_error(self, built_run, tmp_path, capsys, edit, message):
         cfg, out = built_run
         graphs = tmp_path / "graphs"
@@ -443,6 +481,22 @@ class TestEvaluate:
         capsys.readouterr()
         assert run(argv) == 1
         assert f"{graphs / 'graphs_test.jsonl'}: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_dense_corpus_asks_for_a_rebuild(self, built_run, tmp_path, capsys):
+        # the whole-node-matrix records every build-graphs wrote before the V-row record
+        cfg, out = built_run
+        graphs = tmp_path / "graphs"
+        graphs.mkdir()
+        for f in (out / "graphs").iterdir():
+            data = oracles.dense_corpus_bytes(tda.read_graph_corpus(f)) if f.suffix == ".jsonl" else f.read_bytes()
+            (graphs / f.name).write_bytes(data)
+        argv = ["evaluate", "--config", str(cfg), "--model", "qgnn", "--graphs", str(graphs),
+                "--checkpoint", str(out / "train_qgnn" / "checkpoint.txt"), "--output-dir", str(tmp_path / "run")]
+        capsys.readouterr()
+        assert run(argv) == 1
+        assert (f"{graphs / 'graphs_val.jsonl'}: line 1: a dense record from an earlier build-graphs; "
+                "run build-graphs again") in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("name, edit, message", [

@@ -22,6 +22,7 @@ from qgfraud.tda import (
 )
 from tests import oracles
 from tests.oracles import brute_dbscan, intersection_edges, oracle_transaction_graph
+from tests.synth import random_graphs
 
 
 def make_transaction(v=None, time=0.5, amount=0.2, label=0, seed=None):
@@ -386,6 +387,25 @@ class TestCorpusIO:
             assert np.array_equal(a.nodes, b.nodes)
             assert a.edges == b.edges and a.label == b.label
 
+    def test_round_trip_is_bit_exact(self, tmp_path):
+        # the pipeline graphs, and the tie-heavy ones whose members include
+        # -0.0 and +0.0, come back with the same node bytes
+        graphs = [transaction_graph(t, cover, db) for _, t in pipeline_inputs() for cover, db in PIPELINE_SETTINGS]
+        graphs += [transaction_graph(t, cover, db) for t, cover, db in tie_heavy_cases()]
+        path = tmp_path / "corpus.jsonl"
+        write_graph_corpus(path, graphs)
+        back = read_graph_corpus(path)
+        assert len(back) == len(graphs)
+        for a, b in zip(graphs, back):
+            assert a.nodes.shape == b.nodes.shape and a.nodes.tobytes() == b.nodes.tobytes()
+            assert a.edges == b.edges and a.label == b.label
+        assert sum(np.signbit(g.nodes[g.nodes == 0.0]).any() for g in back) > 100
+
+    def test_write_rejects_nodes_that_are_not_one_v_row(self, tmp_path):
+        g = next(g for g in random_graphs(10, seed=3) if g.n_nodes > 1)
+        with pytest.raises(TdaError, match="the graph's nodes are not one V row: feature 0 holds two values"):
+            write_graph_corpus(tmp_path / "c.jsonl", [g])
+
     def test_write_is_deterministic(self, tmp_path):
         t = make_transaction(seed=2, label=1)
         g = transaction_graph(t)
@@ -402,9 +422,9 @@ class TestCorpusIO:
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_read_rejects_non_finite(self, tmp_path, bad):
-        # a corpus written before writes were strict JSON can hold NaN/Infinity tokens
-        good = {"label": 0, "nodes": [[0.5] * 28], "edges": []}
-        poisoned = {"label": 1, "nodes": [[0.0] * 3 + [bad] + [0.0] * 24], "edges": []}
+        # a file written by a JSON encoder that is not strict can hold NaN/Infinity tokens
+        good = {"label": 0, "n_nodes": 1, "v": [0.5] * 28, "cells": list(range(28)), "edges": []}
+        poisoned = {"label": 1, "n_nodes": 1, "v": [0.0] * 3 + [bad] + [0.0] * 24, "cells": [3], "edges": []}
         path = tmp_path / "old.jsonl"
         path.write_text("".join(json.dumps(r) + "\n" for r in (good, poisoned)))
         with pytest.raises(TdaError, match="line 2: non-finite value"):
@@ -417,14 +437,20 @@ def tie_heavy_v(rng) -> tuple:
     return tuple(v.tolist())
 
 
+def tie_heavy_cases():
+    """2000 seeded (transaction, cover, DBSCAN spec) triples on tie-heavy V rows."""
+    rng = make_rng(1414)
+    for case in range(2000):
+        t = make_transaction(v=tie_heavy_v(rng), label=case % 2)
+        cover = CoverSpec(int(rng.integers(1, 7)), float(rng.uniform(0.0, 0.9)))
+        db = DbscanSpec(float(rng.uniform(0.01, 1.0)), int(rng.integers(1, 6)))
+        yield t, cover, db
+
+
 class TestTieHeavyOracle:
     def test_graphs_match_oracle(self):
-        rng = make_rng(1414)
         negative_zeros = 0
-        for case in range(2000):
-            t = make_transaction(v=tie_heavy_v(rng), label=case % 2)
-            cover = CoverSpec(int(rng.integers(1, 7)), float(rng.uniform(0.0, 0.9)))
-            db = DbscanSpec(float(rng.uniform(0.01, 1.0)), int(rng.integers(1, 6)))
+        for case, (t, cover, db) in enumerate(tie_heavy_cases()):
             g = transaction_graph(t, cover, db)
             nodes, edges = oracle_transaction_graph(t, cover, db)
             # tobytes tells 0.0 from -0.0
