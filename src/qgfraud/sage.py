@@ -139,17 +139,14 @@ def init_sage_params(
 @dataclass(frozen=True, eq=False)
 class Neighbours:
     """Each node's neighbours in ascending order, node after node (``flat``),
-    and each node's count of them (``deg``). Indexing or iterating gives one
-    node's neighbours."""
+    and each node's count of them (``deg``). Iterating gives each node's
+    neighbours in turn."""
 
     flat: np.ndarray
     deg: np.ndarray
 
     def __iter__(self):
         return iter(np.split(self.flat, np.cumsum(self.deg)[:-1]))
-
-    def __getitem__(self, v: int) -> np.ndarray:
-        return list(self)[v]
 
 
 def neighbor_lists(g) -> Neighbours:

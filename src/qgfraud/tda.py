@@ -11,12 +11,12 @@ which keep their feature values, so the node vectors of a graph jointly cover
 all 28 features. Overlapping intervals can put a point in several clusters, so
 a graph can have more than 28 nodes.
 
-The projections are sorted once per transaction, and one two-pointer pass
-finds each point's eps-window. Each interval's points are then a slice of the
-sorted values, and on a line every DBSCAN cluster is a range of sorted
-positions, so an interval's clusters come from one pass over its slice (see
-``dbscan``): no pairwise distance matrix, no breadth-first search. Edges come
-from each feature's list of the nodes holding it.
+The projections are sorted once per transaction and split into linked runs at
+every gap wider than eps, which no eps-window crosses. Each interval's points
+are a slice of the sorted values and every DBSCAN cluster lies in one run, so
+an interval's clusters come from the parts of the runs its slice holds (see
+``dbscan``): no pairwise distance matrix. Edges come from each feature's bit
+mask of the nodes holding it.
 
 A corpus file stores each graph as what it is, one JSON line: the label, the
 node count, the 28-value V row, the ascending flat indices ``k * 28 + j`` of
@@ -30,7 +30,7 @@ from __future__ import annotations
 import json
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, count
 from math import isfinite
 from operator import itemgetter
 
@@ -87,16 +87,18 @@ class TransactionGraph:
             raise TdaError(f"a graph needs at least one node, got {n}")
         if self.label not in (0, 1):
             raise TdaError(f"label must be 0 or 1, got {self.label!r}")
-        seen = set()
-        for a, b in self.edges:
-            if a == b:
-                raise TdaError(f"self-loop on node {a}")
-            if not (0 <= a < n and 0 <= b < n):
-                raise TdaError(f"edge ({a}, {b}) out of range for {n} nodes")
-            key = (min(a, b), max(a, b))
-            if key in seen:
-                raise TdaError(f"duplicate edge {key}")
-            seen.add(key)
+        keys = {(a, b) if a < b else (b, a) for a, b in self.edges}
+        if len(keys) < len(self.edges) or not all(0 <= a < b < n for a, b in keys):
+            seen = set()  # some edge is bad: find the first and name it
+            for a, b in self.edges:
+                if a == b:
+                    raise TdaError(f"self-loop on node {a}")
+                if not (0 <= a < n and 0 <= b < n):
+                    raise TdaError(f"edge ({a}, {b}) out of range for {n} nodes")
+                key = (min(a, b), max(a, b))
+                if key in seen:
+                    raise TdaError(f"duplicate edge {key}")
+                seen.add(key)
 
     @property
     def n_nodes(self) -> int:
@@ -119,56 +121,65 @@ def _sorted_values(values, what: str) -> tuple[list[float], list[int]]:
     return [vals[i] for i in order], order
 
 
-def _cluster_ranges(s: list[float], idx: list[int], spec: DbscanSpec, slices) -> list[list[int]]:
+def _cluster_ranges(s: list[float], idx: list[int], spec: DbscanSpec, slices) -> list[list]:
     """DBSCAN clusters of each slice [lo, hi) of the sorted values ``s``.
 
     A cluster is ``[a, b, first]``: it holds ``idx[a:b]``, and ``first`` is
-    its lowest-index core. Slices come in the given order, each one's
-    clusters left to right; see ``dbscan`` for the rules. A point's count in
-    a slice is its eps-window clipped to the slice.
+    its lowest-index core, or None when all its points are cores. Slices come
+    in the given order, each one's clusters left to right; see ``dbscan`` for
+    the rules. A point's count in a slice is its eps-window clipped to it.
+
+    The values split once into linked runs at every gap wider than eps, which
+    no eps-window crosses, as rounding is monotone. So in a slice's part of a
+    run, fewer than ``min_pts`` points hold no core; at ``min_pts`` <= 2 more
+    are one cluster of cores, and only at ``min_pts`` >= 3 are windows counted.
     """
-    eps, min_pts, n = spec.eps, spec.min_pts, len(s)
-    start, stop = [], []  # each point's eps-window: sorted positions [start, stop)
-    lo = hi = 0
-    # s is sorted and every window holds its own point, so s[lo] <= x <= s[hi]:
-    # each difference below is the distance ``abs`` would give
-    for x in s:
-        while x - s[lo] > eps:
-            lo += 1
-        while hi < n and s[hi] - x <= eps:
-            hi += 1
-        start.append(lo)
-        stop.append(hi)
-    ranges: list[list[int]] = []
+    eps, min_pts = spec.eps, spec.min_pts
+    # run starts k: s[k] - s[k - 1] > eps, the test the window pointers make
+    cuts = [k for k, x, y in zip(count(1), s, s[1:]) if y - x > eps]
+    ranges: list[list] = []
     for lo, hi in slices:
-        k = len(ranges)
-        reach = lo  # end of the eps-window of the last core seen
-        for i in range(lo, hi):
-            a = start[i]
-            b = end = stop[i]
-            if a < lo:
-                a = lo
-            if b > hi:
-                b = hi
-            if b - a < min_pts:
-                continue
-            if i < reach:
-                run = ranges[-1]
-                run[1] = b
-                if idx[i] < run[2]:
-                    run[2] = idx[i]
-            else:
-                ranges.append([a, b, idx[i]])
-            reach = end
-        # neighbouring runs can share only non-cores; they join the run
-        # whose lowest-index core is lower
-        for left, right in zip(ranges[k:], ranges[k + 1 :]):
-            if left[1] > right[0]:
-                if left[2] < right[2]:
-                    right[0] = left[1]
+        a = lo
+        for b in cuts[bisect_right(cuts, lo) : bisect_left(cuts, hi)] + [hi]:
+            if b - a >= min_pts:
+                if min_pts <= 2:
+                    ranges.append([a, b, None])
                 else:
-                    left[1] = right[0]
+                    _part_clusters(s, idx, eps, min_pts, a, b, ranges)
+            a = b
     return ranges
+
+
+def _part_clusters(s, idx, eps: float, min_pts: int, lo: int, hi: int, ranges: list) -> None:
+    """Append the clusters of the linked-run part [lo, hi) of sorted positions."""
+    k = len(ranges)
+    a = b = reach = lo  # reach: end of the eps-window of the last core seen
+    # s is sorted and every window holds its own point, so s[a] <= x <= s[b]:
+    # each difference below is the distance ``abs`` would give
+    for i in range(lo, hi):
+        x = s[i]
+        while x - s[a] > eps:
+            a += 1
+        while b < hi and s[b] - x <= eps:
+            b += 1
+        if b - a < min_pts:
+            continue
+        if i < reach:
+            last = ranges[-1]
+            last[1] = b
+            if idx[i] < last[2]:
+                last[2] = idx[i]
+        else:
+            ranges.append([a, b, idx[i]])
+        reach = b
+    # neighbouring clusters can share only non-cores; they join the cluster
+    # whose lowest-index core is lower
+    for left, right in zip(ranges[k:], ranges[k + 1 :]):
+        if left[1] > right[0]:
+            if left[2] < right[2]:
+                right[0] = left[1]
+            else:
+                left[1] = right[0]
 
 
 def dbscan(values, spec: DbscanSpec) -> np.ndarray:
@@ -180,18 +191,15 @@ def dbscan(values, spec: DbscanSpec) -> np.ndarray:
     point; a border point keeps the label of the first cluster that reaches
     it, i.e. the lowest-numbered cluster with a core within ``eps``.
 
-    On a line every cluster is a range of sorted positions, so this needs one
-    stable sort and one pass, with no pairwise distance matrix. Two pointers
-    find each point's eps-window, comparing ``abs(a - b) <= eps`` exactly as
-    the definition does, and a point is core iff its window holds
-    ``min_pts`` points. Consecutive cores join one run while each lies in
-    the window of the one before; the run's cluster spans from the window
-    start of its first core to the window end of its last. Two neighbouring
-    spans can overlap only on non-cores, which go to the lower-numbered run.
+    On a line every cluster is a range of sorted positions inside one linked
+    run, where neighbours lie within eps, so this needs one stable sort and
+    one pass; at ``min_pts`` <= 2 a run of ``min_pts`` or more points is one
+    cluster, and only at ``min_pts`` >= 3 are eps-windows counted in a run.
     """
     s, idx = _sorted_values(values, "dbscan")
     labels = np.full(len(s), -1, dtype=int)
-    ranges = sorted(_cluster_ranges(s, idx, spec, [(0, len(s))]), key=itemgetter(2))
+    ranges = _cluster_ranges(s, idx, spec, [(0, len(s))])
+    ranges.sort(key=lambda r: min(idx[r[0] : r[1]]) if r[2] is None else r[2])
     for c, (a, b, _) in enumerate(ranges):
         labels[idx[a:b]] = c
     return labels
@@ -203,13 +211,9 @@ def cover_intervals(lo: float, hi: float, cover: CoverSpec) -> list[tuple[float,
         return [(lo, hi)]
     length = (hi - lo) / (cover.n_intervals - (cover.n_intervals - 1) * cover.overlap_frac)
     step = length * (1.0 - cover.overlap_frac)
-    out = []
-    for i in range(cover.n_intervals):
-        a = lo + i * step
-        # pin the last endpoint so float drift cannot drop the max point
-        b = hi if i == cover.n_intervals - 1 else a + length
-        out.append((a, b))
-    return out
+    starts = [lo + i * step for i in range(cover.n_intervals)]
+    # pin the last endpoint so float drift cannot drop the max point
+    return [(a, a + length) for a in starts[:-1]] + [(starts[-1], hi)]
 
 
 def cover_and_cluster(f, cover: CoverSpec, db: DbscanSpec) -> list[tuple[int, ...]]:
@@ -226,11 +230,14 @@ def cover_and_cluster(f, cover: CoverSpec, db: DbscanSpec) -> list[tuple[int, ..
     # the order a stable sort of those points alone would give
     slices = [(bisect_left(s, a), bisect_right(s, b)) for a, b in cover_intervals(s[0], s[-1], cover)]
     ranges = _cluster_ranges(s, idx, db, slices)
-    held = bytearray(len(s))  # 1 at each sorted position some cluster holds
-    for a, b, _ in ranges:
-        held[a:b] = b"\x01" * (b - a)
     clusters = [tuple(idx[a:b]) for a, b, _ in ranges]
-    clusters += [(j,) for j, h in zip(idx, held) if not h]
+    free = (1 << len(idx)) - 1  # bit p: sorted position p is in no cluster
+    for a, b, _ in ranges:
+        free &= ~((1 << b) - (1 << a))
+    while free:
+        low = free & -free
+        clusters.append((idx[low.bit_length() - 1],))
+        free ^= low
     return clusters
 
 
@@ -248,14 +255,18 @@ def build_graph(clusters, t: Transaction) -> TransactionGraph:
     cols = list(chain.from_iterable(canon))
     if canon[0][0] < 0 or max(cols) >= N_FEATURES:
         raise TdaError(f"cluster indices out of range: {min(cols)}..{max(cols)}")
-    owners: list[list[int]] = [[] for _ in range(N_FEATURES)]  # nodes holding each feature so far
-    flat, edges = [], set()
+    holders = [0] * N_FEATURES  # bit i of holders[j]: node i holds feature j
+    flat, edges = [], []
     for k, members in enumerate(canon):
+        shared, bit, row = 0, 1 << k, k * N_FEATURES
         for j in members:
-            for other in owners[j]:  # node k shares feature j with each earlier holder
-                edges.add((other, k))
-            owners[j].append(k)
-            flat.append(k * N_FEATURES + j)
+            shared |= holders[j]
+            holders[j] |= bit
+            flat.append(row + j)
+        while shared:  # node k shares a feature with each earlier node whose bit is set
+            low = shared & -shared
+            edges.append((low.bit_length() - 1, k))
+            shared ^= low
     nodes = np.zeros((len(canon), N_FEATURES))
     np.put(nodes, flat, itemgetter(*cols)(t.v))
     return TransactionGraph(nodes=nodes, edges=tuple(sorted(edges)), label=t.label)

@@ -10,7 +10,8 @@ default run seed, and fails unless the child exits 0, peaks under
 ``MAX_RSS_MIB`` of resident memory, and writes the corpus whose sha256 is
 pinned below. The graphs read back from it, re-encoded in the dense record
 this gate was first pinned on, must give the older digest too. The wall
-time is printed, not checked: it depends on the host.
+time and the manifest's ``stage_seconds`` (load, undersample_split, graphs,
+write) are printed, not checked: they depend on the host.
 The file name keeps it out of the pytest suite; writing the surrogate alone
 takes about 10 s.
 """
@@ -18,6 +19,7 @@ takes about 10 s.
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import resource
 import subprocess
@@ -36,6 +38,7 @@ from tests.synth import write_synthetic_csv  # noqa: E402
 N_CLEAN, N_FRAUD, CSV_SEED = 284_315, 492, 11
 RUN_SEED = 7  # the default config seed
 MAX_RSS_MIB = 150
+STAGES = ("load", "undersample_split", "graphs", "write")  # build-graphs' manifest stage_seconds
 # sha256 of the concatenated graphs_{test,train,val}.jsonl as written, and of
 # the same graphs in the dense record; the dense digest was recorded with the
 # row-by-row loader this gate was added beside, so the graphs must not change
@@ -72,6 +75,8 @@ def main() -> int:
         if rss_mib >= MAX_RSS_MIB:
             failures.append(f"peak RSS {rss_mib:.1f} MiB is not under {MAX_RSS_MIB} MiB")
         if done.returncode == 0:
+            stages = json.loads((Path(tmp) / "run" / "graphs" / "manifest.json").read_text())["stage_seconds"]
+            print("stage seconds: " + ", ".join(f"{name} {stages[name]:.2f}" for name in STAGES))
             shas = corpus_sha256s(Path(tmp) / "run" / "graphs")
             print(f"corpus sha256 {shas[0]}, dense re-encoding {shas[1]}")
             for what, sha, want in zip(("corpus", "dense re-encoding"), shas, (CORPUS_SHA256, DENSE_CORPUS_SHA256)):

@@ -382,8 +382,7 @@ def sage_layer_forward(h, adj, params: SageLayerParams, rng, train_mode: bool, f
     neigh_idx: list[np.ndarray] = []
     neigh_masks: list[np.ndarray] = []
     agg = np.zeros((n, d))
-    for v in range(n):
-        nb = adj[v]
+    for v, nb in enumerate(adj):
         if train_mode and fan_out is not None and nb.size > fan_out:
             nb = np.sort(rng.choice(nb, size=fan_out, replace=False))
         neigh_idx.append(nb)

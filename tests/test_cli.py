@@ -463,9 +463,14 @@ class TestEvaluate:
             lambda r: {"cells": [-1] + r["cells"]},
             lambda r: {"cells": r["cells"] + [28 * r["n_nodes"]]},
         )],
+        (edited(lambda r: {"edges": [[0, -1]]}), "line 2: edge (0, -1) out of range for "),
+        (edited(lambda r: {"edges": [[0, 0]]}), "line 2: self-loop on node 0"),
+        (edited(lambda r: {"edges": [[0, 1], [1, 0]]}), "line 2: duplicate edge (0, 1)"),
+        (edited(lambda r: {"edges": [[0]]}), "line 2: not enough values to unpack (expected 2, got 1)"),
     ], ids=["truncated", "not-json", "no-n_nodes", "no-v", "no-cells", "no-edges", "no-label", "not-utf8",
             "overflow", "nan", "infinity", "short-v", "text-in-v", "zero-nodes", "fractional-nodes",
-            "repeated-cell", "descending-cells", "negative-cell", "cell-past-end"])
+            "repeated-cell", "descending-cells", "negative-cell", "cell-past-end",
+            "edge-out-of-range", "self-loop", "duplicate-edge", "one-element-edge"])
     def test_malformed_corpus_line_is_validation_error(self, built_run, tmp_path, capsys, edit, message):
         cfg, out = built_run
         graphs = tmp_path / "graphs"

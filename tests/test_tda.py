@@ -366,6 +366,30 @@ class TestGraphValidation:
         with pytest.raises(TdaError):
             TransactionGraph(nodes=np.ones((0, 28)), edges=(), label=0)
 
+    @pytest.mark.parametrize("edge", [(0, -1), (-1, 1), (0, 3), (3, 1)])
+    def test_rejects_edge_out_of_range(self, edge):
+        with pytest.raises(TdaError, match=rf"edge \({edge[0]}, {edge[1]}\) out of range for 3 nodes"):
+            TransactionGraph(nodes=np.ones((3, 28)), edges=((0, 1), edge), label=0)
+
+    @pytest.mark.parametrize("shape", [(2, 27), (2, 29), (28,), (1, 2, 28)])
+    def test_rejects_nodes_not_n_by_28(self, shape):
+        with pytest.raises(TdaError, match="nodes must be"):
+            TransactionGraph(nodes=np.ones(shape), edges=(), label=0)
+
+    def test_rejects_label_2(self):
+        with pytest.raises(TdaError, match="label must be 0 or 1, got 2"):
+            TransactionGraph(nodes=np.ones((1, 28)), edges=(), label=2)
+
+    @pytest.mark.parametrize("edges, message", [
+        (((0, 1), (1, 0), (2, 2)), r"duplicate edge \(0, 1\)"),
+        (((0, 1), (2, 2), (1, 0)), "self-loop on node 2"),
+        (((1, 2), (0, 4), (1, 1)), r"edge \(0, 4\) out of range for 3 nodes"),
+        (((2, 1), (1, 2)), r"duplicate edge \(1, 2\)"),
+    ])
+    def test_names_the_first_bad_edge(self, edges, message):
+        with pytest.raises(TdaError, match=message):
+            TransactionGraph(nodes=np.ones((3, 28)), edges=edges, label=0)
+
 
 class TestCorpusIO:
     def test_round_trip(self, tmp_path):
@@ -445,6 +469,51 @@ def tie_heavy_cases():
         cover = CoverSpec(int(rng.integers(1, 7)), float(rng.uniform(0.0, 0.9)))
         db = DbscanSpec(float(rng.uniform(0.01, 1.0)), int(rng.integers(1, 6)))
         yield t, cover, db
+
+
+class TestAwkwardInputs:
+    """``transaction_graph`` on inputs that are legal but unusual."""
+
+    @pytest.mark.parametrize("cover, db", PIPELINE_SETTINGS)
+    def test_value_types_give_identical_graphs(self, cover, db):
+        rng = make_rng(57)
+        rows = [rng.integers(-4, 5, size=28), np.round(rng.normal(size=28), 1)]
+        for row in rows:
+            forms = [tuple(row.tolist()), tuple(np.float64(x) for x in row)]
+            if row.dtype.kind == "i":
+                forms.append(tuple(int(x) for x in row))
+            graphs = [transaction_graph(make_transaction(v=v), cover, db) for v in forms]
+            for g in graphs[1:]:
+                assert g.nodes.shape == graphs[0].nodes.shape and g.nodes.tobytes() == graphs[0].nodes.tobytes()
+                assert g.edges == graphs[0].edges and g.label == graphs[0].label
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_v_value_rejected(self, bad):
+        v = list(make_transaction(seed=4).v)
+        v[5] = bad
+        with pytest.raises(TdaError, match="finite"):
+            transaction_graph(make_transaction(v=v))
+
+    @pytest.mark.parametrize("min_pts", [1, 2, 3])
+    def test_gap_equal_to_eps_matches_oracle(self, min_pts):
+        # eps set to one gap between neighbouring projections, computed as the
+        # clustering computes it, so that gap lies exactly on eps; then one
+        # float below it, so the gap is just wider than eps
+        weight = float(np.asarray(tda.DEFAULT_PROJECTION)[1])
+        rng = make_rng(91)
+        for case in range(40):
+            v = np.round(rng.normal(size=28) * float(rng.uniform(0.3, 2.0)), int(rng.integers(1, 3)))
+            t = make_transaction(v=tuple(v.tolist()))
+            s = sorted(x * weight for x in t.v)
+            gaps = [y - x for x, y in zip(s, s[1:]) if y > x]
+            gap = gaps[int(rng.integers(len(gaps)))]
+            for eps in (gap, np.nextafter(gap, 0.0)):
+                for cover in (CoverSpec(1, 0.0), CoverSpec(4, 0.5), CoverSpec(3, 0.3)):
+                    db = DbscanSpec(float(eps), min_pts)
+                    g = transaction_graph(t, cover, db)
+                    nodes, edges = oracle_transaction_graph(t, cover, db)
+                    assert g.nodes.shape == nodes.shape and g.nodes.tobytes() == nodes.tobytes(), (case, eps, cover)
+                    assert list(g.edges) == edges, (case, eps, cover)
 
 
 class TestTieHeavyOracle:
